@@ -8,11 +8,11 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
-from .diagnostics import energy_dissipation_audit
-from .functionals import EnergyReport
+from .diagnostics import dissipation_audit
 from .harness import load_config, run_single, run_sweep
 from .potential import (
     HypothesisViolation,
@@ -59,16 +59,7 @@ def _cmd_sweep(args):
     cfg = load_config(args.config)
     report = run_sweep(cfg)
     payload = {
-        "rows": [
-            {
-                "eps": row.eps,
-                "sup_t_d2_to_limit": row.sup_t_d2_to_limit,
-                "slope_gap_L2": row.slope_gap_L2,
-                "energy_gap_final": row.energy_gap_final,
-                "wrinkle_summary": row.wrinkle_summary,
-            }
-            for row in report.rows
-        ],
+        "rows": [asdict(row) for row in report.rows],
         "grids": {f"{eps:g}": n for eps, n in report.grids.items()},
         "failures": [{"eps": eps, "error": msg} for eps, msg in report.failures],
     }
@@ -98,47 +89,26 @@ def _cmd_envelope(args):
     return 0
 
 
-class _CsvTrajectory:
-    """Just enough of a trajectory record to drive the dissipation audit."""
-
-    def __init__(self, times, reports, speeds, flavor):
-        self.times = np.asarray(times, dtype=float)
-        self.reports = reports
-        self.flavor = flavor
-        self.extras = {"speeds": np.asarray(speeds, dtype=float)}
-        self.snapshots = None
-
-    def speeds(self):
-        return self.extras["speeds"]
-
-
 def _cmd_audit(args):
-    times, reports, speeds = [], [], []
-    limit_like = True
+    cols = {key: [] for key in ("e_eps", "e_star", "slope_eps", "slope_star", "t", "speed")}
     with open(args.trajectory, newline="") as fh:
         for row in csv.DictReader(fh):
-            e_eps = float(row["e_eps"])
-            e_star = float(row["e_star"])
-            slope_eps = float(row["slope_eps"])
-            slope_star = float(row["slope_star"])
-            times.append(float(row["t"]))
-            speeds.append(float(row["speed"]))
-            reports.append(
-                EnergyReport(
-                    e_eps=e_eps,
-                    e_star=e_star,
-                    slope_eps=slope_eps,
-                    slope_star=slope_star,
-                    gap=e_eps - e_star,
-                )
-            )
-            limit_like = limit_like and e_eps == e_star and slope_eps == slope_star
-    if len(times) < 2:
+            for key, values in cols.items():
+                values.append(float(row[key]))
+    if len(cols["t"]) < 2:
         raise ValueError("trajectory has fewer than two rows")
+    for k, (e_eps, e_star) in enumerate(zip(cols["e_eps"], cols["e_star"])):
+        # the relaxed energy never exceeds the regularized one
+        if e_eps - e_star < -1e-10:
+            raise ValueError(f"negative energy gap {e_eps - e_star!r} in row {k}")
+    limit_like = cols["e_eps"] == cols["e_star"] and cols["slope_eps"] == cols["slope_star"]
     flavor = args.flavor if args.flavor != "auto" else ("limit" if limit_like else "eps")
-    audit = energy_dissipation_audit(_CsvTrajectory(times, reports, speeds, flavor))
-    e0 = reports[0].e_star if flavor == "limit" else reports[0].e_eps
-    tol_audit = args.tol * abs(e0) + 1e-15
+    if flavor == "limit":
+        energies, slopes = cols["e_star"], cols["slope_star"]
+    else:
+        energies, slopes = cols["e_eps"], cols["slope_eps"]
+    audit = dissipation_audit(cols["t"], energies, slopes, cols["speed"], flavor)
+    tol_audit = args.tol * abs(energies[0]) + 1e-15
     satisfied = audit.satisfied(tol_audit)
     print(
         json.dumps(

@@ -23,6 +23,7 @@ __all__ = [
     "calibrate_delta",
     "oscillation_profile",
     "h1_local",
+    "dissipation_audit",
     "energy_dissipation_audit",
     "well_preparedness",
     "u_lambda_membership",
@@ -184,6 +185,34 @@ def h1_local(f, region):
     return float(np.sum(grad[mask] ** 2) * h)
 
 
+def dissipation_audit(times, energies, slopes, speeds, flavor):
+    """Energy-dissipation residuals from plain per-snapshot arrays.
+
+    residual[k] = energies[0] - energies[k] minus half the trapezoidal slope
+    integral and the rectangle-rule speed integral up to times[k]; speeds[0]
+    is unused.
+    """
+    times = np.asarray(times, dtype=float)
+    energies = np.asarray(energies, dtype=float)
+    # float pow, not numpy's x*x: the two can differ in the last bit
+    slopes_sq = np.array([float(s) ** 2 for s in slopes])
+    speeds = np.asarray(speeds, dtype=float)
+    residuals = np.zeros(times.size)
+    slope_term = speed_term = 0.0
+    for k in range(1, times.size):
+        slope_term = np.trapezoid(slopes_sq[: k + 1], times[: k + 1])
+        speed_term = float(np.sum(speeds[1 : k + 1] ** 2 * np.diff(times[: k + 1])))
+        residuals[k] = energies[0] - energies[k] - 0.5 * (slope_term + speed_term)
+    return DissipationAudit(
+        flavor=flavor,
+        times=times.copy(),
+        residuals=residuals,
+        slope_integral=float(slope_term),
+        speed_integral=float(speed_term),
+        min_residual=float(np.min(residuals)),
+    )
+
+
 def energy_dissipation_audit(traj):
     """Check E(0) - E(t) against the dissipated slope and speed integrals.
 
@@ -194,30 +223,12 @@ def energy_dissipation_audit(traj):
     if traj.reports is None or len(traj.reports) < 2:
         raise ValueError("audit needs at least two snapshots with energy reports")
     limit = traj.flavor == "limit"
-    energies = np.array([rep.e_star if limit else rep.e_eps for rep in traj.reports])
-    slopes_sq = np.array([(rep.slope_star if limit else rep.slope_eps) ** 2 for rep in traj.reports])
-    times = np.asarray(traj.times, dtype=float)
+    energies = [rep.e_star if limit else rep.e_eps for rep in traj.reports]
+    slopes = [rep.slope_star if limit else rep.slope_eps for rep in traj.reports]
     speeds = traj.speeds()
     if speeds is None:
-        speeds = np.zeros(times.size)
-        for k in range(1, times.size):
-            speeds[k] = metric_speed(traj, k - 1)
-    speeds = np.asarray(speeds, dtype=float)
-
-    residuals = np.zeros(times.size)
-    slope_term = speed_term = 0.0
-    for k in range(1, times.size):
-        slope_term = np.trapezoid(slopes_sq[: k + 1], times[: k + 1])
-        speed_term = float(np.sum(speeds[1 : k + 1] ** 2 * np.diff(times[: k + 1])))
-        residuals[k] = energies[0] - energies[k] - 0.5 * (slope_term + speed_term)
-    return DissipationAudit(
-        flavor=traj.flavor,
-        times=times.copy(),
-        residuals=residuals,
-        slope_integral=float(slope_term),
-        speed_integral=float(speed_term),
-        min_residual=float(np.min(residuals)),
-    )
+        speeds = [0.0] + [metric_speed(traj, k) for k in range(len(traj.times) - 1)]
+    return dissipation_audit(traj.times, energies, slopes, speeds, traj.flavor)
 
 
 def well_preparedness(f_eps_family, f0, env, spec, d2_tol=1e-3, gap_tol=1e-3):

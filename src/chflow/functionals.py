@@ -19,11 +19,14 @@ from .wasserstein1d import DensityField
 __all__ = [
     "EnergyReport",
     "chemical_potential",
+    "chemical_potential_values",
     "dx_centered",
     "dx_forward",
     "energy_eps",
+    "energy_eps_values",
     "energy_report",
     "energy_star",
+    "energy_star_values",
     "g_field",
     "laplacian",
     "slope_eps",
@@ -69,6 +72,22 @@ class EnergyReport:
             raise ValueError(f"negative energy gap {self.gap!r}")
 
 
+def energy_eps_values(values, h, eps, spec: PotentialSpec) -> float:
+    """Gradient-penalized energy of a raw cell array; see `energy_eps`."""
+    grad = dx_forward(values, h)
+    return float(np.sum(0.5 * eps * eps * grad * grad + spec.eval_W(values)) * h)
+
+
+def energy_star_values(values, h, env: ConvexEnvelope) -> float:
+    """Relaxed energy of a raw cell array; see `energy_star`."""
+    return float(np.sum(env.eval_Wss(values)) * h)
+
+
+def chemical_potential_values(values, h, eps, spec: PotentialSpec) -> np.ndarray:
+    """W'(v) minus eps^2 times the discrete second difference of a raw cell array."""
+    return spec.eval_W1(values) - eps * eps * laplacian(values, h)
+
+
 def energy_eps(f: DensityField, eps: float, spec: PotentialSpec) -> float:
     """Gradient-penalized energy: sum of (eps^2/2)|Dx f|^2 + W(f), times h.
 
@@ -77,21 +96,19 @@ def energy_eps(f: DensityField, eps: float, spec: PotentialSpec) -> float:
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    h = f.h
-    grad = dx_forward(f.values, h)
-    return float(np.sum(0.5 * eps * eps * grad * grad + spec.eval_W(f.values)) * h)
+    return energy_eps_values(f.values, f.h, eps, spec)
 
 
 def energy_star(f: DensityField, env: ConvexEnvelope) -> float:
     """Relaxed energy: the convex envelope integrated against the grid."""
-    return float(np.sum(env.eval_Wss(f.values)) * f.h)
+    return energy_star_values(f.values, f.h, env)
 
 
 def chemical_potential(f: DensityField, eps: float, spec: PotentialSpec) -> np.ndarray:
     """W'(f) minus eps^2 times the discrete second difference of f."""
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
-    return spec.eval_W1(f.values) - eps * eps * laplacian(f.values, f.h)
+    return chemical_potential_values(f.values, f.h, eps, spec)
 
 
 def g_field(f: DensityField, eps: float, spec: PotentialSpec) -> np.ndarray:

@@ -11,7 +11,7 @@ import math
 import platform
 import subprocess
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -174,21 +174,10 @@ class ExperimentConfig:
         return self.output_times or default_output_times(self.solver.t_end)
 
 
-_TOP_KEYS = (
-    "potential",
-    "solver",
-    "jko",
-    "eps_list",
-    "initial_data",
-    "output_times",
-    "seed",
-    "output_dir",
-    "allow_ill_prepared",
-    "workers",
-)
-_SOLVER_KEYS = ("n", "dt", "eps", "t_end", "theta_scheme", "max_newton", "newton_tol", "positivity_mode")
-_JKO_KEYS = ("tau", "m", "inner_tol", "inner_max", "reconstruct_bandwidth")
-_INITIAL_KEYS = ("name", "params")
+_TOP_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+_SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig))
+_JKO_KEYS = tuple(f.name for f in fields(JkoConfig))
+_INITIAL_KEYS = tuple(f.name for f in fields(InitialData))
 
 
 def experiment_from_dict(doc):
@@ -234,18 +223,7 @@ def load_config(path):
 
 def config_as_dict(cfg):
     """JSON-ready canonical form with defaults resolved."""
-    return {
-        "potential": cfg.potential if isinstance(cfg.potential, str) else list(cfg.potential),
-        "solver": asdict(cfg.solver),
-        "jko": asdict(cfg.jko) if cfg.jko is not None else None,
-        "eps_list": list(cfg.eps_list),
-        "initial_data": {"name": cfg.initial_data.name, "params": dict(cfg.initial_data.params)},
-        "output_times": list(cfg.times()),
-        "seed": cfg.seed,
-        "output_dir": cfg.output_dir,
-        "allow_ill_prepared": cfg.allow_ill_prepared,
-        "workers": cfg.workers,
-    }
+    return {**asdict(cfg), "output_times": list(cfg.times())}
 
 
 def config_hash(cfg):
@@ -322,20 +300,21 @@ def _grid_for(eps, n_base):
     return max(int(n_base), int(math.ceil(8.0 / eps)))
 
 
+def _wrinkle_summary(snap, unstable):
+    rep = wrinkling_report(snap, unstable, eta=_WRINKLE_ETA, delta=_WRINKLE_DELTA)
+    return {
+        "violations": len(rep.violations),
+        "oscillating_mass_fraction": rep.oscillating_mass_fraction,
+        "far_mass_fraction": rep.far_mass_fraction,
+        "sigma_localized": rep.sigma_localized,
+    }
+
+
 def _wrinkle_rows(record, unstable):
-    rows = []
-    for t, snap in zip(record.times, record.snapshots):
-        rep = wrinkling_report(snap, unstable, eta=_WRINKLE_ETA, delta=_WRINKLE_DELTA)
-        rows.append(
-            {
-                "t": float(t),
-                "violations": len(rep.violations),
-                "oscillating_mass_fraction": rep.oscillating_mass_fraction,
-                "far_mass_fraction": rep.far_mass_fraction,
-                "sigma_localized": rep.sigma_localized,
-            }
-        )
-    return rows
+    return [
+        {"t": float(t), **_wrinkle_summary(snap, unstable)}
+        for t, snap in zip(record.times, record.snapshots)
+    ]
 
 
 def _audit_as_dict(audit):
@@ -351,10 +330,9 @@ def _audit_as_dict(audit):
 
 def _write_final_state(record, path):
     snap = record.snapshots[-1]
-    x = (np.arange(snap.n) + 0.5) / snap.n
     with open(path, "w", newline="") as fh:
         fh.write("x,density\n")
-        for xi, vi in zip(x, snap.values):
+        for xi, vi in zip(snap.cell_centers(), snap.values):
             fh.write(f"{xi!r},{float(vi)!r}\n")
 
 
@@ -406,20 +384,7 @@ def run_single(cfg, mode):
             )
             cmp_path = out_dir / "comparison.json"
             with open(cmp_path, "w") as fh:
-                json.dump(
-                    {
-                        "eps": comparison.eps,
-                        "eps_eff": comparison.eps_eff,
-                        "k0": comparison.k0,
-                        "times": list(comparison.times),
-                        "gaps": list(comparison.gaps),
-                        "sup_nonlocal": comparison.sup_nonlocal,
-                        "sup_local": comparison.sup_local,
-                    },
-                    fh,
-                    indent=2,
-                    sort_keys=True,
-                )
+                json.dump(asdict(comparison), fh, indent=2, sort_keys=True)
                 fh.write("\n")
             outputs.append(cmp_path)
 
@@ -493,18 +458,12 @@ def _sweep_worker(payload):
         t_arr = np.asarray(times, dtype=float)
         slope_gap = float(np.trapezoid((slopes - np.asarray(limit_slopes)) ** 2, t_arr))
         energy_gap = float(np.max(np.abs(energies - np.asarray(limit_energies))))
-        wr = wrinkling_report(record.snapshots[-1], unstable, eta=_WRINKLE_ETA, delta=_WRINKLE_DELTA)
         row = SweepRow(
             eps=float(eps),
             sup_t_d2_to_limit=float(np.max(d2)),
             slope_gap_L2=slope_gap,
             energy_gap_final=energy_gap,
-            wrinkle_summary={
-                "violations": len(wr.violations),
-                "oscillating_mass_fraction": wr.oscillating_mass_fraction,
-                "far_mass_fraction": wr.far_mass_fraction,
-                "sigma_localized": wr.sigma_localized,
-            },
+            wrinkle_summary=_wrinkle_summary(record.snapshots[-1], unstable),
         )
         return eps, row, record, None
     except Exception as exc:  # per-eps isolation: the sweep continues

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import energy_report
+from .functionals import chemical_potential_values, energy_eps_values, energy_report
 from .potential import PotentialSpec, compute_convex_envelope
 from .solvers import TrajectoryRecord
 from .wasserstein1d import DensityField, to_quantiles
@@ -100,24 +100,24 @@ def particles_from_density(f: DensityField, m: int) -> np.ndarray:
     return to_quantiles(f, m).positions.copy()
 
 
-def _deposit_stencil(positions, n, p_cells):
+def _deposit(positions, n, p_cells):
+    """Deposited cell values plus the stencil (cells idx, scaled offsets t) behind them."""
     x = np.asarray(positions, dtype=float) % 1.0
     base = np.floor(x * n - 0.5).astype(int)
     offsets = np.arange(-2 * p_cells, 2 * p_cells + 2)
     idx = base[:, None] + offsets[None, :]
     centers = (idx + 0.5) / n
     t = (centers - x[:, None]) * (n / p_cells)
-    return idx % n, t
+    idx %= n
+    weights = _bspline(t) * (n / p_cells) / x.size
+    vals = np.zeros(n)
+    np.add.at(vals, idx, weights)
+    return vals, idx, t
 
 
 def density_from_particles(positions, n: int, p_cells: int) -> np.ndarray:
     """Deposit m equal-mass particles onto n cells; mass is exact."""
-    m = len(positions)
-    idx, t = _deposit_stencil(positions, n, p_cells)
-    weights = _bspline(t) * (n / p_cells) / m
-    vals = np.zeros(n)
-    np.add.at(vals, idx, weights)
-    return vals
+    return _deposit(positions, n, p_cells)[0]
 
 
 def _signed_wrap(delta):
@@ -136,25 +136,16 @@ class _Objective:
         self.p_cells = p_cells
         self.h = 1.0 / n
 
-    def density(self, x):
-        return density_from_particles(x, self.n, self.p_cells)
-
     def __call__(self, x):
         m = x.size
         h, eps, n = self.h, self.eps, self.n
         delta = _signed_wrap(x - self.anchor)
-        idx, t = _deposit_stencil(x, n, self.p_cells)
-        weights = _bspline(t) * (n / self.p_cells) / m
-        vals = np.zeros(n)
-        np.add.at(vals, idx, weights)
-
-        grad_fwd = (np.roll(vals, -1) - vals) / h
-        energy = float(np.sum(0.5 * eps * eps * grad_fwd * grad_fwd + self.spec.eval_W(vals)) * h)
+        vals, idx, t = _deposit(x, n, self.p_cells)
+        energy = energy_eps_values(vals, h, eps, self.spec)
         value = float(np.mean(delta * delta)) + 2.0 * self.tau_eff * energy
 
         # dE/df_j = h * (W'(f_j) - eps^2 (Lf)_j), then chain through the kernel
-        lap = (np.roll(vals, -1) - 2.0 * vals + np.roll(vals, 1)) / (h * h)
-        p = self.spec.eval_W1(vals) - eps * eps * lap
+        p = chemical_potential_values(vals, h, eps, self.spec)
         kernel_d = _bspline_d(t) * (n / self.p_cells) ** 2 / m
         de_dx = -h * np.sum(p[idx] * kernel_d, axis=1)
         grad = 2.0 * delta / m + 2.0 * self.tau_eff * de_dx

@@ -15,14 +15,15 @@ import scipy.sparse.linalg as spla
 from .functionals import EnergyReport, energy_star
 from .potential import compute_convex_envelope, make_potential
 from .solvers import (
+    SolverConfig,
     StepFailure,
-    _cyclic_tridiag,
-    _divergence_of_flux,
-    _enforce_positivity,
-    _laplacian_matrix,
-    _mobility_matrix,
-    _newton,
-    _simulate,
+    divergence_of_flux,
+    enforce_positivity,
+    laplacian_matrix,
+    mobility_faces,
+    mobility_matrix,
+    newton,
+    run_trajectory,
     simulate_eps,
 )
 from .wasserstein1d import DensityField, w2_periodic
@@ -127,14 +128,11 @@ def _advance_nonlocal(vals, h, dt, k_grid, t, events):
     cfl = float(np.max(np.abs(v_face))) * dt
     if cfl > h:
         raise StepFailure(f"aggregation CFL violated: |v| dt = {cfl:.3e} > h")
-    f_face = np.maximum(0.0, 0.5 * (vals + np.roll(vals, -1)))
+    f_face = mobility_faces(vals)
     flux_exp = f_face * v_face
     div_exp = (flux_exp - np.roll(flux_exp, 1)) / h
 
-    m = f_face**2
-    m_minus = np.roll(m, 1)
-    diffusion = _cyclic_tridiag(m_minus / h**2, -(m + m_minus) / h**2, m / h**2)
-    system = sp.identity(vals.size, format="csr") - dt * diffusion
+    system = sp.identity(vals.size, format="csr") - dt * mobility_matrix(f_face**2, h)
     out = spla.splu(system.tocsc()).solve(vals - dt * div_exp)
     low = float(np.min(out))
     if low < 0.0:
@@ -163,23 +161,25 @@ def _advance_nonlocal_implicit(vals, h, dt, k_grid, eps2k0, cfg, t, events):
         return 0.5 * v * v - convolve_periodic(v, k_grid, h)
 
     def residual(v):
-        return v - vals - dt * _divergence_of_flux(v, potential_of(v), h)
+        return v - vals - dt * divergence_of_flux(v, potential_of(v), h)
 
-    lap = _laplacian_matrix(vals.size, h)
+    lap = laplacian_matrix(vals.size, h)
     eye = sp.identity(vals.size, format="csr")
 
     def jacobian(v):
         linearized = sp.diags(v) - eye - eps2k0 * lap
-        return eye - dt * (_mobility_matrix(v, h) @ linearized)
+        return eye - dt * (mobility_matrix(mobility_faces(v), h) @ linearized)
 
-    out = _newton(vals, residual, jacobian, cfg.newton_tol, cfg.max_newton)
-    return _enforce_positivity(out, h, cfg.positivity_mode, t, events)
+    out = newton(vals, residual, jacobian, cfg.newton_tol, cfg.max_newton)
+    return enforce_positivity(out, h, cfg.positivity_mode, t, events)
 
 
-def _seminorm_values(vals, h, k_grid):
+def _energy_values(vals, h, k_grid, spec):
+    """(bulk + seminorm, seminorm) of a raw cell array."""
     # (1/4) double integral of K_eps(x-y)(f(x)-f(y))² via the unit-mass identity
     conv = convolve_periodic(vals, k_grid, h)
-    return 0.5 * h * float(np.sum(vals * vals) - np.sum(vals * conv))
+    seminorm = 0.5 * h * float(np.sum(vals * vals) - np.sum(vals * conv))
+    return seminorm + float(np.sum(spec.eval_W(vals)) * h), seminorm
 
 
 def energy_nonlocal(f: DensityField, eps, kern, spec=None, split=False):
@@ -187,11 +187,8 @@ def energy_nonlocal(f: DensityField, eps, kern, spec=None, split=False):
     if spec is None:
         spec = make_potential("cubic-motivation")
     k_grid = kernel_on_grid(kern, eps, f.n)
-    seminorm = _seminorm_values(f.values, f.h, k_grid)
-    bulk = float(np.sum(spec.eval_W(f.values)) * f.h)
-    if split:
-        return bulk + seminorm, seminorm
-    return bulk + seminorm
+    total, seminorm = _energy_values(f.values, f.h, k_grid, spec)
+    return (total, seminorm) if split else total
 
 
 def simulate_nonlocal(f0, cfg, kern, spec=None, env=None, output_times=None, scheme="semi-implicit"):
@@ -225,7 +222,7 @@ def simulate_nonlocal(f0, cfg, kern, spec=None, env=None, output_times=None, sch
             return _advance_nonlocal(vals, h_, dt, k_grid, t, events)
 
     def energy_of(vals):
-        return _seminorm_values(vals, h, k_grid) + float(np.sum(spec.eval_W(vals)) * h)
+        return _energy_values(vals, h, k_grid, spec)[0]
 
     def make_report(snap):
         e_model = energy_of(snap.values)
@@ -234,7 +231,7 @@ def simulate_nonlocal(f0, cfg, kern, spec=None, env=None, output_times=None, sch
             e_eps=e_model, e_star=e_bulk, slope_eps=0.0, slope_star=0.0, gap=e_model - e_bulk
         )
 
-    record = _simulate(f0, cfg, advance, make_report, energy_of, "nonlocal", output_times)
+    record = run_trajectory(f0, cfg, advance, make_report, energy_of, "nonlocal", output_times)
     record.extras["kernel"] = {"name": kern.name, "k0": kern.k0, "eps": cfg.eps, "scheme": scheme}
     return record
 
@@ -262,8 +259,6 @@ def compare_local_nonlocal(f0, eps, kern, spec, t_end, dt=2e-4, n_out=6):
     """
     if getattr(spec, "name", None) != "cubic-motivation":
         raise ValueError("the comparison is calibrated for the cubic-motivation potential")
-    from .solvers import SolverConfig
-
     times = np.linspace(0.0, t_end, int(n_out))
     eps_eff = eps * float(np.sqrt(kern.k0))
     rec_nl = simulate_nonlocal(

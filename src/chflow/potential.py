@@ -334,26 +334,18 @@ def compute_convex_envelope(spec, n_samples=2048, contact_tol=None):
         idx = np.searchsorted(starts, z, side="right") - 1
         return np.clip(idx, 0, len(segments) - 1)
 
-    def wss(z):
-        z = np.asarray(z, dtype=float)
-        idx = _locate(z)
-        on_bridge = is_bridge[idx]
-        out = np.where(on_bridge, slopes[idx] * z + intercepts[idx], spec.eval_W(z))
-        return out if out.shape else float(out)
+    def _piecewise(on_bridge, on_graph):
+        # bridge segments follow the tangent line, graph segments follow W
+        def evaluate(z):
+            z = np.asarray(z, dtype=float)
+            idx = _locate(z)
+            out = np.where(is_bridge[idx], on_bridge(z, idx), on_graph(z))
+            return out if out.shape else float(out)
+        return evaluate
 
-    def wss1(z):
-        z = np.asarray(z, dtype=float)
-        idx = _locate(z)
-        on_bridge = is_bridge[idx]
-        out = np.where(on_bridge, slopes[idx], spec.eval_W1(z))
-        return out if out.shape else float(out)
-
-    def wss2(z):
-        z = np.asarray(z, dtype=float)
-        idx = _locate(z)
-        on_bridge = is_bridge[idx]
-        out = np.where(on_bridge, 0.0, spec.eval_W2(z))
-        return out if out.shape else float(out)
+    wss = _piecewise(lambda z, idx: slopes[idx] * z + intercepts[idx], spec.eval_W)
+    wss1 = _piecewise(lambda z, idx: slopes[idx], spec.eval_W1)
+    wss2 = _piecewise(lambda z, idx: 0.0, spec.eval_W2)
 
     def qss1(z):
         z = np.asarray(z, dtype=float)

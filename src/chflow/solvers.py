@@ -17,7 +17,17 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .functionals import EnergyReport, chemical_potential, energy_report, energy_star, laplacian, slope_star
+from .diagnostics import dissipation_audit
+from .functionals import (
+    EnergyReport,
+    chemical_potential_values,
+    energy_eps_values,
+    energy_report,
+    energy_star,
+    energy_star_values,
+    laplacian,
+    slope_star,
+)
 from .potential import ConvexEnvelope, PotentialSpec, compute_convex_envelope
 from .wasserstein1d import DensityField, w2_periodic
 
@@ -25,6 +35,14 @@ __all__ = [
     "SolverConfig",
     "StepFailure",
     "TrajectoryRecord",
+    "cyclic_tridiag",
+    "divergence_of_flux",
+    "enforce_positivity",
+    "laplacian_matrix",
+    "mobility_faces",
+    "mobility_matrix",
+    "newton",
+    "run_trajectory",
     "simulate_eps",
     "simulate_limit",
     "step_eps",
@@ -116,7 +134,7 @@ class TrajectoryRecord:
                 )
 
 
-def _cyclic_tridiag(lower, diag, upper):
+def cyclic_tridiag(lower, diag, upper):
     """Sparse periodic tridiagonal with given per-row bands."""
     n = diag.size
     j = np.arange(n)
@@ -126,31 +144,31 @@ def _cyclic_tridiag(lower, diag, upper):
     return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
-def _mobility_faces(v):
-    # face value at j+1/2, clamped so degenerate cells cannot push mass
+def mobility_faces(v):
+    """Face value at j+1/2, clamped so degenerate cells cannot push mass."""
     return np.maximum(0.0, 0.5 * (v + np.roll(v, -1)))
 
 
-def _divergence_of_flux(v, p, h):
+def divergence_of_flux(v, p, h):
     """Conservative update: difference of face fluxes m * Dx(p)."""
-    m = _mobility_faces(v)
+    m = mobility_faces(v)
     flux = m * (np.roll(p, -1) - p) / h
     return (flux - np.roll(flux, 1)) / h
 
 
-def _mobility_matrix(v, h):
-    """Sparse operator p -> Dx(m Dx p), rows sum to zero."""
-    m = _mobility_faces(v)
+def mobility_matrix(m, h):
+    """Sparse operator p -> Dx(m Dx p) for face coefficients m; rows sum to zero."""
     m_minus = np.roll(m, 1)
-    return _cyclic_tridiag(m_minus / h**2, -(m + m_minus) / h**2, m / h**2)
+    return cyclic_tridiag(m_minus / h**2, -(m + m_minus) / h**2, m / h**2)
 
 
-def _laplacian_matrix(n, h):
+def laplacian_matrix(n, h):
+    """Sparse periodic three-point second difference."""
     one = np.ones(n)
-    return _cyclic_tridiag(one / h**2, -2.0 * one / h**2, one / h**2)
+    return cyclic_tridiag(one / h**2, -2.0 * one / h**2, one / h**2)
 
 
-def _newton(vals, residual_fn, jacobian_fn, tol, max_iter):
+def newton(vals, residual_fn, jacobian_fn, tol, max_iter):
     """Damped quasi-Newton iteration; raises StepFailure on stagnation."""
     f = vals.copy()
     r = residual_fn(f)
@@ -178,7 +196,8 @@ def _newton(vals, residual_fn, jacobian_fn, tol, max_iter):
     raise StepFailure("Newton did not converge")
 
 
-def _enforce_positivity(vals, h, mode, t, events):
+def enforce_positivity(vals, h, mode, t, events):
+    """Clip and rescale a negative step, or reject it under reject-halve."""
     low = float(np.min(vals))
     if low >= 0.0:
         return vals
@@ -200,22 +219,23 @@ def _advance_eps(vals, h, dt, cfg, spec, t, events):
     theta = cfg.theta_scheme
 
     def potential_of(v):
-        return spec.eval_W1(v) - eps2 * laplacian(v, h)
+        return chemical_potential_values(v, h, cfg.eps, spec)
 
-    explicit = (1.0 - theta) * _divergence_of_flux(vals, potential_of(vals), h)
+    explicit = (1.0 - theta) * divergence_of_flux(vals, potential_of(vals), h)
 
     def residual(v):
-        return v - vals - dt * (theta * _divergence_of_flux(v, potential_of(v), h) + explicit)
+        return v - vals - dt * (theta * divergence_of_flux(v, potential_of(v), h) + explicit)
 
-    lap = _laplacian_matrix(vals.size, h)
+    lap = laplacian_matrix(vals.size, h)
 
     def jacobian(v):
         # mobility lagged: its derivative is dropped, the flux kept exact
         linearized = sp.diags(spec.eval_W2(v)) - eps2 * lap
-        return sp.identity(vals.size, format="csr") - dt * theta * (_mobility_matrix(v, h) @ linearized)
+        mobility = mobility_matrix(mobility_faces(v), h)
+        return sp.identity(vals.size, format="csr") - dt * theta * (mobility @ linearized)
 
-    out = _newton(vals, residual, jacobian, cfg.newton_tol, cfg.max_newton)
-    return _enforce_positivity(out, h, cfg.positivity_mode, t, events)
+    out = newton(vals, residual, jacobian, cfg.newton_tol, cfg.max_newton)
+    return enforce_positivity(out, h, cfg.positivity_mode, t, events)
 
 
 def _advance_limit(vals, h, dt, cfg, env, t, events):
@@ -224,15 +244,15 @@ def _advance_limit(vals, h, dt, cfg, env, t, events):
     def residual(v):
         return v - vals - dt * laplacian(env.eval_Qss1(v), h)
 
-    lap = _laplacian_matrix(vals.size, h)
+    lap = laplacian_matrix(vals.size, h)
 
     def jacobian(v):
         # Q**'' = v W**''(v) >= 0 on the admissible range; clamp strays
         cond = np.maximum(0.0, v * env.eval_Wss2(v))
         return sp.identity(vals.size, format="csr") - dt * (lap @ sp.diags(cond))
 
-    out = _newton(vals, residual, jacobian, cfg.newton_tol, cfg.max_newton)
-    return _enforce_positivity(out, h, cfg.positivity_mode, t, events)
+    out = newton(vals, residual, jacobian, cfg.newton_tol, cfg.max_newton)
+    return enforce_positivity(out, h, cfg.positivity_mode, t, events)
 
 
 def step_eps(f: DensityField, cfg: SolverConfig, spec: PotentialSpec, events=None) -> DensityField:
@@ -289,7 +309,11 @@ def _check_output_times(cfg, output_times):
     return times
 
 
-def _simulate(f0, cfg, advance, make_report, energy_of, flavor, output_times):
+def run_trajectory(f0, cfg, advance, make_report, energy_of, flavor, output_times):
+    """Adaptive-dt loop shared by every flow: snapshots, reports, events, speeds.
+
+    `advance(vals, h, dt, t, events)` takes one step or raises StepFailure.
+    """
     times = _check_output_times(cfg, output_times)
     vals = f0.values.copy()
     h = f0.h
@@ -379,18 +403,9 @@ def simulate_eps(
     h0 = f0.h
 
     def energy_of(v):
-        return _energy_eps_values(v, h0, cfg.eps, spec)
+        return energy_eps_values(v, h0, cfg.eps, spec)
 
-    return _simulate(f0, cfg, advance, make_report, energy_of, "eps", output_times)
-
-
-def _energy_eps_values(v, h, eps, spec):
-    grad = (np.roll(v, -1) - v) / h
-    return float(np.sum(0.5 * eps * eps * grad * grad + spec.eval_W(v)) * h)
-
-
-def _energy_star_values(v, h, env):
-    return float(np.sum(env.eval_Wss(v)) * h)
+    return run_trajectory(f0, cfg, advance, make_report, energy_of, "eps", output_times)
 
 
 def simulate_limit(
@@ -419,19 +434,17 @@ def simulate_limit(
         return EnergyReport(e_eps=e_star, e_star=e_star, slope_eps=s_star, slope_star=s_star, gap=0.0)
 
     def energy_of(v):
-        return _energy_star_values(v, h0, env)
+        return energy_star_values(v, h0, env)
 
-    record = _simulate(f0, cfg, advance, make_report, energy_of, "limit", output_times)
+    record = run_trajectory(f0, cfg, advance, make_report, energy_of, "limit", output_times)
 
     # discrete energy-equality defect: energy drop minus metric accounting
-    times = record.times
-    slopes_sq = np.array([rep.slope_star**2 for rep in record.reports])
-    speeds = record.extras["speeds"]
-    residual = np.zeros(times.size)
-    for k in range(1, times.size):
-        slope_term = np.trapezoid(slopes_sq[: k + 1], times[: k + 1])
-        speed_term = float(np.sum(speeds[1 : k + 1] ** 2 * np.diff(times[: k + 1])))
-        drop = record.reports[0].e_star - record.reports[k].e_star
-        residual[k] = drop - 0.5 * (slope_term + speed_term)
-    record.extras["energy_equality_residual"] = residual
+    audit = dissipation_audit(
+        record.times,
+        [rep.e_star for rep in record.reports],
+        [rep.slope_star for rep in record.reports],
+        record.extras["speeds"],
+        "limit",
+    )
+    record.extras["energy_equality_residual"] = audit.residuals
     return record

@@ -361,3 +361,19 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     with pytest.raises(SystemExit):
         main(["simulate", "--config", "missing-mode.json"])
+
+
+def test_cli_audit_rejects_negative_energy_gap(tmp_path, capsys):
+    # e_star <= e_eps holds for any admissible state, so a row breaking it is bad input
+    header = "t,min,max,mass,e_eps,e_star,slope_eps,slope_star,speed\n"
+    first = "0.0,1.0,1.0,1.0,-0.3,-0.375,0.0,0.0,0.0\n"
+    bad = tmp_path / "gap.csv"
+    bad.write_text(header + first + "0.01,1.0,1.0,1.0,-0.4,-0.375,0.0,0.0,0.0\n")
+    assert main(["audit", "--trajectory", str(bad)]) == 1
+    assert "negative energy gap" in capsys.readouterr().err
+
+    # a gap of -5e-11 is rounding, inside the 1e-10 allowance
+    rounding = tmp_path / "rounding.csv"
+    rounding.write_text(header + first + "0.01,1.0,1.0,1.0,-0.37500000005,-0.375,0.0,0.0,0.0\n")
+    assert main(["audit", "--trajectory", str(rounding)]) == 0
+    assert json.loads(capsys.readouterr().out)["flavor"] == "eps"

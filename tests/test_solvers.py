@@ -14,7 +14,7 @@ from chflow.solvers import (
     step_limit,
     step_limit_values,
 )
-from chflow.solvers import _enforce_positivity
+from chflow.solvers import enforce_positivity
 from chflow.wasserstein1d import DensityField
 
 
@@ -292,12 +292,12 @@ def test_output_times_validation(wrinkle):
 def test_positivity_modes():
     vals = np.array([0.5, -0.01, 1.0, 0.51])
     events = []
-    out = _enforce_positivity(vals.copy(), 0.25, "clip-renormalize", 0.3, events)
+    out = enforce_positivity(vals.copy(), 0.25, "clip-renormalize", 0.3, events)
     assert np.min(out) == 0.0
     assert np.sum(out) * 0.25 == pytest.approx(np.sum(vals) * 0.25, abs=1e-15)
     assert events and events[0]["type"] == "clip"
     with pytest.raises(StepFailure):
-        _enforce_positivity(vals.copy(), 0.25, "reject-halve", 0.3, [])
+        enforce_positivity(vals.copy(), 0.25, "reject-halve", 0.3, [])
 
 
 def test_trajectory_record_validation_and_csv(tmp_path, wrinkle):
