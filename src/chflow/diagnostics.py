@@ -13,7 +13,7 @@ from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from .functionals import dx_centered, dx_forward, energy_eps, energy_star
 from .potential import distance_to_sigma
-from .wasserstein1d import metric_speed, w2_periodic
+from .wasserstein1d import w2_periodic
 
 __all__ = [
     "WrinkleReport",
@@ -217,18 +217,14 @@ def energy_dissipation_audit(traj):
     """Check E(0) - E(t) against the dissipated slope and speed integrals.
 
     Uses the sharp-interface pair (e_star, slope_star) for limit runs and
-    (e_eps, slope_eps) otherwise; speeds fall back to divided differences of
-    the metric when the record carries none.
+    (e_eps, slope_eps) otherwise.
     """
     if traj.reports is None or len(traj.reports) < 2:
         raise ValueError("audit needs at least two snapshots with energy reports")
     limit = traj.flavor == "limit"
     energies = [rep.e_star if limit else rep.e_eps for rep in traj.reports]
     slopes = [rep.slope_star if limit else rep.slope_eps for rep in traj.reports]
-    speeds = traj.speeds()
-    if speeds is None:
-        speeds = [0.0] + [metric_speed(traj, k) for k in range(len(traj.times) - 1)]
-    return dissipation_audit(traj.times, energies, slopes, speeds, traj.flavor)
+    return dissipation_audit(traj.times, energies, slopes, traj.speeds(), traj.flavor)
 
 
 def well_preparedness(f_eps_family, f0, env, spec, d2_tol=1e-3, gap_tol=1e-3):

@@ -29,7 +29,7 @@ from .functionals import (
     slope_star,
 )
 from .potential import ConvexEnvelope, PotentialSpec, compute_convex_envelope
-from .wasserstein1d import DensityField, w2_periodic
+from .wasserstein1d import DensityField, metric_speed
 
 __all__ = [
     "SolverConfig",
@@ -107,7 +107,12 @@ class TrajectoryRecord:
         return not any(ev.get("type") == "abort" for ev in self.events)
 
     def speeds(self):
-        return self.extras.get("speeds")
+        """Metric speed into each snapshot (0 for the first), computed once and cached."""
+        if "speeds" not in self.extras:
+            self.extras["speeds"] = np.array(
+                [0.0] + [metric_speed(self, k) for k in range(len(self.times) - 1)]
+            )
+        return self.extras["speeds"]
 
     def write_csv(self, path):
         speeds = self.speeds()
@@ -117,8 +122,6 @@ class TrajectoryRecord:
                 ["t", "min", "max", "mass", "e_eps", "e_star", "slope_eps", "slope_star", "speed"]
             )
             for k, (t, snap, rep) in enumerate(zip(self.times, self.snapshots, self.reports)):
-                # speed of the first row is 0 by convention (no prior snapshot)
-                speed = 0.0 if speeds is None else float(speeds[k])
                 writer.writerow(
                     [
                         repr(float(t)),
@@ -129,7 +132,7 @@ class TrajectoryRecord:
                         repr(rep.e_star),
                         repr(rep.slope_eps),
                         repr(rep.slope_star),
-                        repr(speed),
+                        repr(float(speeds[k])),
                     ]
                 )
 
@@ -310,7 +313,7 @@ def _check_output_times(cfg, output_times):
 
 
 def run_trajectory(f0, cfg, advance, make_report, energy_of, flavor, output_times):
-    """Adaptive-dt loop shared by every flow: snapshots, reports, events, speeds.
+    """Adaptive-dt loop shared by every flow: snapshots, reports, events.
 
     `advance(vals, h, dt, t, events)` takes one step or raises StepFailure.
     """
@@ -367,11 +370,6 @@ def run_trajectory(f0, cfg, advance, make_report, energy_of, flavor, output_time
         events=events,
         flavor=flavor,
     )
-    speeds = np.zeros(len(snapshots))
-    for k in range(1, len(snapshots)):
-        gap = record.times[k] - record.times[k - 1]
-        speeds[k] = w2_periodic(snapshots[k - 1], snapshots[k]) / gap
-    record.extras["speeds"] = speeds
     return record
 
 
@@ -443,7 +441,7 @@ def simulate_limit(
         record.times,
         [rep.e_star for rep in record.reports],
         [rep.slope_star for rep in record.reports],
-        record.extras["speeds"],
+        record.speeds(),
         "limit",
     )
     record.extras["energy_equality_residual"] = audit.residuals
