@@ -158,6 +158,27 @@ def test_cyclic_oracle_agrees_with_hungarian():
         assert a == pytest.approx(b, abs=1e-12)
 
 
+def test_offset_objective_unimodal():
+    # the offset objective has a single basin, so a bounded scalar search finds it
+    rng = np.random.default_rng(31)
+    from chflow.wasserstein1d import _CoverQuantiles, _offset_cost
+
+    for _ in range(5):
+        fa = _field(smooth_positive_field(rng, 40))
+        fb = _field(bump_field(rng, 40))
+        psi_a, psi_b = _CoverQuantiles(fa), _CoverQuantiles(fb)
+        thetas = np.linspace(-1.0, 1.0, 401)
+        costs = np.array([_offset_cost(psi_a, psi_b, t) for t in thetas])
+        interior = costs[1:-1]
+        local_min = (interior < costs[:-2]) & (interior <= costs[2:])
+        values = np.sort(interior[local_min])
+        assert values.size >= 1
+        if values.size > 1:
+            assert values[1] - values[0] > -1e-12
+            # secondary basins must not undercut the global one
+            assert values[0] == pytest.approx(costs.min(), abs=1e-15)
+
+
 def test_offset_cost_convex_and_minimized():
     # the exact offset cost is convex, so the bounded search reaches its minimum
     rng = np.random.default_rng(31)
