@@ -28,7 +28,7 @@ from .potential import (
     from_polynomial,
     make_potential,
 )
-from .solvers import SolverConfig, simulate_eps, simulate_limit
+from .solvers import SolverConfig, check_output_times, simulate_eps, simulate_limit
 from .wasserstein1d import DensityField, w2_periodic
 
 __all__ = [
@@ -136,7 +136,8 @@ class ExperimentConfig:
     ``potential`` is a canonical name or a polynomial coefficient tuple.
     ``eps_list`` (strictly decreasing, positive) drives sweeps; single runs
     take eps from the solver section.  Empty ``output_times`` means the
-    log-spaced default over [0, t_end].
+    log-spaced default over [0, t_end]; others are checked with the
+    solvers' rule (``check_output_times``) when the config is built.
     """
 
     potential: object
@@ -162,10 +163,7 @@ class ExperimentConfig:
         times = tuple(float(t) for t in self.output_times)
         object.__setattr__(self, "output_times", times)
         if times:
-            if any(b <= a for a, b in zip(times, times[1:])):
-                raise ValueError("output_times must be strictly increasing")
-            if times[0] < 0.0 or times[-1] > self.solver.t_end + 1e-12:
-                raise ValueError("output_times must lie within [0, t_end]")
+            check_output_times(self.solver, times)
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         object.__setattr__(self, "seed", int(self.seed))

@@ -12,17 +12,15 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .functionals import EnergyReport, energy_star
+from .functionals import EnergyReport, dx_forward, energy_star
 from .potential import compute_convex_envelope, make_potential
 from .solvers import (
     SolverConfig,
     StepFailure,
     divergence_of_flux,
-    enforce_positivity,
-    laplacian_matrix,
+    implicit_flux_step,
     mobility_faces,
     mobility_matrix,
-    newton,
     run_trajectory,
     simulate_eps,
 )
@@ -124,15 +122,13 @@ def _advance_nonlocal(vals, h, dt, k_grid, t, events):
     negative cell rejects the step for the driver to halve dt.
     """
     c = convolve_periodic(vals, k_grid, h)
-    v_face = (np.roll(c, -1) - c) / h
-    cfl = float(np.max(np.abs(v_face))) * dt
+    cfl = float(np.max(np.abs(dx_forward(c, h)))) * dt
     if cfl > h:
         raise StepFailure(f"aggregation CFL violated: |v| dt = {cfl:.3e} > h")
-    f_face = mobility_faces(vals)
-    flux_exp = f_face * v_face
-    div_exp = (flux_exp - np.roll(flux_exp, 1)) / h
+    div_exp = divergence_of_flux(vals, c, h)
 
-    system = sp.identity(vals.size, format="csr") - dt * mobility_matrix(f_face**2, h)
+    diffusion = mobility_matrix(mobility_faces(vals) ** 2, h)
+    system = sp.identity(vals.size, format="csr") - dt * diffusion
     out = spla.splu(system.tocsc()).solve(vals - dt * div_exp)
     low = float(np.min(out))
     if low < 0.0:
@@ -157,21 +153,10 @@ def _advance_nonlocal_implicit(vals, h, dt, k_grid, eps2k0, cfg, t, events):
     surrogate only affects the iteration count.
     """
 
-    def potential_of(v):
+    def mu(v):
         return 0.5 * v * v - convolve_periodic(v, k_grid, h)
 
-    def residual(v):
-        return v - vals - dt * divergence_of_flux(v, potential_of(v), h)
-
-    lap = laplacian_matrix(vals.size, h)
-    eye = sp.identity(vals.size, format="csr")
-
-    def jacobian(v):
-        linearized = sp.diags(v) - eye - eps2k0 * lap
-        return eye - dt * (mobility_matrix(mobility_faces(v), h) @ linearized)
-
-    out = newton(vals, residual, jacobian, cfg.newton_tol, cfg.max_newton)
-    return enforce_positivity(out, h, cfg.positivity_mode, t, events)
+    return implicit_flux_step(vals, h, dt, 1.0, mu, lambda v: v - 1.0, eps2k0, cfg, t, events)
 
 
 def _energy_values(vals, h, k_grid, spec):

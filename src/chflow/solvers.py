@@ -2,10 +2,12 @@
 
 Both flows are conservative: the update is a difference of face fluxes,
 so the discrete mass telescopes exactly no matter how inaccurate the
-Newton solve is.  The regularized stepper treats the fourth-order part
-implicitly with a lagged-mobility Jacobian; the limit stepper is a
-backward Euler step of a monotone system, which keeps the minimum
-principle and dissipates the relaxed energy unconditionally.
+Newton solve is.  The regularized flow and the implicit nonlocal model
+step through one lagged-mobility implicit flux step; the limit stepper is
+a backward Euler step of a monotone system, which keeps the minimum
+principle and dissipates the relaxed energy unconditionally.  Newton
+stops on a small residual or a small simplified correction, so dt is
+halved only when a step truly fails, never at the roundoff floor.
 """
 
 from __future__ import annotations
@@ -35,9 +37,11 @@ __all__ = [
     "SolverConfig",
     "StepFailure",
     "TrajectoryRecord",
+    "check_output_times",
     "cyclic_tridiag",
     "divergence_of_flux",
     "enforce_positivity",
+    "implicit_flux_step",
     "laplacian_matrix",
     "mobility_faces",
     "mobility_matrix",
@@ -172,30 +176,26 @@ def laplacian_matrix(n, h):
 
 
 def newton(vals, residual_fn, jacobian_fn, tol, max_iter):
-    """Damped quasi-Newton iteration; raises StepFailure on stagnation."""
+    """Full-step Newton: accept f once its residual or its simplified correction
+    lu.solve(r) is below tol * (1 + max |f|) (Deuflhard 2004; Kelley 2003);
+    raise StepFailure when a step neither converges nor lowers the residual.
+    """
     f = vals.copy()
     r = residual_fn(f)
     norm = float(np.max(np.abs(r)))
-    for _ in range(max_iter):
-        if not np.isfinite(norm):
-            raise StepFailure("non-finite residual")
-        if norm < tol * (1.0 + float(np.max(np.abs(f)))):
-            return f
-        lu = spla.splu(jacobian_fn(f).tocsc())
-        delta = lu.solve(r)
-        step = 1.0
-        for _ in range(9):
-            trial = f - step * delta
-            r_trial = residual_fn(trial)
-            norm_trial = float(np.max(np.abs(r_trial)))
-            if np.isfinite(norm_trial) and norm_trial < norm:
-                break
-            step *= 0.5
-        else:
-            raise StepFailure("Newton damping stagnated")
-        f, r, norm = trial, r_trial, norm_trial
     if norm < tol * (1.0 + float(np.max(np.abs(f)))):
         return f
+    for _ in range(max_iter):
+        lu = spla.splu(jacobian_fn(f).tocsc())
+        f = f - lu.solve(r)
+        r = residual_fn(f)
+        norm_new = float(np.max(np.abs(r)))
+        scale = tol * (1.0 + float(np.max(np.abs(f))))
+        if norm_new < scale or float(np.max(np.abs(lu.solve(r)))) < scale:
+            return f
+        if not norm_new < norm:
+            raise StepFailure(f"Newton step did not lower the residual {norm:.3e}")
+        norm = norm_new
     raise StepFailure("Newton did not converge")
 
 
@@ -216,29 +216,39 @@ def enforce_positivity(vals, h, mode, t, events):
     return clipped
 
 
-def _advance_eps(vals, h, dt, cfg, spec, t, events):
-    """One theta-weighted implicit step of the regularized flow."""
-    eps2 = cfg.eps * cfg.eps
-    theta = cfg.theta_scheme
+def implicit_flux_step(vals, h, dt, theta, potential, curvature, stiffness, cfg, t, events):
+    """One theta-weighted implicit step of v_t = Dx(m(v) Dx mu(v)).
 
-    def potential_of(v):
-        return chemical_potential_values(v, h, cfg.eps, spec)
-
-    explicit = (1.0 - theta) * divergence_of_flux(vals, potential_of(vals), h)
+    `potential(v)` is mu and `curvature(v)` the diagonal c of its
+    linearisation mu' = diag(c) - stiffness * Dxx.  The Jacobian lags the
+    mobility, I - dt theta M(v) (diag(c(v)) - stiffness L): the derivative of
+    m is dropped, the flux in the residual is kept exact.  Newton settings
+    and the positivity mode come from cfg.
+    """
+    explicit = (1.0 - theta) * divergence_of_flux(vals, potential(vals), h) if theta < 1.0 else 0.0
 
     def residual(v):
-        return v - vals - dt * (theta * divergence_of_flux(v, potential_of(v), h) + explicit)
+        return v - vals - dt * (theta * divergence_of_flux(v, potential(v), h) + explicit)
 
     lap = laplacian_matrix(vals.size, h)
 
     def jacobian(v):
-        # mobility lagged: its derivative is dropped, the flux kept exact
-        linearized = sp.diags(spec.eval_W2(v)) - eps2 * lap
+        linearized = sp.diags(curvature(v)) - stiffness * lap
         mobility = mobility_matrix(mobility_faces(v), h)
         return sp.identity(vals.size, format="csr") - dt * theta * (mobility @ linearized)
 
     out = newton(vals, residual, jacobian, cfg.newton_tol, cfg.max_newton)
     return enforce_positivity(out, h, cfg.positivity_mode, t, events)
+
+
+def _advance_eps(vals, h, dt, cfg, spec, t, events):
+    """One implicit step of the regularized flow: mu = W' - eps^2 Dxx, c = W''."""
+
+    def mu(v):
+        return chemical_potential_values(v, h, cfg.eps, spec)
+
+    eps2 = cfg.eps * cfg.eps
+    return implicit_flux_step(vals, h, dt, cfg.theta_scheme, mu, spec.eval_W2, eps2, cfg, t, events)
 
 
 def _advance_limit(vals, h, dt, cfg, env, t, events):
@@ -294,21 +304,18 @@ def step_limit_values(values, h, dt, cfg, env):
     return _advance_limit(np.asarray(values, dtype=float), h, dt, cfg, env, 0.0, events)
 
 
-def _default_output_times(cfg):
-    n_out = min(33, max(2, int(round(cfg.t_end / cfg.dt)) + 1))
-    return np.linspace(0.0, cfg.t_end, n_out)
-
-
-def _check_output_times(cfg, output_times):
+def check_output_times(cfg, output_times):
+    """Snapshot times of a run: a default grid for None, else at least two
+    times that start at 0, strictly increase and end by t_end * (1 + 1e-12)."""
     if output_times is None:
-        return _default_output_times(cfg)
+        return np.linspace(0.0, cfg.t_end, min(33, max(2, int(round(cfg.t_end / cfg.dt)) + 1)))
     times = np.asarray(output_times, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ValueError("need at least two output times")
     if abs(times[0]) > 1e-14 or np.any(np.diff(times) <= 0.0):
-        raise ValueError("output times must start at 0 and increase")
+        raise ValueError("output times must start at 0 and be strictly increasing")
     if times[-1] > cfg.t_end * (1.0 + 1e-12):
-        raise ValueError("output times exceed the horizon")
+        raise ValueError("output times must lie within [0, t_end]")
     return times
 
 
@@ -317,7 +324,7 @@ def run_trajectory(f0, cfg, advance, make_report, energy_of, flavor, output_time
 
     `advance(vals, h, dt, t, events)` takes one step or raises StepFailure.
     """
-    times = _check_output_times(cfg, output_times)
+    times = check_output_times(cfg, output_times)
     vals = f0.values.copy()
     h = f0.h
     events = []

@@ -136,6 +136,16 @@ def test_experiment_config_validation(tmp_path):
         experiment_from_dict(_base_doc(tmp_path, workers=0))
 
 
+def test_output_times_rejected_at_load_with_the_solver_rule(tmp_path):
+    # the run would reject these; the config must do so before any directory exists
+    out = tmp_path / "out"
+    for bad in ([0.005, 0.01], [0.0], [0.0, 0.01 * (1.0 + 1e-9)]):
+        with pytest.raises(ValueError):
+            experiment_from_dict(_base_doc(out, output_times=bad))
+    assert not out.exists()
+    assert experiment_from_dict(_base_doc(out, output_times=[0.0, 0.01 * (1.0 + 1e-13)])).times()[0] == 0.0
+
+
 def test_config_hash_ignores_execution_keys(tmp_path):
     cfg_a = experiment_from_dict(_base_doc(tmp_path / "a"))
     cfg_b = experiment_from_dict(_base_doc(tmp_path / "b", workers=3))

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chflow.potential import compute_convex_envelope, from_polynomial, make_potential
 from chflow.solvers import (
@@ -14,8 +17,8 @@ from chflow.solvers import (
     step_limit,
     step_limit_values,
 )
-from chflow.solvers import enforce_positivity
-from chflow.wasserstein1d import DensityField
+from chflow.solvers import enforce_positivity, newton
+from chflow.wasserstein1d import DensityField, w2_periodic
 
 
 @pytest.fixture(scope="module")
@@ -257,8 +260,6 @@ def test_limit_energy_equality_residual_refines(quadratic_env):
 
 def test_limit_energy_monotone_and_d2_contraction(quadratic_env):
     # two solutions of the same flow cannot spread apart in the metric
-    from chflow.wasserstein1d import w2_periodic
-
     n = 128
     x = (np.arange(n) + 0.5) / n
     fa = DensityField.normalized(1.0 + 0.5 * np.cos(2 * np.pi * x))
@@ -319,3 +320,67 @@ def test_trajectory_record_validation_and_csv(tmp_path, wrinkle):
             events=[],
             flavor="eps",
         )
+
+
+def test_dispersion_run_at_roundoff_floor_never_halves(wrinkle):
+    # the residual stalls near 2e-12 > 1e-13 (1 + max f); the simplified
+    # correction is what reaches the tolerance
+    n, dt, steps, k = 512, 2e-5, 20, 4
+    cfg = SolverConfig(n=n, dt=dt, eps=0.05, t_end=steps * dt, theta_scheme=0.5, newton_tol=1e-13)
+    rec = simulate_eps(_cosine(n, 1e-4, k), cfg, wrinkle, output_times=[0.0, steps * dt])
+    assert rec.completed
+    assert [ev for ev in rec.events if ev["type"] == "dt-halve"] == []
+
+
+def test_newton_fails_when_the_step_raises_the_residual():
+    calls = []
+
+    def jacobian(v):
+        calls.append(v)
+        return -sp.identity(v.size, format="csr")  # wrong sign: the step walks away from the root
+
+    with pytest.raises(StepFailure, match="did not lower the residual"):
+        newton(np.ones(8), lambda v: v - 2.0, jacobian, 1e-10, 50)
+    assert len(calls) == 1
+
+
+def _quartic_well(a, width, scale):
+    # W'' = scale (v - a)(v - a - width): an admissible quartic with one spinodal band
+    b = a + width
+    return from_polynomial([0.0, 0.0, 0.5 * scale * a * b, -scale * (a + b) / 6.0, scale / 12.0])
+
+
+_wells = st.builds(
+    _quartic_well, st.floats(0.2, 2.0), st.floats(0.2, 1.5), st.floats(0.5, 2.0)
+)
+_data = st.integers(16, 64).flatmap(
+    lambda n: st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n)
+).map(lambda cells: DensityField.normalized(np.array(cells)))
+
+
+def _check_invariants(rec, f0):
+    assert rec.completed
+    assert max(abs(s.mass() - f0.mass()) for s in rec.snapshots) < 1e-10
+    assert min(float(np.min(s.values)) for s in rec.snapshots) >= 0.0
+    energies = np.array([rep.e_eps for rep in rec.reports])
+    assert np.all(np.diff(energies) <= 1e-8 * abs(energies[0]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(_wells, _data, st.floats(0.05, 0.2), st.floats(1e-5, 1e-3), st.sampled_from([0.5, 1.0]))
+def test_eps_flow_invariants_on_random_wells(spec, f0, eps, dt, theta):
+    cfg = SolverConfig(n=f0.n, dt=dt, eps=eps, t_end=5 * dt, theta_scheme=theta)
+    _check_invariants(simulate_eps(f0, cfg, spec, output_times=np.linspace(0.0, 5 * dt, 6)), f0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_wells, _data, _data, st.floats(1e-5, 1e-3))
+def test_limit_flow_invariants_and_contraction_on_random_wells(spec, fa, fb, dt):
+    env = compute_convex_envelope(spec)
+    out = np.linspace(0.0, 5 * dt, 6)
+    ra = simulate_limit(fa, SolverConfig(n=fa.n, dt=dt, eps=0.0, t_end=5 * dt), env, output_times=out)
+    rb = simulate_limit(fb, SolverConfig(n=fb.n, dt=dt, eps=0.0, t_end=5 * dt), env, output_times=out)
+    _check_invariants(ra, fa)
+    _check_invariants(rb, fb)
+    dists = [w2_periodic(sa, sb) for sa, sb in zip(ra.snapshots, rb.snapshots)]
+    assert np.all(np.diff(dists) <= 1e-6 * dists[0])
