@@ -29,27 +29,36 @@ __all__ = [
     "energy_star_values",
     "g_field",
     "laplacian",
+    "pad_periodic",
     "slope_eps",
     "slope_star",
 ]
 
 
+def pad_periodic(values):
+    """Cells wrapped by one on each side: w[2:] is v[j+1], w[:-2] is v[j-1]."""
+    v = np.asarray(values)
+    return np.concatenate((v[-1:], v, v[:1]))
+
+
 def dx_forward(values, h):
     """Forward difference (v[j+1] - v[j]) / h with periodic wrap."""
     v = np.asarray(values, dtype=float)
-    return (np.roll(v, -1) - v) / h
+    return (pad_periodic(v)[2:] - v) / h
 
 
 def dx_centered(values, h):
     """Centered difference (v[j+1] - v[j-1]) / (2h) with periodic wrap."""
     v = np.asarray(values, dtype=float)
-    return (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * h)
+    w = pad_periodic(v)
+    return (w[2:] - w[:-2]) / (2.0 * h)
 
 
 def laplacian(values, h):
     """Standard three-point second difference with periodic wrap."""
     v = np.asarray(values, dtype=float)
-    return (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / (h * h)
+    w = pad_periodic(v)
+    return (w[2:] - 2.0 * v + w[:-2]) / (h * h)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import scipy
 
 from . import __version__
 from .diagnostics import energy_dissipation_audit, well_preparedness, wrinkling_report
-from .jko import JkoConfig, simulate_jko, write_ledger_csv
+from .jko import JkoConfig, jko_step_count, simulate_jko, write_ledger_csv
 from .nonlocal_model import compare_local_nonlocal, make_kernel, simulate_nonlocal
 from .potential import (
     HypothesisViolation,
@@ -137,7 +137,8 @@ class ExperimentConfig:
     ``eps_list`` (strictly decreasing, positive) drives sweeps; single runs
     take eps from the solver section.  Empty ``output_times`` means the
     log-spaced default over [0, t_end]; others are checked with the
-    solvers' rule (``check_output_times``) when the config is built.
+    solvers' rule (``check_output_times``) when the config is built, and so
+    is a ``jko`` section's tau against t_end (``jko_step_count``).
     """
 
     potential: object
@@ -164,6 +165,8 @@ class ExperimentConfig:
         object.__setattr__(self, "output_times", times)
         if times:
             check_output_times(self.solver, times)
+        if self.jko is not None:
+            jko_step_count(self.jko.tau, self.solver.t_end)
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         object.__setattr__(self, "seed", int(self.seed))

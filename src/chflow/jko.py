@@ -17,7 +17,7 @@ import numpy as np
 
 from .functionals import chemical_potential_values, energy_eps_values, energy_report
 from .potential import PotentialSpec, compute_convex_envelope
-from .solvers import TrajectoryRecord
+from .solvers import TrajectoryRecord, past_horizon
 from .wasserstein1d import DensityField, to_quantiles
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "de_giorgi_interpolant",
     "density_from_particles",
     "jko_step",
+    "jko_step_count",
     "jko_step_positions",
     "particles_from_density",
     "simulate_jko",
@@ -69,25 +70,17 @@ class JkoConfig:
 def _bspline(t):
     """Cubic B-spline on [-2, 2], unit integral, translates sum to 1."""
     a = np.abs(t)
-    out = np.zeros_like(a)
-    inner = a < 1.0
-    outer = (a >= 1.0) & (a < 2.0)
-    ai = a[inner]
-    out[inner] = (4.0 - 6.0 * ai * ai + 3.0 * ai**3) / 6.0
-    ao = a[outer]
-    out[outer] = (2.0 - ao) ** 3 / 6.0
-    return out
+    inner = (4.0 - 6.0 * a * a + 3.0 * a**3) / 6.0
+    outer = (2.0 - a) ** 3 / 6.0
+    return np.where(a < 1.0, inner, np.where(a < 2.0, outer, 0.0))
 
 
 def _bspline_d(t):
     a = np.abs(t)
     s = np.sign(t)
-    out = np.zeros_like(a)
-    inner = a < 1.0
-    outer = (a >= 1.0) & (a < 2.0)
-    out[inner] = s[inner] * a[inner] * (9.0 * a[inner] - 12.0) / 6.0
-    out[outer] = -s[outer] * (2.0 - a[outer]) ** 2 / 2.0
-    return out
+    inner = s * a * (9.0 * a - 12.0) / 6.0
+    outer = -s * (2.0 - a) ** 2 / 2.0
+    return np.where(a < 1.0, inner, np.where(a < 2.0, outer, 0.0))
 
 
 def _bandwidth_cells(cfg, n):
@@ -101,17 +94,22 @@ def particles_from_density(f: DensityField, m: int) -> np.ndarray:
 
 
 def _deposit(positions, n, p_cells):
-    """Deposited cell values plus the stencil (cells idx, scaled offsets t) behind them."""
+    """Deposited cell values plus the stencil (cells idx, scaled offsets t) behind them.
+
+    A particle at x covers the 4p cells base-2p+1 .. base+2p, base being the
+    cell whose centre sits just below x; the support |t| < 2 of the spline
+    excludes every other cell.  `bincount` adds in flattened order, one
+    particle after another.
+    """
     x = np.asarray(positions, dtype=float) % 1.0
     base = np.floor(x * n - 0.5).astype(int)
-    offsets = np.arange(-2 * p_cells, 2 * p_cells + 2)
+    offsets = np.arange(-2 * p_cells + 1, 2 * p_cells + 1)
     idx = base[:, None] + offsets[None, :]
     centers = (idx + 0.5) / n
     t = (centers - x[:, None]) * (n / p_cells)
     idx %= n
     weights = _bspline(t) * (n / p_cells) / x.size
-    vals = np.zeros(n)
-    np.add.at(vals, idx, weights)
+    vals = np.bincount(idx.ravel(), weights.ravel(), minlength=n)
     return vals, idx, t
 
 
@@ -248,6 +246,19 @@ def de_giorgi_interpolant(f_prev: DensityField, s: float, cfg: JkoConfig, eps: f
     return DensityField.normalized(density_from_particles(x, f_prev.n, _bandwidth_cells(cfg, f_prev.n)))
 
 
+def jko_step_count(tau: float, t_end: float) -> int:
+    """Outer steps of a run to t_end; ValueError unless t_end is a positive multiple of tau.
+
+    n * tau must lie within 1e-8 of t_end and, so that the step times are
+    valid output times of the solvers (`check_output_times`), not past it.
+    """
+    n_steps = int(round(t_end / tau))
+    end = n_steps * tau
+    if n_steps < 1 or abs(end - t_end) > 1e-8 * max(tau, t_end) or past_horizon(end, t_end):
+        raise ValueError("t_end must be a positive multiple of tau")
+    return n_steps
+
+
 def simulate_jko(f0: DensityField, cfg: JkoConfig, eps: float, spec: PotentialSpec, t_end: float) -> TrajectoryRecord:
     """Chain outer steps to t_end, carrying particles across steps.
 
@@ -255,9 +266,7 @@ def simulate_jko(f0: DensityField, cfg: JkoConfig, eps: float, spec: PotentialSp
     telescoped transport cost, so particles flow through the whole run
     and densities are reconstructed only for snapshots and reports.
     """
-    n_steps = int(round(t_end / cfg.tau))
-    if n_steps < 1 or abs(n_steps * cfg.tau - t_end) > 1e-8 * max(cfg.tau, t_end):
-        raise ValueError("t_end must be a positive multiple of tau")
+    n_steps = jko_step_count(cfg.tau, t_end)
     env = compute_convex_envelope(spec)
     n = f0.n
     p_cells = _bandwidth_cells(cfg, n)

@@ -93,27 +93,33 @@ class UnstableSet:
         return self.intervals.shape[0]
 
 
+def _horner(coef, x):
+    """numpy's polyval without Polynomial.__call__'s domain mapping."""
+    c0 = coef[-1] + x * 0
+    for i in range(2, len(coef) + 1):
+        c0 = coef[-i] + c0 * x
+    return c0
+
+
 def _guarded_callables(poly, lo, hi):
     """Quadratic continuation of a polynomial outside [lo, hi]."""
-    p0, p1, p2 = poly, poly.deriv(1), poly.deriv(2) if poly.degree() >= 2 else Polynomial([0.0])
-    if poly.degree() < 1:
-        p1 = Polynomial([0.0])
+    c0, c1, c2 = (tuple(q.coef) for q in (poly, poly.deriv(1), poly.deriv(2)))
 
     def w(x):
         x = np.asarray(x, dtype=float)
         t = np.clip(x, lo, hi)
         d = x - t
-        return p0(t) + p1(t) * d + 0.5 * p2(t) * d * d
+        return _horner(c0, t) + _horner(c1, t) * d + 0.5 * _horner(c2, t) * d * d
 
     def w1(x):
         x = np.asarray(x, dtype=float)
         t = np.clip(x, lo, hi)
-        return p1(t) + p2(t) * (x - t)
+        return _horner(c1, t) + _horner(c2, t) * (x - t)
 
     def w2(x):
         x = np.asarray(x, dtype=float)
         t = np.clip(x, lo, hi)
-        return p2(t)
+        return _horner(c2, t)
 
     return w, w1, w2
 

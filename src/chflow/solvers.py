@@ -28,6 +28,7 @@ from .functionals import (
     energy_star,
     energy_star_values,
     laplacian,
+    pad_periodic,
     slope_star,
 )
 from .potential import ConvexEnvelope, PotentialSpec, compute_convex_envelope
@@ -46,6 +47,7 @@ __all__ = [
     "mobility_faces",
     "mobility_matrix",
     "newton",
+    "past_horizon",
     "run_trajectory",
     "simulate_eps",
     "simulate_limit",
@@ -153,19 +155,19 @@ def cyclic_tridiag(lower, diag, upper):
 
 def mobility_faces(v):
     """Face value at j+1/2, clamped so degenerate cells cannot push mass."""
-    return np.maximum(0.0, 0.5 * (v + np.roll(v, -1)))
+    return np.maximum(0.0, 0.5 * (v + pad_periodic(v)[2:]))
 
 
 def divergence_of_flux(v, p, h):
     """Conservative update: difference of face fluxes m * Dx(p)."""
     m = mobility_faces(v)
-    flux = m * (np.roll(p, -1) - p) / h
-    return (flux - np.roll(flux, 1)) / h
+    flux = m * (pad_periodic(p)[2:] - p) / h
+    return (flux - pad_periodic(flux)[:-2]) / h
 
 
 def mobility_matrix(m, h):
     """Sparse operator p -> Dx(m Dx p) for face coefficients m; rows sum to zero."""
-    m_minus = np.roll(m, 1)
+    m_minus = pad_periodic(m)[:-2]
     return cyclic_tridiag(m_minus / h**2, -(m + m_minus) / h**2, m / h**2)
 
 
@@ -304,9 +306,14 @@ def step_limit_values(values, h, dt, cfg, env):
     return _advance_limit(np.asarray(values, dtype=float), h, dt, cfg, env, 0.0, events)
 
 
+def past_horizon(t, t_end):
+    """True when t lies beyond t_end by more than the 1e-12 relative slack a run allows."""
+    return t > t_end * (1.0 + 1e-12)
+
+
 def check_output_times(cfg, output_times):
     """Snapshot times of a run: a default grid for None, else at least two
-    times that start at 0, strictly increase and end by t_end * (1 + 1e-12)."""
+    times that start at 0, strictly increase and are not `past_horizon`."""
     if output_times is None:
         return np.linspace(0.0, cfg.t_end, min(33, max(2, int(round(cfg.t_end / cfg.dt)) + 1)))
     times = np.asarray(output_times, dtype=float)
@@ -314,7 +321,7 @@ def check_output_times(cfg, output_times):
         raise ValueError("need at least two output times")
     if abs(times[0]) > 1e-14 or np.any(np.diff(times) <= 0.0):
         raise ValueError("output times must start at 0 and be strictly increasing")
-    if times[-1] > cfg.t_end * (1.0 + 1e-12):
+    if past_horizon(times[-1], cfg.t_end):
         raise ValueError("output times must lie within [0, t_end]")
     return times
 

@@ -3,10 +3,13 @@
 These deliberately avoid the library's code paths: quantiles come from
 np.interp on the piecewise-linear CDF, and the circle distance is minimized
 by exhaustive assignment (all cyclic shifts of sorted particles, optionally
-cross-checked by the Hungarian algorithm over every permutation).
+cross-checked by the Hungarian algorithm over every permutation).  The
+particle deposit is the masked B-spline with an np.add.at scatter, and the
+guarded potentials evaluate through Polynomial.__call__.
 """
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from scipy.optimize import linear_sum_assignment
 
 
@@ -71,3 +74,83 @@ def vacuum_field(rng, n):
     center = rng.uniform(0.0, 1.0)
     v = np.maximum(0.0, np.cos(2 * np.pi * (x - center))) ** 2
     return v / v.mean()
+
+
+def bspline_masked(t):
+    """Cubic B-spline on [-2, 2] by boolean masks, one branch at a time."""
+    a = np.abs(t)
+    out = np.zeros_like(a)
+    inner = a < 1.0
+    outer = (a >= 1.0) & (a < 2.0)
+    ai = a[inner]
+    out[inner] = (4.0 - 6.0 * ai * ai + 3.0 * ai**3) / 6.0
+    ao = a[outer]
+    out[outer] = (2.0 - ao) ** 3 / 6.0
+    return out
+
+
+def bspline_d_masked(t):
+    a = np.abs(t)
+    s = np.sign(t)
+    out = np.zeros_like(a)
+    inner = a < 1.0
+    outer = (a >= 1.0) & (a < 2.0)
+    out[inner] = s[inner] * a[inner] * (9.0 * a[inner] - 12.0) / 6.0
+    out[outer] = -s[outer] * (2.0 - a[outer]) ** 2 / 2.0
+    return out
+
+
+def deposit_masked(positions, n, p_cells):
+    """Particle deposit over 4p+2 cells per particle, scattered with np.add.at."""
+    x = np.asarray(positions, dtype=float) % 1.0
+    base = np.floor(x * n - 0.5).astype(int)
+    offsets = np.arange(-2 * p_cells, 2 * p_cells + 2)
+    idx = base[:, None] + offsets[None, :]
+    t = ((idx + 0.5) / n - x[:, None]) * (n / p_cells)
+    idx %= n
+    weights = bspline_masked(t) * (n / p_cells) / x.size
+    vals = np.zeros(n)
+    np.add.at(vals, idx, weights)
+    return vals, idx, t
+
+
+def movement_objective_masked(x, anchor, tau_eff, eps, spec, n, p_cells):
+    """Value and gradient of the movement functional on the masked deposit,
+    with the energy and chemical potential written out with np.roll."""
+    m = x.size
+    h = 1.0 / n
+    delta = (x - anchor + 0.5) % 1.0 - 0.5
+    vals, idx, t = deposit_masked(x, n, p_cells)
+    grad_f = (np.roll(vals, -1) - vals) / h
+    energy = float(np.sum(0.5 * eps * eps * grad_f * grad_f + spec.eval_W(vals)) * h)
+    value = float(np.mean(delta * delta)) + 2.0 * tau_eff * energy
+    lap = (np.roll(vals, -1) - 2.0 * vals + np.roll(vals, 1)) / (h * h)
+    p = spec.eval_W1(vals) - eps * eps * lap
+    kernel_d = bspline_d_masked(t) * (n / p_cells) ** 2 / m
+    de_dx = -h * np.sum(p[idx] * kernel_d, axis=1)
+    return value, 2.0 * delta / m + 2.0 * tau_eff * de_dx
+
+
+def guarded_polynomial(poly, lo, hi):
+    """W, W', W'' of a Polynomial, continued quadratically outside [lo, hi],
+    evaluated through Polynomial.__call__."""
+    p0, p1, p2 = poly, poly.deriv(1), poly.deriv(2) if poly.degree() >= 2 else Polynomial([0.0])
+    if poly.degree() < 1:
+        p1 = Polynomial([0.0])
+
+    def w(x):
+        x = np.asarray(x, dtype=float)
+        t = np.clip(x, lo, hi)
+        d = x - t
+        return p0(t) + p1(t) * d + 0.5 * p2(t) * d * d
+
+    def w1(x):
+        x = np.asarray(x, dtype=float)
+        t = np.clip(x, lo, hi)
+        return p1(t) + p2(t) * (x - t)
+
+    def w2(x):
+        x = np.asarray(x, dtype=float)
+        return p2(np.clip(x, lo, hi))
+
+    return w, w1, w2

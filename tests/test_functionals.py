@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from chflow.functionals import (
     EnergyReport,
@@ -260,3 +263,15 @@ def test_energy_report_fields_and_gap_guard(cubic, cubic_env):
     assert rep.slope_eps >= 0.0 and rep.slope_star >= 0.0
     with pytest.raises(ValueError):
         EnergyReport(e_eps=0.0, e_star=1.0, slope_eps=0.0, slope_star=0.0, gap=-1.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    v=st.integers(2, 300).flatmap(lambda n: arrays(np.float64, n, elements=st.floats(-1e3, 1e3))),
+    h=st.floats(1e-3, 1.0),
+)
+def test_slice_stencils_equal_roll_formulas(v, h):
+    # the padded-slice stencils repeat the np.roll expressions operation for operation
+    assert np.array_equal(dx_forward(v, h), (np.roll(v, -1) - v) / h)
+    assert np.array_equal(dx_centered(v, h), (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * h))
+    assert np.array_equal(laplacian(v, h), (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / (h * h))

@@ -19,6 +19,7 @@ from chflow.harness import (
     run_single,
     run_sweep,
 )
+from chflow.jko import jko_step_count
 from chflow.potential import HypothesisViolation, compute_convex_envelope, make_potential
 from chflow.solvers import SolverConfig
 
@@ -144,6 +145,21 @@ def test_output_times_rejected_at_load_with_the_solver_rule(tmp_path):
             experiment_from_dict(_base_doc(out, output_times=bad))
     assert not out.exists()
     assert experiment_from_dict(_base_doc(out, output_times=[0.0, 0.01 * (1.0 + 1e-13)])).times()[0] == 0.0
+
+
+def test_jko_tau_checked_at_load(tmp_path):
+    # 3 tau is within 1e-8 of t_end but past t_end (1 + 1e-12): the run's step
+    # times would fail as output times of the finite-difference cross-check
+    out = tmp_path / "out"
+    bad = _base_doc(out, jko={"tau": 0.00333333334, "m": 128})
+    with pytest.raises(ValueError, match="multiple of tau"):
+        experiment_from_dict(bad)
+    assert not out.exists()
+    for tau in (0.00333333334, 3e-3):
+        with pytest.raises(ValueError, match="multiple of tau"):
+            jko_step_count(tau, 0.01)
+    assert jko_step_count(0.01 / 3.0, 0.01) == 3
+    assert experiment_from_dict(_base_doc(out, jko={"tau": 2.5e-3, "m": 128})).jko.tau == 2.5e-3
 
 
 def test_config_hash_ignores_execution_keys(tmp_path):

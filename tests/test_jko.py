@@ -10,6 +10,7 @@ from chflow.jko import (
     de_giorgi_interpolant,
     density_from_particles,
     jko_step,
+    jko_step_count,
     jko_step_positions,
     particles_from_density,
     simulate_jko,
@@ -19,6 +20,8 @@ from chflow.jko import _Objective
 from chflow.potential import from_polynomial, make_potential
 from chflow.solvers import SolverConfig, simulate_eps
 from chflow.wasserstein1d import DensityField, w2_periodic
+
+from oracles import deposit_masked, movement_objective_masked
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +53,28 @@ def test_deposit_mass_exact_for_arbitrary_positions():
         vals = density_from_particles(rng.random(m), n, p)
         assert abs(np.sum(vals) / n - 1.0) < 1e-14
         assert np.min(vals) >= 0.0
+
+
+def _close(a, b):
+    return np.max(np.abs(np.asarray(a) - np.asarray(b))) <= 1e-15 * max(1.0, float(np.max(np.abs(b))))
+
+
+def test_deposit_kernel_matches_masked_reference(cubic):
+    # the 4p-cell np.where/bincount kernel against the masked 4p+2-cell np.add.at one
+    rng = np.random.default_rng(5)
+    n = 128
+    centres = (np.arange(n) + 0.5) / n  # x at a cell centre puts |t| on {0, 1, 2} exactly
+    for p in (1, 3, 7):
+        for x in (np.sort(rng.random(97)), centres, np.sort(rng.choice(centres, 80, replace=False))):
+            vals_ref, _, t_ref = deposit_masked(x, n, p)
+            if x is centres:
+                assert {0.0, 1.0, 2.0} <= set(np.abs(t_ref).ravel())
+            assert _close(density_from_particles(x, n, p), vals_ref)
+            anchor = x + 1e-3 * rng.standard_normal(x.size)
+            value, grad = _Objective(anchor, 1e-3, 0.1, cubic, n, p)(x)
+            value_ref, grad_ref = movement_objective_masked(x, anchor, 1e-3, 0.1, cubic, n, p)
+            assert _close(value, value_ref)
+            assert _close(grad, grad_ref)
 
 
 def test_uniform_is_fixed_point_of_convex_well():

@@ -10,6 +10,10 @@ The three built-in potentials admit exact contact points:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from numpy.polynomial import Polynomial
 
 from chflow.potential import (
     HypothesisViolation,
@@ -21,6 +25,9 @@ from chflow.potential import (
     make_potential,
     validate_hypotheses,
 )
+from chflow.potential import _CANONICAL, _guarded_callables
+
+from oracles import guarded_polynomial
 
 S = np.sqrt(3.0) / 2.0
 SPINODAL_A, SPINODAL_B = 2.5 - S, 2.5 + S
@@ -183,3 +190,32 @@ def test_too_many_bands_raises():
 def test_unknown_name_rejected():
     with pytest.raises(KeyError):
         make_potential("sextic")
+
+
+CANONICAL_SPECS = {name: make_potential(name) for name in _CANONICAL}
+
+
+def _normalized(coefficients):
+    c = np.zeros(max(3, len(coefficients)))
+    c[2:len(coefficients)] = coefficients[2:]
+    return Polynomial(c)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(u=arrays(np.float64, st.integers(1, 40), elements=st.floats(-2.0, 3.0)))
+def test_guarded_callables_equal_polynomial_evaluation(u):
+    # Horner on the coefficient tuples repeats Polynomial.__call__ bit for bit,
+    # inside and outside the working window [0, domain_max], for every
+    # canonical potential ("zero" included)
+    for name, spec in CANONICAL_SPECS.items():
+        x = u * spec.domain_max
+        for got, want in zip(
+            (spec.eval_W, spec.eval_W1, spec.eval_W2),
+            guarded_polynomial(_normalized(_CANONICAL[name]), 0.0, spec.domain_max),
+        ):
+            assert np.array_equal(got(x), want(x))
+            assert got(float(x[0])) == want(float(x[0]))
+    for coefficients in ([0.7], [0.7, -1.3], [0.0, 0.0, 2.0, -1.0]):  # degree 0, 1 and 3
+        poly = Polynomial(coefficients)
+        for got, want in zip(_guarded_callables(poly, 0.0, 1.5), guarded_polynomial(poly, 0.0, 1.5)):
+            assert np.array_equal(got(u), want(u))

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from chflow.potential import compute_convex_envelope, from_polynomial, make_potential
 from chflow.solvers import (
@@ -17,7 +18,14 @@ from chflow.solvers import (
     step_limit,
     step_limit_values,
 )
-from chflow.solvers import enforce_positivity, newton
+from chflow.solvers import (
+    cyclic_tridiag,
+    divergence_of_flux,
+    enforce_positivity,
+    mobility_faces,
+    mobility_matrix,
+    newton,
+)
 from chflow.wasserstein1d import DensityField, w2_periodic
 
 
@@ -384,3 +392,19 @@ def test_limit_flow_invariants_and_contraction_on_random_wells(spec, fa, fb, dt)
     _check_invariants(rb, fb)
     dists = [w2_periodic(sa, sb) for sa, sb in zip(ra.snapshots, rb.snapshots)]
     assert np.all(np.diff(dists) <= 1e-6 * dists[0])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    vp=st.integers(2, 300).flatmap(lambda n: arrays(np.float64, (2, n), elements=st.floats(-1e3, 1e3))),
+    h=st.floats(1e-3, 1.0),
+)
+def test_flux_stencils_equal_roll_formulas(vp, h):
+    v, p = vp
+    m = np.maximum(0.0, 0.5 * (v + np.roll(v, -1)))
+    flux = m * (np.roll(p, -1) - p) / h
+    m_minus = np.roll(m, 1)
+    assert np.array_equal(mobility_faces(v), m)
+    assert np.array_equal(divergence_of_flux(v, p, h), (flux - np.roll(flux, 1)) / h)
+    want = cyclic_tridiag(m_minus / h**2, -(m + m_minus) / h**2, m / h**2)
+    assert (mobility_matrix(m, h) != want).nnz == 0
