@@ -134,7 +134,8 @@ class ExperimentConfig:
     """One experiment: potential, numerics, data, outputs.
 
     ``potential`` is a canonical name or a polynomial coefficient tuple.
-    ``eps_list`` (strictly decreasing, positive) drives sweeps; single runs
+    ``eps_list`` (strictly decreasing, positive, distinct in ``:g`` format,
+    which names each run's directory) drives sweeps; single runs
     take eps from the solver section.  Empty ``output_times`` means the
     log-spaced default over [0, t_end]; others are checked with the
     solvers' rule (``check_output_times``) when the config is built, and so
@@ -161,6 +162,9 @@ class ExperimentConfig:
             raise ValueError("eps_list entries must be positive")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("eps_list must be strictly decreasing")
+        dirs = [f"eps-{e:g}" for e in eps]
+        if len(set(dirs)) < len(dirs):
+            raise ValueError(f"eps_list entries must name distinct sweep directories, got {dirs}")
         times = tuple(float(t) for t in self.output_times)
         object.__setattr__(self, "output_times", times)
         if times:

@@ -9,18 +9,17 @@ eps_eff² = eps² k0, which is what compare_local_nonlocal measures.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .functionals import EnergyReport, dx_forward, energy_star
 from .potential import compute_convex_envelope, make_potential
 from .solvers import (
     SolverConfig,
     StepFailure,
+    diffusion_system,
     divergence_of_flux,
+    factorize,
     implicit_flux_step,
     mobility_faces,
-    mobility_matrix,
     run_trajectory,
     simulate_eps,
 )
@@ -127,9 +126,7 @@ def _advance_nonlocal(vals, h, dt, k_grid, t, events):
         raise StepFailure(f"aggregation CFL violated: |v| dt = {cfl:.3e} > h")
     div_exp = divergence_of_flux(vals, c, h)
 
-    diffusion = mobility_matrix(mobility_faces(vals) ** 2, h)
-    system = sp.identity(vals.size, format="csr") - dt * diffusion
-    out = spla.splu(system.tocsc()).solve(vals - dt * div_exp)
+    out = factorize(diffusion_system(mobility_faces(vals) ** 2, h, dt)).solve(vals - dt * div_exp)
     low = float(np.min(out))
     if low < 0.0:
         raise StepFailure(f"negative cell {low:.3e}")

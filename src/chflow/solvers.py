@@ -7,12 +7,15 @@ step through one lagged-mobility implicit flux step; the limit stepper is
 a backward Euler step of a monotone system, which keeps the minimum
 principle and dissipates the relaxed energy unconditionally.  Newton
 stops on a small residual or a small simplified correction, so dt is
-halved only when a step truly fails, never at the roundoff floor.
+halved only when a step truly fails, never at the roundoff floor.  The
+cyclic banded stepping matrices are built straight into CSC from their
+bands (`band_matrix`, pattern cached per size) and factorised by `factorize`.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,14 +41,17 @@ __all__ = [
     "SolverConfig",
     "StepFailure",
     "TrajectoryRecord",
+    "band_matrix",
     "check_output_times",
-    "cyclic_tridiag",
+    "diffusion_system",
     "divergence_of_flux",
     "enforce_positivity",
+    "factorize",
+    "flux_jacobian",
     "implicit_flux_step",
-    "laplacian_matrix",
+    "limit_jacobian",
+    "mobility_bands",
     "mobility_faces",
-    "mobility_matrix",
     "newton",
     "past_horizon",
     "run_trajectory",
@@ -124,33 +130,41 @@ class TrajectoryRecord:
         speeds = self.speeds()
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                ["t", "min", "max", "mass", "e_eps", "e_star", "slope_eps", "slope_star", "speed"]
-            )
-            for k, (t, snap, rep) in enumerate(zip(self.times, self.snapshots, self.reports)):
-                writer.writerow(
-                    [
-                        repr(float(t)),
-                        repr(float(np.min(snap.values))),
-                        repr(float(np.max(snap.values))),
-                        repr(float(snap.mass())),
-                        repr(rep.e_eps),
-                        repr(rep.e_star),
-                        repr(rep.slope_eps),
-                        repr(rep.slope_star),
-                        repr(float(speeds[k])),
-                    ]
-                )
+            writer.writerow(["t", "min", "max", "mass", "e_eps", "e_star", "slope_eps", "slope_star", "speed"])
+            for t, snap, rep, speed in zip(self.times, self.snapshots, self.reports, speeds):
+                row = (t, np.min(snap.values), np.max(snap.values), snap.mass(),
+                       rep.e_eps, rep.e_star, rep.slope_eps, rep.slope_star, speed)
+                writer.writerow([repr(float(x)) for x in row])
 
 
-def cyclic_tridiag(lower, diag, upper):
-    """Sparse periodic tridiagonal with given per-row bands."""
-    n = diag.size
-    j = np.arange(n)
-    rows = np.concatenate([j, j, j])
-    cols = np.concatenate([(j - 1) % n, j, (j + 1) % n])
-    data = np.concatenate([lower, diag, upper])
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+@functools.lru_cache(maxsize=64)
+def _band_pattern(n, width):
+    """Read-only CSC (indices, indptr) of an n x n cyclic band matrix, rows
+    sorted per column, and the gather from its stacked bands into CSC order."""
+    rows = np.tile(np.arange(n, dtype=np.int32), 2 * width + 1)
+    perm = np.lexsort((rows, (rows + np.repeat(np.arange(-width, width + 1), n)) % n))
+    pattern = (rows[perm], np.arange(0, perm.size + 1, 2 * width + 1, dtype=np.int32), perm)
+    for arr in pattern:
+        arr.flags.writeable = False
+    return pattern
+
+
+def band_matrix(bands):
+    """CSC matrix whose row o + w of the (2w+1, n) `bands` holds entry (j, (j+o) mod n).
+
+    Exact zeros are dropped, as scipy's sparse sums and products drop them:
+    SuperLU's column ordering depends on the pattern.  eliminate_zeros
+    compacts indices and indptr in place, so it gets copies of the pattern.
+    """
+    indices, indptr, perm = _band_pattern(bands.shape[1], bands.shape[0] // 2)
+    mat = sp.csc_matrix((bands.ravel()[perm], indices.copy(), indptr.copy()), shape=(bands.shape[1],) * 2)
+    mat.eliminate_zeros()
+    return mat
+
+
+def factorize(matrix):
+    """Sparse LU of a stepping matrix; the one factorisation every stepper uses."""
+    return spla.splu(matrix.tocsc())
 
 
 def mobility_faces(v):
@@ -165,16 +179,38 @@ def divergence_of_flux(v, p, h):
     return (flux - pad_periodic(flux)[:-2]) / h
 
 
-def mobility_matrix(m, h):
-    """Sparse operator p -> Dx(m Dx p) for face coefficients m; rows sum to zero."""
+def mobility_bands(m, h):
+    """Bands (j-1, j, j+1) of p -> Dx(m Dx p) for face coefficients m; rows sum to zero."""
     m_minus = pad_periodic(m)[:-2]
-    return cyclic_tridiag(m_minus / h**2, -(m + m_minus) / h**2, m / h**2)
+    return m_minus / h**2, -(m + m_minus) / h**2, m / h**2
 
 
-def laplacian_matrix(n, h):
-    """Sparse periodic three-point second difference."""
-    one = np.ones(n)
-    return cyclic_tridiag(one / h**2, -2.0 * one / h**2, one / h**2)
+def diffusion_system(m, h, dt):
+    """I - dt Dx(m Dx .): backward Euler diffusion with face coefficients m."""
+    lo, di, up = mobility_bands(m, h)
+    return band_matrix(np.stack([-(dt * lo), 1.0 - dt * di, -(dt * up)]))
+
+
+def flux_jacobian(m, c, stiffness, h, dt_theta):
+    """I - dt_theta M (diag(c) - stiffness L), M = Dx(m Dx .), in five bands;
+    the diagonal sums its terms in the column order of M's rows, as a sparse product does."""
+    lo, di, up = mobility_bands(m, h)
+    a = c - stiffness * (-2.0 / h**2)
+    off = -(stiffness * (1.0 / h**2))
+    a_pad = pad_periodic(a)
+    inner = lo * off + di * a + up * off
+    inner[0] = di[0] * a[0] + up[0] * off + lo[0] * off
+    inner[-1] = up[-1] * off + lo[-1] * off + di[-1] * a[-1]
+    prod = np.stack([lo * off, lo * a_pad[:-2] + di * off, inner, di * off + up * a_pad[2:], up * off])
+    prod *= -dt_theta
+    prod[2] += 1.0
+    return band_matrix(prod)
+
+
+def limit_jacobian(cond, h, dt):
+    """I - dt L diag(cond) for the periodic three-point Laplacian L."""
+    side = pad_periodic(-(dt * ((1.0 / h**2) * cond)))
+    return band_matrix(np.stack([side[:-2], 1.0 - dt * ((-2.0 / h**2) * cond), side[2:]]))
 
 
 def newton(vals, residual_fn, jacobian_fn, tol, max_iter):
@@ -188,7 +224,7 @@ def newton(vals, residual_fn, jacobian_fn, tol, max_iter):
     if norm < tol * (1.0 + float(np.max(np.abs(f)))):
         return f
     for _ in range(max_iter):
-        lu = spla.splu(jacobian_fn(f).tocsc())
+        lu = factorize(jacobian_fn(f))
         f = f - lu.solve(r)
         r = residual_fn(f)
         norm_new = float(np.max(np.abs(r)))
@@ -232,12 +268,8 @@ def implicit_flux_step(vals, h, dt, theta, potential, curvature, stiffness, cfg,
     def residual(v):
         return v - vals - dt * (theta * divergence_of_flux(v, potential(v), h) + explicit)
 
-    lap = laplacian_matrix(vals.size, h)
-
     def jacobian(v):
-        linearized = sp.diags(curvature(v)) - stiffness * lap
-        mobility = mobility_matrix(mobility_faces(v), h)
-        return sp.identity(vals.size, format="csr") - dt * theta * (mobility @ linearized)
+        return flux_jacobian(mobility_faces(v), curvature(v), stiffness, h, dt * theta)
 
     out = newton(vals, residual, jacobian, cfg.newton_tol, cfg.max_newton)
     return enforce_positivity(out, h, cfg.positivity_mode, t, events)
@@ -259,12 +291,9 @@ def _advance_limit(vals, h, dt, cfg, env, t, events):
     def residual(v):
         return v - vals - dt * laplacian(env.eval_Qss1(v), h)
 
-    lap = laplacian_matrix(vals.size, h)
-
     def jacobian(v):
         # Q**'' = v W**''(v) >= 0 on the admissible range; clamp strays
-        cond = np.maximum(0.0, v * env.eval_Wss2(v))
-        return sp.identity(vals.size, format="csr") - dt * (lap @ sp.diags(cond))
+        return limit_jacobian(np.maximum(0.0, v * env.eval_Wss2(v)), h, dt)
 
     out = newton(vals, residual, jacobian, cfg.newton_tol, cfg.max_newton)
     return enforce_positivity(out, h, cfg.positivity_mode, t, events)
@@ -276,11 +305,7 @@ def step_eps(f: DensityField, cfg: SolverConfig, spec: PotentialSpec, events=Non
         raise ValueError("step_eps needs eps > 0")
     if f.n != cfg.n:
         raise ValueError("field resolution does not match config")
-    local_events = []
-    out = _advance_eps(f.values, f.h, cfg.dt, cfg, spec, 0.0, local_events)
-    if events is not None:
-        events.extend(local_events)
-    return DensityField(out)
+    return DensityField(_advance_eps(f.values, f.h, cfg.dt, cfg, spec, 0.0, [] if events is None else events))
 
 
 def step_limit(f: DensityField, cfg: SolverConfig, env: ConvexEnvelope, events=None) -> DensityField:
@@ -289,11 +314,7 @@ def step_limit(f: DensityField, cfg: SolverConfig, env: ConvexEnvelope, events=N
         raise ValueError("step_limit requires eps = 0")
     if f.n != cfg.n:
         raise ValueError("field resolution does not match config")
-    local_events = []
-    out = _advance_limit(f.values, f.h, cfg.dt, cfg, env, 0.0, local_events)
-    if events is not None:
-        events.extend(local_events)
-    return DensityField(out)
+    return DensityField(_advance_limit(f.values, f.h, cfg.dt, cfg, env, 0.0, [] if events is None else events))
 
 
 def step_limit_values(values, h, dt, cfg, env):
@@ -377,14 +398,9 @@ def run_trajectory(f0, cfg, advance, make_report, energy_of, flavor, output_time
         reports.append(make_report(snap))
         recorded.append(float(t_out))
 
-    record = TrajectoryRecord(
-        times=np.array(recorded),
-        snapshots=snapshots,
-        reports=reports,
-        events=events,
-        flavor=flavor,
+    return TrajectoryRecord(
+        times=np.array(recorded), snapshots=snapshots, reports=reports, events=events, flavor=flavor
     )
-    return record
 
 
 def simulate_eps(

@@ -4,13 +4,15 @@ These deliberately avoid the library's code paths: quantiles come from
 np.interp on the piecewise-linear CDF, and the circle distance is minimized
 by exhaustive assignment (all cyclic shifts of sorted particles, optionally
 cross-checked by the Hungarian algorithm over every permutation).  The
-particle deposit is the masked B-spline with an np.add.at scatter, and the
-guarded potentials evaluate through Polynomial.__call__.
+particle deposit is the masked B-spline with an np.add.at scatter, the
+guarded potentials evaluate through Polynomial.__call__, and the stepping
+matrices are chains of scipy.sparse sums and products.
 """
 
 import numpy as np
 from numpy.polynomial import Polynomial
 from scipy.optimize import linear_sum_assignment
+import scipy.sparse as sp
 
 
 def inverse_cdf(values, levels):
@@ -154,3 +156,39 @@ def guarded_polynomial(poly, lo, hi):
         return p2(np.clip(x, lo, hi))
 
     return w, w1, w2
+
+
+def cyclic_tridiag(lower, diag, upper):
+    """Sparse periodic tridiagonal with given per-row bands, assembled from COO."""
+    n = diag.size
+    j = np.arange(n)
+    rows = np.concatenate([j, j, j])
+    cols = np.concatenate([(j - 1) % n, j, (j + 1) % n])
+    return sp.csr_matrix((np.concatenate([lower, diag, upper]), (rows, cols)), shape=(n, n))
+
+
+def mobility_matrix(m, h):
+    """Sparse p -> Dx(m Dx p) for face coefficients m, built with np.roll."""
+    m_minus = np.roll(m, 1)
+    return cyclic_tridiag(m_minus / h**2, -(m + m_minus) / h**2, m / h**2)
+
+
+def _laplacian_matrix(n, h):
+    one = np.ones(n)
+    return cyclic_tridiag(one / h**2, -2.0 * one / h**2, one / h**2)
+
+
+def flux_jacobian_sparse(m, c, stiffness, h, dt, theta):
+    """I - dt theta M (diag(c) - stiffness L) as a chain of sparse sums and products."""
+    linearized = sp.diags(c) - stiffness * _laplacian_matrix(c.size, h)
+    return (sp.identity(c.size, format="csr") - dt * theta * (mobility_matrix(m, h) @ linearized)).tocsc()
+
+
+def limit_jacobian_sparse(cond, h, dt):
+    """I - dt L diag(cond) as a sparse product."""
+    return (sp.identity(cond.size, format="csr") - dt * (_laplacian_matrix(cond.size, h) @ sp.diags(cond))).tocsc()
+
+
+def diffusion_system_sparse(m, h, dt):
+    """I - dt Dx(m Dx .) as a sparse difference."""
+    return (sp.identity(m.size, format="csr") - dt * mobility_matrix(m, h)).tocsc()

@@ -162,6 +162,15 @@ def test_jko_tau_checked_at_load(tmp_path):
     assert experiment_from_dict(_base_doc(out, jko={"tau": 2.5e-3, "m": 128})).jko.tau == 2.5e-3
 
 
+def test_sweep_eps_labels_must_be_distinct(tmp_path):
+    # 0.09999999 prints as 0.1 under :g, so both runs would write sweep/eps-0.1/
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="distinct sweep directories"):
+        experiment_from_dict(_base_doc(out, eps_list=[0.1, 0.09999999]))
+    assert not out.exists()
+    assert experiment_from_dict(_base_doc(out, eps_list=[0.1, 0.0999999])).eps_list == (0.1, 0.0999999)
+
+
 def test_config_hash_ignores_execution_keys(tmp_path):
     cfg_a = experiment_from_dict(_base_doc(tmp_path / "a"))
     cfg_b = experiment_from_dict(_base_doc(tmp_path / "b", workers=3))

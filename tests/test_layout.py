@@ -1,5 +1,6 @@
 """Module boundaries: no chflow module imports another module's private names,
-and the hot stencil modules use no per-call-heavy numpy helpers."""
+the hot stencil modules use no per-call-heavy numpy helpers, and only the
+solvers touch scipy.sparse, without its diags/identity builders."""
 
 import ast
 from pathlib import Path
@@ -51,4 +52,41 @@ def test_stencil_modules_avoid_roll_and_add_at():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Call) and _dotted(node.func) in _SLOW_CALLS:
                 offenders.append(f"{path.name}:{node.lineno} calls {_dotted(node.func)}")
+    assert not offenders, "\n".join(offenders)
+
+
+# the stepping matrices are built band by band into CSC (solvers.band_matrix);
+# chains of diags/identity sums and products cost more than the LU itself
+_SPARSE_BUILDERS = {"diags", "identity"}
+
+
+def _scipy_sparse_uses(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = set()  # local names of scipy.sparse modules and of what is imported from them
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [(alias.name, alias.asname or alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [(f"{node.module}.{alias.name}", alias.asname or alias.name) for alias in node.names]
+        else:
+            continue
+        for full, local in names:
+            if full == "scipy.sparse" or full.startswith("scipy.sparse."):
+                bound.add(local)
+                yield "import", f"{path.name}:{node.lineno} imports {full}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = _dotted(node.func)
+            head, _, last = name.rpartition(".")
+            if last in _SPARSE_BUILDERS and (name in bound or head in bound or head.startswith("scipy.sparse")):
+                yield "call", f"{path.name}:{node.lineno} calls {name}"
+
+
+def test_only_solvers_use_scipy_sparse_and_never_its_builders():
+    offenders = [
+        what
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for kind, what in _scipy_sparse_uses(path)
+        if kind == "call" or path.stem != "solvers"
+    ]
     assert not offenders, "\n".join(offenders)

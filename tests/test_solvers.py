@@ -19,14 +19,18 @@ from chflow.solvers import (
     step_limit_values,
 )
 from chflow.solvers import (
-    cyclic_tridiag,
+    band_matrix,
+    diffusion_system,
     divergence_of_flux,
     enforce_positivity,
+    flux_jacobian,
+    limit_jacobian,
+    mobility_bands,
     mobility_faces,
-    mobility_matrix,
     newton,
 )
 from chflow.wasserstein1d import DensityField, w2_periodic
+from oracles import diffusion_system_sparse, flux_jacobian_sparse, limit_jacobian_sparse, mobility_matrix
 
 
 @pytest.fixture(scope="module")
@@ -403,8 +407,41 @@ def test_flux_stencils_equal_roll_formulas(vp, h):
     v, p = vp
     m = np.maximum(0.0, 0.5 * (v + np.roll(v, -1)))
     flux = m * (np.roll(p, -1) - p) / h
-    m_minus = np.roll(m, 1)
     assert np.array_equal(mobility_faces(v), m)
     assert np.array_equal(divergence_of_flux(v, p, h), (flux - np.roll(flux, 1)) / h)
-    want = cyclic_tridiag(m_minus / h**2, -(m + m_minus) / h**2, m / h**2)
-    assert (mobility_matrix(m, h) != want).nnz == 0
+    want = mobility_matrix(m, h).toarray()
+    assert np.array_equal(band_matrix(np.stack(mobility_bands(m, h))).toarray(), want)
+
+
+def _assert_same_csc(got, want):
+    assert got.format == want.format == "csc"
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
+def _with_zeros(data, n, high, low=0.0):
+    # many cells, and at least one, are exactly zero
+    cells = data.draw(arrays(np.float64, n, elements=st.one_of(st.just(0.0), st.floats(low, high))))
+    cells[data.draw(st.integers(0, n - 1))] = 0.0
+    return cells
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.data(), st.integers(16, 300), st.sampled_from([0.5, 1.0]), st.floats(1e-6, 1.0), st.floats(1e-5, 1.0))
+def test_band_systems_equal_sparse_products(data, n, theta, dt, stiffness):
+    # same data, indices and indptr as the sparse sums and products, including
+    # the exact zeros of vacuum faces, zero curvature and flat envelope parts
+    # they drop; the zero-free systems built next, from generic values that
+    # round differently in every summation order, reuse the cached pattern
+    h = 1.0 / n
+    faces, cond = _with_zeros(data, n, 10.0), _with_zeros(data, n, 10.0)
+    curv = _with_zeros(data, n, 1e3, -1e3)
+    curv[data.draw(st.integers(0, n - 1))] = stiffness * (-2.0 / h**2)  # linearised diagonal cancels
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    generic = rng.uniform(0.1, 10.0, n), rng.uniform(-1e3, 1e3, n), rng.uniform(0.1, 10.0, n)
+    for m, c, q in ((faces, curv, cond), generic):
+        _assert_same_csc(flux_jacobian(m, c, stiffness, h, dt * theta),
+                         flux_jacobian_sparse(m, c, stiffness, h, dt, theta))
+        _assert_same_csc(limit_jacobian(q, h, dt), limit_jacobian_sparse(q, h, dt))
+        _assert_same_csc(diffusion_system(m, h, dt), diffusion_system_sparse(m, h, dt))
