@@ -74,12 +74,12 @@ def generate_initial(name, params, n):
     elif name == "cosine":
         _reject_unknown(params, ("a", "k"), "cosine parameter")
         a = float(params.get("a", 0.1))
-        k = int(params.get("k", 1))
+        k = float(params.get("k", 1))
         if not 0.0 <= a < 1.0:
             raise ValueError("cosine amplitude must satisfy 0 <= a < 1")
-        if k < 1:
+        if k < 1 or not k.is_integer():
             raise ValueError("cosine mode must be a positive integer")
-        vals = 1.0 + a * np.cos(2.0 * np.pi * k * x)
+        vals = 1.0 + a * np.cos(2.0 * np.pi * int(k) * x)
     elif name == "bump":
         _reject_unknown(params, ("width", "floor", "center"), "bump parameter")
         width = float(params.get("width", 0.5))

@@ -15,13 +15,14 @@ from .potential import compute_convex_envelope, make_potential
 from .solvers import (
     SolverConfig,
     StepFailure,
-    diffusion_system,
     divergence_of_flux,
+    enforce_positivity,
     factorize,
     implicit_flux_step,
     mobility_faces,
     run_trajectory,
     simulate_eps,
+    stepping_bands,
 )
 from .wasserstein1d import DensityField, w2_periodic
 
@@ -99,17 +100,9 @@ def kernel_on_grid(kern, eps, n):
     return vals / (np.sum(vals) * h)
 
 
-def convolve_periodic(values, kernel_values, h, method="spectral"):
-    """Circular convolution h * sum_m k[m] f[j-m]; spectral or direct."""
-    if method == "spectral":
-        n = values.size
-        return np.fft.irfft(np.fft.rfft(values) * np.fft.rfft(kernel_values), n) * h
-    if method == "direct":
-        out = np.zeros_like(values, dtype=float)
-        for m in np.nonzero(kernel_values)[0]:
-            out += kernel_values[m] * np.roll(values, m)
-        return out * h
-    raise ValueError(f"unknown convolution method {method!r}")
+def convolve_periodic(values, kernel_values, h):
+    """Circular convolution h * sum_m k[m] f[j-m], by FFT."""
+    return np.fft.irfft(np.fft.rfft(values) * np.fft.rfft(kernel_values), values.size) * h
 
 
 def _advance_nonlocal(vals, h, dt, k_grid, t, events):
@@ -126,11 +119,9 @@ def _advance_nonlocal(vals, h, dt, k_grid, t, events):
         raise StepFailure(f"aggregation CFL violated: |v| dt = {cfl:.3e} > h")
     div_exp = divergence_of_flux(vals, c, h)
 
-    out = factorize(diffusion_system(mobility_faces(vals) ** 2, h, dt)).solve(vals - dt * div_exp)
-    low = float(np.min(out))
-    if low < 0.0:
-        raise StepFailure(f"negative cell {low:.3e}")
-    return out
+    bands = stepping_bands(mobility_faces(vals) ** 2, np.ones_like(vals), 0.0, h, dt)
+    out = factorize(bands).solve(vals - dt * div_exp)
+    return enforce_positivity(out, h, "reject-halve", t, events)
 
 
 def step_nonlocal(f: DensityField, dt, eps, kern) -> DensityField:

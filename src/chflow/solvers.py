@@ -7,9 +7,11 @@ step through one lagged-mobility implicit flux step; the limit stepper is
 a backward Euler step of a monotone system, which keeps the minimum
 principle and dissipates the relaxed energy unconditionally.  Newton
 stops on a small residual or a small simplified correction, so dt is
-halved only when a step truly fails, never at the roundoff floor.  The
-cyclic banded stepping matrices are built straight into CSC from their
-bands (`band_matrix`, pattern cached per size) and factorised by `factorize`.
+halved only when a step truly fails, never at the roundoff floor.  Every
+implicit step linearises to one stepping matrix, I - dt theta Dx(m Dx
+(diag(c) - s Dxx)), whose cyclic bands `stepping_bands` builds;
+`factorize` takes those bands, gathers them into CSC (`band_matrix`,
+pattern cached per size) and factorises them.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .diagnostics import dissipation_audit
 from .functionals import (
     EnergyReport,
     chemical_potential_values,
@@ -43,14 +44,10 @@ __all__ = [
     "TrajectoryRecord",
     "band_matrix",
     "check_output_times",
-    "diffusion_system",
     "divergence_of_flux",
     "enforce_positivity",
     "factorize",
-    "flux_jacobian",
     "implicit_flux_step",
-    "limit_jacobian",
-    "mobility_bands",
     "mobility_faces",
     "newton",
     "past_horizon",
@@ -60,6 +57,7 @@ __all__ = [
     "step_eps",
     "step_limit",
     "step_limit_values",
+    "stepping_bands",
 ]
 
 _POSITIVITY_MODES = ("clip-renormalize", "reject-halve")
@@ -162,9 +160,9 @@ def band_matrix(bands):
     return mat
 
 
-def factorize(matrix):
-    """Sparse LU of a stepping matrix; the one factorisation every stepper uses."""
-    return spla.splu(matrix.tocsc())
+def factorize(bands):
+    """Sparse LU of the stepping matrix with these bands; the one factorisation every stepper uses."""
+    return spla.splu(band_matrix(bands))
 
 
 def mobility_faces(v):
@@ -179,22 +177,13 @@ def divergence_of_flux(v, p, h):
     return (flux - pad_periodic(flux)[:-2]) / h
 
 
-def mobility_bands(m, h):
-    """Bands (j-1, j, j+1) of p -> Dx(m Dx p) for face coefficients m; rows sum to zero."""
+def stepping_bands(m, c, stiffness, h, dt_theta):
+    """Five bands of I - dt_theta M (diag(c) - stiffness L), M = Dx(m Dx .) for
+    face coefficients m; the diagonal sums its terms in the column order of
+    M's rows, as a sparse product does.  With stiffness 0 the outer bands are
+    zeros, which `band_matrix` drops."""
     m_minus = pad_periodic(m)[:-2]
-    return m_minus / h**2, -(m + m_minus) / h**2, m / h**2
-
-
-def diffusion_system(m, h, dt):
-    """I - dt Dx(m Dx .): backward Euler diffusion with face coefficients m."""
-    lo, di, up = mobility_bands(m, h)
-    return band_matrix(np.stack([-(dt * lo), 1.0 - dt * di, -(dt * up)]))
-
-
-def flux_jacobian(m, c, stiffness, h, dt_theta):
-    """I - dt_theta M (diag(c) - stiffness L), M = Dx(m Dx .), in five bands;
-    the diagonal sums its terms in the column order of M's rows, as a sparse product does."""
-    lo, di, up = mobility_bands(m, h)
+    lo, di, up = m_minus / h**2, -(m + m_minus) / h**2, m / h**2
     a = c - stiffness * (-2.0 / h**2)
     off = -(stiffness * (1.0 / h**2))
     a_pad = pad_periodic(a)
@@ -204,13 +193,7 @@ def flux_jacobian(m, c, stiffness, h, dt_theta):
     prod = np.stack([lo * off, lo * a_pad[:-2] + di * off, inner, di * off + up * a_pad[2:], up * off])
     prod *= -dt_theta
     prod[2] += 1.0
-    return band_matrix(prod)
-
-
-def limit_jacobian(cond, h, dt):
-    """I - dt L diag(cond) for the periodic three-point Laplacian L."""
-    side = pad_periodic(-(dt * ((1.0 / h**2) * cond)))
-    return band_matrix(np.stack([side[:-2], 1.0 - dt * ((-2.0 / h**2) * cond), side[2:]]))
+    return prod
 
 
 def newton(vals, residual_fn, jacobian_fn, tol, max_iter):
@@ -269,7 +252,7 @@ def implicit_flux_step(vals, h, dt, theta, potential, curvature, stiffness, cfg,
         return v - vals - dt * (theta * divergence_of_flux(v, potential(v), h) + explicit)
 
     def jacobian(v):
-        return flux_jacobian(mobility_faces(v), curvature(v), stiffness, h, dt * theta)
+        return stepping_bands(mobility_faces(v), curvature(v), stiffness, h, dt * theta)
 
     out = newton(vals, residual, jacobian, cfg.newton_tol, cfg.max_newton)
     return enforce_positivity(out, h, cfg.positivity_mode, t, events)
@@ -293,7 +276,7 @@ def _advance_limit(vals, h, dt, cfg, env, t, events):
 
     def jacobian(v):
         # Q**'' = v W**''(v) >= 0 on the admissible range; clamp strays
-        return limit_jacobian(np.maximum(0.0, v * env.eval_Wss2(v)), h, dt)
+        return stepping_bands(np.ones_like(v), np.maximum(0.0, v * env.eval_Wss2(v)), 0.0, h, dt)
 
     out = newton(vals, residual, jacobian, cfg.newton_tol, cfg.max_newton)
     return enforce_positivity(out, h, cfg.positivity_mode, t, events)
@@ -442,10 +425,11 @@ def simulate_limit(
     env: ConvexEnvelope,
     output_times=None,
 ) -> TrajectoryRecord:
-    """Run the relaxed flow to t_end; records the energy-equality residual.
+    """Run the relaxed flow to t_end by backward Euler with adaptive step control.
 
     In this flavor both energy columns report the relaxed functional, so
-    the gap column is identically zero.
+    the gap column is identically zero; the discrete energy-equality
+    residuals are `diagnostics.energy_dissipation_audit(record).residuals`.
     """
     if cfg.eps != 0.0:
         raise ValueError("simulate_limit requires eps = 0")
@@ -464,15 +448,4 @@ def simulate_limit(
     def energy_of(v):
         return energy_star_values(v, h0, env)
 
-    record = run_trajectory(f0, cfg, advance, make_report, energy_of, "limit", output_times)
-
-    # discrete energy-equality defect: energy drop minus metric accounting
-    audit = dissipation_audit(
-        record.times,
-        [rep.e_star for rep in record.reports],
-        [rep.slope_star for rep in record.reports],
-        record.speeds(),
-        "limit",
-    )
-    record.extras["energy_equality_residual"] = audit.residuals
-    return record
+    return run_trajectory(f0, cfg, advance, make_report, energy_of, "limit", output_times)

@@ -5,8 +5,9 @@ np.interp on the piecewise-linear CDF, and the circle distance is minimized
 by exhaustive assignment (all cyclic shifts of sorted particles, optionally
 cross-checked by the Hungarian algorithm over every permutation).  The
 particle deposit is the masked B-spline with an np.add.at scatter, the
-guarded potentials evaluate through Polynomial.__call__, and the stepping
-matrices are chains of scipy.sparse sums and products.
+guarded potentials evaluate through Polynomial.__call__, the stepping
+matrices are chains of scipy.sparse sums and products, and the periodic
+convolution is a direct sum of shifted copies.
 """
 
 import numpy as np
@@ -192,3 +193,11 @@ def limit_jacobian_sparse(cond, h, dt):
 def diffusion_system_sparse(m, h, dt):
     """I - dt Dx(m Dx .) as a sparse difference."""
     return (sp.identity(m.size, format="csr") - dt * mobility_matrix(m, h)).tocsc()
+
+
+def convolve_direct(values, kernel_values, h):
+    """Circular convolution h * sum_m k[m] f[j-m] as a sum of rolled copies."""
+    out = np.zeros_like(values, dtype=float)
+    for m in np.nonzero(kernel_values)[0]:
+        out += kernel_values[m] * np.roll(values, m)
+    return out * h

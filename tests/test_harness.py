@@ -78,6 +78,15 @@ def test_generate_initial_rejects_bad_input():
         generate_initial("uniform", {"a": 1.0}, 64)
 
 
+def test_cosine_mode_must_be_integral():
+    # int() used to truncate 1.5 to mode 1 silently
+    for k in (0, -2, 0.5, 1.5, 2.25, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="cosine mode must be a positive integer"):
+            generate_initial("cosine", {"a": 0.1, "k": k}, 64)
+    whole = generate_initial("cosine", {"a": 0.1, "k": 3.0}, 64)
+    assert np.array_equal(whole.values, generate_initial("cosine", {"a": 0.1, "k": 3}, 64).values)
+
+
 def test_two_phase_on_convex_branches_is_ill_prepared():
     # levels on the convex branches inside Sigma keep a bulk energy excess,
     # the ill-prepared control for wrinkling runs

@@ -1,6 +1,7 @@
-"""Module boundaries: no chflow module imports another module's private names,
-the hot stencil modules use no per-call-heavy numpy helpers, and only the
-solvers touch scipy.sparse, without its diags/identity builders."""
+"""Module boundaries: every chflow module imports only modules of a lower layer
+and never another module's private names, the hot stencil modules use no
+per-call-heavy numpy helpers, and only the solvers touch scipy.sparse,
+without its diags/identity builders."""
 
 import ast
 from pathlib import Path
@@ -88,5 +89,48 @@ def test_only_solvers_use_scipy_sparse_and_never_its_builders():
         for path in sorted(PACKAGE_DIR.glob("*.py"))
         for kind, what in _scipy_sparse_uses(path)
         if kind == "call" or path.stem != "solvers"
+    ]
+    assert not offenders, "\n".join(offenders)
+
+
+# lowest first; a module may import only modules of a strictly lower layer
+_LAYERS = (
+    ("potential", "wasserstein1d"),
+    ("functionals",),
+    ("solvers", "diagnostics"),
+    ("jko", "nonlocal_model"),
+    ("harness",),
+    ("cli",),
+)
+_LAYER_OF = {name: rank for rank, names in enumerate(_LAYERS) for name in names}
+
+
+def _chflow_imports(path):
+    """(line, imported chflow module) for every import of a chflow module."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("chflow."):
+                    yield node.lineno, alias.name.split(".")[1]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").split(".")[0] != "chflow":
+                continue
+            parts = (node.module or "").split(".")[(0 if node.level else 1):]
+            if parts and parts[0]:
+                yield node.lineno, parts[0]
+            else:  # from . import name: the names are modules, or the package's own attributes
+                for alias in node.names:
+                    if alias.name != "__version__":
+                        yield node.lineno, alias.name
+
+
+def test_modules_import_only_lower_layers():
+    modules = sorted(path for path in PACKAGE_DIR.glob("*.py") if path.stem != "__init__")
+    assert {path.stem for path in modules} == set(_LAYER_OF), "every module needs a layer"
+    offenders = [
+        f"{path.name}:{line} imports {target}"
+        for path in modules
+        for line, target in _chflow_imports(path)
+        if _LAYER_OF.get(target, len(_LAYERS)) >= _LAYER_OF[path.stem]
     ]
     assert not offenders, "\n".join(offenders)

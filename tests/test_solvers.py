@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from chflow.diagnostics import energy_dissipation_audit
 from chflow.potential import compute_convex_envelope, from_polynomial, make_potential
 from chflow.solvers import (
     SolverConfig,
@@ -20,17 +20,14 @@ from chflow.solvers import (
 )
 from chflow.solvers import (
     band_matrix,
-    diffusion_system,
     divergence_of_flux,
     enforce_positivity,
-    flux_jacobian,
-    limit_jacobian,
-    mobility_bands,
     mobility_faces,
     newton,
+    stepping_bands,
 )
 from chflow.wasserstein1d import DensityField, w2_periodic
-from oracles import diffusion_system_sparse, flux_jacobian_sparse, limit_jacobian_sparse, mobility_matrix
+from oracles import diffusion_system_sparse, flux_jacobian_sparse, limit_jacobian_sparse
 
 
 @pytest.fixture(scope="module")
@@ -265,7 +262,7 @@ def test_limit_energy_equality_residual_refines(quadratic_env):
         out = np.linspace(0.0, 0.01, 9 * 2**level)
         rec = simulate_limit(f0, cfg, quadratic_env, output_times=out)
         drop = rec.reports[0].e_star - rec.reports[-1].e_star
-        tails.append(abs(rec.extras["energy_equality_residual"][-1]))
+        tails.append(abs(energy_dissipation_audit(rec).residuals[-1]))
         assert tails[-1] < 0.01 * abs(drop)
     assert tails[0] > 1.5 * tails[1] > 1.5 * tails[2]
 
@@ -349,7 +346,7 @@ def test_newton_fails_when_the_step_raises_the_residual():
 
     def jacobian(v):
         calls.append(v)
-        return -sp.identity(v.size, format="csr")  # wrong sign: the step walks away from the root
+        return -np.ones((1, v.size))  # the one band of -I, wrong sign: the step walks away from the root
 
     with pytest.raises(StepFailure, match="did not lower the residual"):
         newton(np.ones(8), lambda v: v - 2.0, jacobian, 1e-10, 50)
@@ -409,8 +406,6 @@ def test_flux_stencils_equal_roll_formulas(vp, h):
     flux = m * (np.roll(p, -1) - p) / h
     assert np.array_equal(mobility_faces(v), m)
     assert np.array_equal(divergence_of_flux(v, p, h), (flux - np.roll(flux, 1)) / h)
-    want = mobility_matrix(m, h).toarray()
-    assert np.array_equal(band_matrix(np.stack(mobility_bands(m, h))).toarray(), want)
 
 
 def _assert_same_csc(got, want):
@@ -427,13 +422,22 @@ def _with_zeros(data, n, high, low=0.0):
     return cells
 
 
+def _assert_tridiagonal_systems(m, q, h, dt):
+    # stiffness 0: the outer bands are zeros, and the limit Jacobian (m = 1,
+    # c = q) and the diffusion system (c = 1) reach the LU tridiagonal
+    one = np.ones(m.size)
+    _assert_same_csc(band_matrix(stepping_bands(one, q, 0.0, h, dt)), limit_jacobian_sparse(q, h, dt))
+    _assert_same_csc(band_matrix(stepping_bands(m, one, 0.0, h, dt)), diffusion_system_sparse(m, h, dt))
+
+
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(st.data(), st.integers(16, 300), st.sampled_from([0.5, 1.0]), st.floats(1e-6, 1.0), st.floats(1e-5, 1.0))
 def test_band_systems_equal_sparse_products(data, n, theta, dt, stiffness):
-    # same data, indices and indptr as the sparse sums and products, including
-    # the exact zeros of vacuum faces, zero curvature and flat envelope parts
-    # they drop; the zero-free systems built next, from generic values that
-    # round differently in every summation order, reuse the cached pattern
+    # the one builder gives the same data, indices and indptr as the sparse
+    # sums and products of all three systems, including the exact zeros of
+    # vacuum faces, zero curvature and flat envelope parts they drop; the
+    # zero-free systems built next, from generic values that round
+    # differently in every summation order, reuse the cached pattern
     h = 1.0 / n
     faces, cond = _with_zeros(data, n, 10.0), _with_zeros(data, n, 10.0)
     curv = _with_zeros(data, n, 1e3, -1e3)
@@ -441,7 +445,10 @@ def test_band_systems_equal_sparse_products(data, n, theta, dt, stiffness):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     generic = rng.uniform(0.1, 10.0, n), rng.uniform(-1e3, 1e3, n), rng.uniform(0.1, 10.0, n)
     for m, c, q in ((faces, curv, cond), generic):
-        _assert_same_csc(flux_jacobian(m, c, stiffness, h, dt * theta),
+        _assert_same_csc(band_matrix(stepping_bands(m, c, stiffness, h, dt * theta)),
                          flux_jacobian_sparse(m, c, stiffness, h, dt, theta))
-        _assert_same_csc(limit_jacobian(q, h, dt), limit_jacobian_sparse(q, h, dt))
-        _assert_same_csc(diffusion_system(m, h, dt), diffusion_system_sparse(m, h, dt))
+        _assert_tridiagonal_systems(m, q, h, dt)
+    # grids below the solvers' 16 cells, down to 4, where offsets +2 and -2 name one
+    # column: only zero outer bands land there, and they are dropped
+    k = data.draw(st.integers(4, 15))
+    _assert_tridiagonal_systems(_with_zeros(data, k, 10.0), _with_zeros(data, k, 10.0), 1.0 / k, dt)
