@@ -77,8 +77,6 @@ class WellPreparednessReport:
 
     rows: tuple
     well_prepared: bool
-    d2_tol: float
-    gap_tol: float
 
 
 def _window_cells(n, window):
@@ -100,20 +98,20 @@ def oscillation_profile(f, window):
     return hi - lo
 
 
-def wrinkling_report(f, sigma, eta, delta, L=None):
+def wrinkling_report(f, sigma, eta, delta):
     """Scan close, slope-controlled grid pairs for dichotomy violations.
 
-    The scan is O(n * delta/h): one vectorized pass per pair offset, with a
-    running segment maximum of the distance to the band.
+    The slope budget L = 4 max|f| / delta comes from the mean-value
+    construction on a delta window.  The scan is O(n * delta/h): one
+    vectorized pass per pair offset, with a running segment maximum of the
+    distance to the band.
     """
     if eta <= 0.0 or delta <= 0.0:
         raise ValueError("eta and delta must be positive")
     v = f.values
     n = f.n
     h = 1.0 / n
-    if L is None:
-        # slope budget from the mean-value construction on a delta window
-        L = 4.0 * float(np.max(np.abs(v))) / delta
+    L = 4.0 * float(np.max(np.abs(v))) / delta
     slope_ok = np.abs(dx_centered(v, h)) < L
     d = distance_to_sigma(v, sigma)
 
@@ -152,7 +150,7 @@ def wrinkling_report(f, sigma, eta, delta, L=None):
     )
 
 
-def calibrate_delta(fields, sigma, eta, deltas=None, L=None):
+def calibrate_delta(fields, sigma, eta, deltas=None):
     """Largest candidate delta with zero violations across a family of fields.
 
     The dichotomy guarantees some positive delta works uniformly in eps but
@@ -164,7 +162,7 @@ def calibrate_delta(fields, sigma, eta, deltas=None, L=None):
     if deltas is None:
         deltas = 0.25 * 0.5 ** np.arange(7)
     for delta in sorted(np.asarray(deltas, dtype=float), reverse=True):
-        if all(not wrinkling_report(f, sigma, eta, delta, L).violations for f in fields):
+        if all(not wrinkling_report(f, sigma, eta, delta).violations for f in fields):
             return float(delta)
     return 0.0
 
@@ -227,12 +225,12 @@ def energy_dissipation_audit(traj):
     return dissipation_audit(traj.times, energies, slopes, traj.speeds(), traj.flavor)
 
 
-def well_preparedness(f_eps_family, f0, env, spec, d2_tol=1e-3, gap_tol=1e-3):
+def well_preparedness(f_eps_family, f0, env, spec):
     """Trend of d2-distance and energy gap for an eps-family of initial data.
 
     ``f_eps_family`` lists (eps, field) pairs sorted by decreasing eps; the
     gap row is E_eps[f_eps] - E_star[f0].  Well-prepared means both columns
-    shrink monotonically and the last row clears the thresholds.
+    shrink monotonically and the last row has d2 <= 1e-3 and |gap| <= 1e-3.
     """
     eps_values = [float(e) for e, _ in f_eps_family]
     if not eps_values:
@@ -247,10 +245,8 @@ def well_preparedness(f_eps_family, f0, env, spec, d2_tol=1e-3, gap_tol=1e-3):
     d2s = np.array([r[1] for r in rows])
     gaps = np.array([r[2] for r in rows])
     trend = bool(np.all(np.diff(d2s) <= 1e-12) and np.all(np.diff(gaps) <= 1e-12))
-    verdict = trend and d2s[-1] <= d2_tol and abs(gaps[-1]) <= gap_tol
-    return WellPreparednessReport(
-        rows=rows, well_prepared=bool(verdict), d2_tol=float(d2_tol), gap_tol=float(gap_tol)
-    )
+    verdict = trend and d2s[-1] <= 1e-3 and abs(gaps[-1]) <= 1e-3
+    return WellPreparednessReport(rows=rows, well_prepared=bool(verdict))
 
 
 def u_lambda_membership(A, B, lam, spec):

@@ -161,20 +161,14 @@ def slope_star(f: DensityField, env: ConvexEnvelope) -> float:
     return float(np.sqrt(np.sum(f.values * de * de) * f.h))
 
 
-def energy_report(
-    f: DensityField,
-    eps: float,
-    spec: PotentialSpec,
-    env: ConvexEnvelope,
-    floor: float | None = None,
-) -> EnergyReport:
+def energy_report(f: DensityField, eps: float, spec: PotentialSpec, env: ConvexEnvelope) -> EnergyReport:
     """Bundle both energies and both slopes for one snapshot."""
     e_eps = energy_eps(f, eps, spec)
     e_star = energy_star(f, env)
     return EnergyReport(
         e_eps=e_eps,
         e_star=e_star,
-        slope_eps=slope_eps(f, eps, spec, floor=floor),
+        slope_eps=slope_eps(f, eps, spec),
         slope_star=slope_star(f, env),
         gap=e_eps - e_star,
     )

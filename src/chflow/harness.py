@@ -28,7 +28,7 @@ from .potential import (
     from_polynomial,
     make_potential,
 )
-from .solvers import SolverConfig, check_output_times, simulate_eps, simulate_limit
+from .solvers import SolverConfig, check_output_times, simulate_eps, simulate_limit, whole_number
 from .wasserstein1d import DensityField, w2_periodic
 
 __all__ = [
@@ -105,6 +105,8 @@ def generate_initial(name, params, n):
         vals = lo + (hi - lo) * 0.5 * (np.tanh((x - 0.25) / width) - np.tanh((x - 0.75) / width))
     else:
         raise ValueError(f"unknown initial-data generator {name!r}")
+    if not all(math.isfinite(float(v)) for v in params.values()):
+        raise ValueError("generator parameters must be finite")
     if float(np.min(vals)) < 0.0:
         raise ValueError("generator parameters produced negative density")
     return DensityField.normalized(vals)
@@ -140,6 +142,8 @@ class ExperimentConfig:
     log-spaced default over [0, t_end]; others are checked with the
     solvers' rule (``check_output_times``) when the config is built, and so
     is a ``jko`` section's tau against t_end (``jko_step_count``).
+    ``allow_ill_prepared`` must be a bool and ``workers`` a whole number:
+    neither is coerced.
     """
 
     potential: object
@@ -149,17 +153,18 @@ class ExperimentConfig:
     jko: JkoConfig | None = None
     eps_list: tuple = ()
     output_times: tuple = ()
-    seed: int = 0
     allow_ill_prepared: bool = False
     workers: int = 1
 
     def __post_init__(self):
         if not isinstance(self.potential, str):
             object.__setattr__(self, "potential", tuple(float(c) for c in self.potential))
+            if not all(math.isfinite(c) for c in self.potential):
+                raise ValueError("potential coefficients must be finite")
         eps = tuple(float(e) for e in self.eps_list)
         object.__setattr__(self, "eps_list", eps)
-        if any(e <= 0.0 for e in eps):
-            raise ValueError("eps_list entries must be positive")
+        if not all(0.0 < e < math.inf for e in eps):
+            raise ValueError("eps_list entries must be positive and finite")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("eps_list must be strictly decreasing")
         dirs = [f"eps-{e:g}" for e in eps]
@@ -171,9 +176,11 @@ class ExperimentConfig:
             check_output_times(self.solver, times)
         if self.jko is not None:
             jko_step_count(self.jko.tau, self.solver.t_end)
+        if not isinstance(self.allow_ill_prepared, bool):
+            raise ValueError("allow_ill_prepared must be true or false")
+        object.__setattr__(self, "workers", whole_number(self.workers, "workers"))
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        object.__setattr__(self, "seed", int(self.seed))
 
     def times(self):
         return self.output_times or default_output_times(self.solver.t_end)
@@ -212,9 +219,8 @@ def experiment_from_dict(doc):
         jko=jko,
         eps_list=tuple(doc.get("eps_list") or ()),
         output_times=tuple(doc.get("output_times") or ()),
-        seed=doc.get("seed", 0),
-        allow_ill_prepared=bool(doc.get("allow_ill_prepared", False)),
-        workers=int(doc.get("workers", 1)),
+        allow_ill_prepared=doc.get("allow_ill_prepared", False),
+        workers=doc.get("workers", 1),
     )
     # dry-run the generator so a bad name or parameter fails at load time
     generate_initial(cfg.initial_data.name, cfg.initial_data.params, cfg.solver.n)

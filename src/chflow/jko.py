@@ -17,7 +17,7 @@ import numpy as np
 
 from .functionals import chemical_potential_values, energy_eps_values, energy_report
 from .potential import PotentialSpec, compute_convex_envelope
-from .solvers import TrajectoryRecord, past_horizon
+from .solvers import TrajectoryRecord, past_horizon, whole_number
 from .wasserstein1d import DensityField, to_quantiles
 
 __all__ = [
@@ -54,17 +54,18 @@ class JkoConfig:
     m: int = 256
     inner_tol: float = 1e-6
     inner_max: int = 2000
-    reconstruct_bandwidth: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "m", whole_number(self.m, "m"))
+        object.__setattr__(self, "inner_max", whole_number(self.inner_max, "inner_max"))
+        if not np.isfinite(self.tau) or not np.isfinite(self.inner_tol):
+            raise ValueError("tau and inner_tol must be finite")
         if self.tau <= 0.0:
             raise ValueError("tau must be positive")
         if self.m < 64:
             raise ValueError("need at least 64 particles")
         if self.inner_tol <= 0.0 or self.inner_max < 10:
             raise ValueError("inner_tol must be positive and inner_max at least 10")
-        if self.reconstruct_bandwidth is not None and self.reconstruct_bandwidth <= 0.0:
-            raise ValueError("reconstruct_bandwidth must be positive")
 
 
 def _bspline(t):
@@ -84,8 +85,8 @@ def _bspline_d(t):
 
 
 def _bandwidth_cells(cfg, n):
-    w = 2.0 / cfg.m if cfg.reconstruct_bandwidth is None else cfg.reconstruct_bandwidth
-    return max(1, int(round(w * n)))
+    """The reconstruction bandwidth, twice the particle spacing 1/m, in cells (at least 1)."""
+    return max(1, int(round(2.0 / cfg.m * n)))
 
 
 def particles_from_density(f: DensityField, m: int) -> np.ndarray:

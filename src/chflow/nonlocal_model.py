@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import EnergyReport, dx_forward, energy_star
-from .potential import compute_convex_envelope, make_potential
+from .potential import compute_convex_envelope
 from .solvers import (
     SolverConfig,
     StepFailure,
@@ -60,10 +60,8 @@ def _bump_raw(x):
     return np.where(inside, np.exp(-1.0 / u), 0.0)
 
 
-def make_kernel(name="bump"):
-    """Construct a named kernel; normalization and moment by quadrature."""
-    if name != "bump":
-        raise ValueError(f"unknown kernel {name!r}")
+def make_kernel():
+    """The bump kernel exp(-1/(1 - 4x^2)); normalization and moment by quadrature."""
     xs = np.linspace(-0.5, 0.5, 8193)
     raw = _bump_raw(xs)
     norm = float(np.trapezoid(raw, xs))
@@ -72,7 +70,7 @@ def make_kernel(name="bump"):
         return _bump_raw(x) / norm
 
     k0 = 0.5 * float(np.trapezoid(xs**2 * raw, xs)) / norm
-    return KernelSpec(profile=profile, k0=k0, name=name)
+    return KernelSpec(profile=profile, k0=k0, name="bump")
 
 
 def kernel_moments(kern, n_samples=8193):
@@ -155,16 +153,14 @@ def _energy_values(vals, h, k_grid, spec):
     return seminorm + float(np.sum(spec.eval_W(vals)) * h), seminorm
 
 
-def energy_nonlocal(f: DensityField, eps, kern, spec=None, split=False):
+def energy_nonlocal(f: DensityField, eps, kern, spec, split=False):
     """Aggregation energy: bulk W plus the mollified interaction seminorm."""
-    if spec is None:
-        spec = make_potential("cubic-motivation")
     k_grid = kernel_on_grid(kern, eps, f.n)
     total, seminorm = _energy_values(f.values, f.h, k_grid, spec)
     return (total, seminorm) if split else total
 
 
-def simulate_nonlocal(f0, cfg, kern, spec=None, env=None, output_times=None, scheme="semi-implicit"):
+def simulate_nonlocal(f0, cfg, kern, spec, env=None, output_times=None, scheme="semi-implicit"):
     """Drive the aggregation model with the adaptive-dt trajectory loop.
 
     Reports carry the model energy in e_eps and the relaxed bulk energy in
@@ -179,8 +175,6 @@ def simulate_nonlocal(f0, cfg, kern, spec=None, env=None, output_times=None, sch
         raise ValueError("field resolution does not match config")
     if scheme not in ("semi-implicit", "implicit"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    if spec is None:
-        spec = make_potential("cubic-motivation")
     if env is None:
         env = compute_convex_envelope(spec)
     h = f0.h

@@ -124,7 +124,7 @@ def _guarded_callables(poly, lo, hi):
     return w, w1, w2
 
 
-def from_polynomial(coefficients, name="custom", max_density=2.0, domain_max=None):
+def from_polynomial(coefficients, name="custom", max_density=2.0):
     """Build a :class:`PotentialSpec` from polynomial coefficients.
 
     Parameters
@@ -137,8 +137,6 @@ def from_polynomial(coefficients, name="custom", max_density=2.0, domain_max=Non
         Largest density value the caller expects to feed in; the working
         window is sized as max(3*m0, 2*max_density) and always covers the
         unstable band with margin.
-    domain_max : float, optional
-        Explicit working window override.
     """
     c = np.array(coefficients, dtype=float)
     if c.size < 1:
@@ -148,13 +146,12 @@ def from_polynomial(coefficients, name="custom", max_density=2.0, domain_max=Non
     c[1] = 0.0
     poly = Polynomial(c)
 
-    if domain_max is None:
-        provisional = _provisional_window(poly, max_density)
-        spec0 = _spec_from_poly(poly, name, provisional)
-        env0 = compute_convex_envelope(spec0)
-        uset0 = compute_unstable_set(spec0, env0, max_intervals=64)
-        last_band_end = float(uset0.intervals[-1, 1])
-        domain_max = max(3.0 * uset0.m0, 2.0 * max_density, last_band_end + 1.0)
+    provisional = _provisional_window(poly, max_density)
+    spec0 = _spec_from_poly(poly, name, provisional)
+    env0 = compute_convex_envelope(spec0)
+    uset0 = compute_unstable_set(spec0, env0, max_intervals=64)
+    last_band_end = float(uset0.intervals[-1, 1])
+    domain_max = max(3.0 * uset0.m0, 2.0 * max_density, last_band_end + 1.0)
     return _spec_from_poly(poly, name, float(domain_max))
 
 
@@ -196,12 +193,12 @@ def canonical_names():
     return sorted(_CANONICAL)
 
 
-def make_potential(name, max_density=2.0):
+def make_potential(name):
     """Construct one of the built-in potentials by name."""
     key = _ALIASES.get(name, name)
     if key not in _CANONICAL:
         raise KeyError(f"unknown potential {name!r}; choices: {canonical_names()}")
-    return from_polynomial(_CANONICAL[key], name=key, max_density=max_density)
+    return from_polynomial(_CANONICAL[key], name=key)
 
 
 def eval_q1(spec, y):
@@ -287,20 +284,19 @@ def _widen_bracket(g, lo, hi, floor, ceil, max_steps=60):
     return lo, hi
 
 
-def compute_convex_envelope(spec, n_samples=2048, contact_tol=None):
+def compute_convex_envelope(spec, n_samples=2048):
     """Convex envelope of W on [0, domain_max].
 
     Samples the graph, takes the lower convex hull, classifies hull edges as
     graph contact or bridges, and refines every bridge's contact points by
-    bisection.  ``contact_tol`` (default 1e-9 of the sampled range of W)
-    decides whether an edge's interior truly leaves the graph.
+    bisection.  An edge is a bridge only when the graph rises above its chord
+    by more than 1e-9 of the sampled range of W (1e-39 for a flat W);
+    shallower edges are flat stretches of W itself.
     """
     n_samples = max(int(n_samples), 64)
     x = np.linspace(0.0, spec.domain_max, n_samples)
     y = spec.eval_W(x)
-    if contact_tol is None:
-        spread = float(y.max() - y.min())
-        contact_tol = 1e-9 * max(spread, 1e-30)
+    contact_tol = 1e-9 * max(float(y.max() - y.min()), 1e-30)
 
     hull = _lower_hull_indices(x, y)
     dx = x[1] - x[0]
@@ -362,15 +358,16 @@ def compute_convex_envelope(spec, n_samples=2048, contact_tol=None):
                           domain_max=spec.domain_max)
 
 
-def compute_unstable_set(spec, envelope, tol=1e-10, max_intervals=8):
+def compute_unstable_set(spec, envelope, max_intervals=8):
     """Extract Sigma and the marker density m0 from an envelope.
 
     Raises :class:`HypothesisViolation` when Sigma splits into more than
     ``max_intervals`` intervals, which signals a potential outside the
-    finitely-wrinkled structural class.
+    finitely-wrinkled structural class.  A first bridge starting within
+    1e-10 of 0 absorbs the point {0}.
     """
     bands = [(s[1], s[2]) for s in envelope.segments if s[0] == "bridge"]
-    if bands and bands[0][0] <= tol:
+    if bands and bands[0][0] <= 1e-10:
         intervals = [(0.0, bands[0][1])] + list(bands[1:])
         degenerate_first = False
     else:
@@ -401,21 +398,20 @@ def distance_to_sigma(values, unstable):
     return out if out.shape else float(out)
 
 
-def validate_hypotheses(spec, envelope=None, unstable=None, n_samples=4096,
-                        max_intervals=8):
+def validate_hypotheses(spec, envelope=None, unstable=None):
     """Report on the structural hypotheses; never raises.
 
-    Checks, on a sample of the working window: the growth controls
+    Checks, on 4096 samples of the working window: the growth controls
     Q' <= C(1 + W) and |W'| <= C(1 + W), divergence of Q' toward the right
-    edge, the finite-band structure of Sigma, and strict convexity of W off
-    Sigma.  Returns a dict with one entry per hypothesis plus an overall
-    ``ok`` flag.
+    edge, the finite-band structure of Sigma (at most 8 intervals), and
+    strict convexity of W off Sigma.  Returns a dict with one entry per
+    hypothesis plus an overall ``ok`` flag.
     """
     if envelope is None:
         envelope = compute_convex_envelope(spec)
     report = {}
 
-    x = np.linspace(0.0, spec.domain_max, n_samples)
+    x = np.linspace(0.0, spec.domain_max, 4096)
     w = spec.eval_W(x)
     q1 = eval_q1(spec, x)
     w1 = spec.eval_W1(x)
@@ -436,7 +432,7 @@ def validate_hypotheses(spec, envelope=None, unstable=None, n_samples=4096,
 
     try:
         if unstable is None:
-            unstable = compute_unstable_set(spec, envelope, max_intervals=max_intervals)
+            unstable = compute_unstable_set(spec, envelope)
         report["h3"] = {"ok": True, "count": unstable.count, "m0": unstable.m0,
                         "intervals": unstable.intervals.tolist()}
     except HypothesisViolation as exc:

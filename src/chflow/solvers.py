@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,7 @@ __all__ = [
     "step_limit",
     "step_limit_values",
     "stepping_bands",
+    "whole_number",
 ]
 
 _POSITIVITY_MODES = ("clip-renormalize", "reject-halve")
@@ -67,6 +69,13 @@ class StepFailure(RuntimeError):
     """One implicit step could not be completed at the requested dt."""
 
 
+def whole_number(value, what):
+    """int(value) for an integral real number; a bool, a string, 2.5 or NaN raises."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
+        raise ValueError(f"{what} must be a whole number")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     n: int
@@ -74,13 +83,15 @@ class SolverConfig:
     eps: float
     t_end: float
     theta_scheme: float = 1.0
-    max_newton: int = 50
     newton_tol: float = 1e-10
     positivity_mode: str = "clip-renormalize"
 
     def __post_init__(self):
+        object.__setattr__(self, "n", whole_number(self.n, "n"))
         if self.n < 16:
             raise ValueError("need at least 16 cells")
+        if not np.all(np.isfinite([self.dt, self.t_end, self.eps, self.newton_tol])):
+            raise ValueError("dt, t_end, eps and newton_tol must be finite")
         if self.dt <= 0.0 or self.t_end <= 0.0:
             raise ValueError("dt and t_end must be positive")
         if self.eps < 0.0:
@@ -106,8 +117,8 @@ class TrajectoryRecord:
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        if np.any(np.diff(self.times) <= 0.0):
-            raise ValueError("snapshot times must be strictly increasing")
+        if not np.all(np.isfinite(self.times)) or np.any(np.diff(self.times) <= 0.0):
+            raise ValueError("snapshot times must be finite and strictly increasing")
         if len(self.snapshots) != self.times.size or len(self.reports) != self.times.size:
             raise ValueError("times, snapshots, and reports must align")
 
@@ -243,8 +254,8 @@ def implicit_flux_step(vals, h, dt, theta, potential, curvature, stiffness, cfg,
     `potential(v)` is mu and `curvature(v)` the diagonal c of its
     linearisation mu' = diag(c) - stiffness * Dxx.  The Jacobian lags the
     mobility, I - dt theta M(v) (diag(c(v)) - stiffness L): the derivative of
-    m is dropped, the flux in the residual is kept exact.  Newton settings
-    and the positivity mode come from cfg.
+    m is dropped, the flux in the residual is kept exact.  Newton's tolerance
+    and the positivity mode come from cfg; Newton gets 50 iterations.
     """
     explicit = (1.0 - theta) * divergence_of_flux(vals, potential(vals), h) if theta < 1.0 else 0.0
 
@@ -254,7 +265,7 @@ def implicit_flux_step(vals, h, dt, theta, potential, curvature, stiffness, cfg,
     def jacobian(v):
         return stepping_bands(mobility_faces(v), curvature(v), stiffness, h, dt * theta)
 
-    out = newton(vals, residual, jacobian, cfg.newton_tol, cfg.max_newton)
+    out = newton(vals, residual, jacobian, cfg.newton_tol, 50)
     return enforce_positivity(out, h, cfg.positivity_mode, t, events)
 
 
@@ -278,26 +289,26 @@ def _advance_limit(vals, h, dt, cfg, env, t, events):
         # Q**'' = v W**''(v) >= 0 on the admissible range; clamp strays
         return stepping_bands(np.ones_like(v), np.maximum(0.0, v * env.eval_Wss2(v)), 0.0, h, dt)
 
-    out = newton(vals, residual, jacobian, cfg.newton_tol, cfg.max_newton)
+    out = newton(vals, residual, jacobian, cfg.newton_tol, 50)
     return enforce_positivity(out, h, cfg.positivity_mode, t, events)
 
 
-def step_eps(f: DensityField, cfg: SolverConfig, spec: PotentialSpec, events=None) -> DensityField:
+def step_eps(f: DensityField, cfg: SolverConfig, spec: PotentialSpec) -> DensityField:
     """Advance the regularized flow by one step of size cfg.dt."""
     if cfg.eps <= 0.0:
         raise ValueError("step_eps needs eps > 0")
     if f.n != cfg.n:
         raise ValueError("field resolution does not match config")
-    return DensityField(_advance_eps(f.values, f.h, cfg.dt, cfg, spec, 0.0, [] if events is None else events))
+    return DensityField(_advance_eps(f.values, f.h, cfg.dt, cfg, spec, 0.0, []))
 
 
-def step_limit(f: DensityField, cfg: SolverConfig, env: ConvexEnvelope, events=None) -> DensityField:
+def step_limit(f: DensityField, cfg: SolverConfig, env: ConvexEnvelope) -> DensityField:
     """Advance the relaxed flow by one backward-Euler step of size cfg.dt."""
     if cfg.eps != 0.0:
         raise ValueError("step_limit requires eps = 0")
     if f.n != cfg.n:
         raise ValueError("field resolution does not match config")
-    return DensityField(_advance_limit(f.values, f.h, cfg.dt, cfg, env, 0.0, [] if events is None else events))
+    return DensityField(_advance_limit(f.values, f.h, cfg.dt, cfg, env, 0.0, []))
 
 
 def step_limit_values(values, h, dt, cfg, env):
@@ -323,7 +334,7 @@ def check_output_times(cfg, output_times):
     times = np.asarray(output_times, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ValueError("need at least two output times")
-    if abs(times[0]) > 1e-14 or np.any(np.diff(times) <= 0.0):
+    if abs(times[0]) > 1e-14 or not np.all(np.diff(times) > 0.0):
         raise ValueError("output times must start at 0 and be strictly increasing")
     if past_horizon(times[-1], cfg.t_end):
         raise ValueError("output times must lie within [0, t_end]")

@@ -200,23 +200,21 @@ def w2_periodic(mu, nu):
     return float(np.sqrt(cost))
 
 
-def geodesic(mu, nu, t, m=None, n=None):
+def geodesic(mu, nu, t):
     """Displacement interpolation between two densities at time t in [0, 1].
 
-    The interpolant is deposited from m quantile particles onto n cells.
+    The interpolant is deposited from 4n quantile particles onto the n cells
+    of the finer grid, n = max(mu.n, nu.n).
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("interpolation time must lie in [0, 1]")
-    if m is None:
-        m = 4 * max(mu.n, nu.n)
-    if n is None:
-        n = max(mu.n, nu.n)
-    levels = (np.arange(int(m)) + 0.5) / int(m)
+    n = max(mu.n, nu.n)
+    levels = (np.arange(4 * n) + 0.5) / (4 * n)
     theta, _ = _optimal_offset(mu, nu)
     psi_a, psi_b = _CoverQuantiles(mu), _CoverQuantiles(nu)
     xa = psi_a(levels - 0.5 * theta)
     xb = psi_b(levels + 0.5 * theta)
-    return _deposit_linear((1.0 - t) * xa + t * xb, int(n))
+    return _deposit_linear((1.0 - t) * xa + t * xb, n)
 
 
 def metric_speed(traj, k):

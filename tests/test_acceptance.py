@@ -298,7 +298,7 @@ def test_criterion_09_limit_flow_contraction():
 
 def test_criterion_10_nonlocal_consistency():
     spec = make_potential("cubic-motivation")
-    kern = make_kernel("bump")
+    kern = make_kernel()
     n = 512
     f0 = DensityField.normalized(1.0 + 0.05 * np.cos(2 * np.pi * _x(n)))
     gap = {}

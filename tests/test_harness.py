@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +33,6 @@ def _base_doc(out_dir, **overrides):
         "initial_data": {"name": "cosine", "params": {"a": 0.2}},
         "output_times": [0.0, 0.005, 0.01],
         "output_dir": str(out_dir),
-        "seed": 7,
     }
     doc.update(overrides)
     return doc
@@ -180,12 +181,63 @@ def test_sweep_eps_labels_must_be_distinct(tmp_path):
     assert experiment_from_dict(_base_doc(out, eps_list=[0.1, 0.0999999])).eps_list == (0.1, 0.0999999)
 
 
+def test_non_finite_and_fractional_values_rejected_at_load(tmp_path):
+    # each of these used to load and then fail mid-run, or run to completion
+    # with nan rows in trajectory.csv
+    out = tmp_path / "out"
+    nan = float("nan")
+    solver = {"n": 96, "dt": 2e-4, "eps": 0.1, "t_end": 0.01}
+    for bad in (
+        {"output_times": [0.0, nan, 0.01]},
+        {"solver": dict(solver, dt=nan)},
+        {"solver": dict(solver, t_end=float("inf"))},
+        {"solver": dict(solver, eps=nan)},
+        {"solver": dict(solver, newton_tol=nan)},
+        {"solver": dict(solver, n=64.5)},
+        {"eps_list": [0.2, nan]},
+        {"eps_list": [float("inf"), 0.2]},
+        {"jko": {"tau": 2.5e-3, "inner_tol": nan}},
+        {"jko": {"tau": 2.5e-3, "m": 128.5}},
+        {"potential": [0.0, 0.0, nan, 1.0]},
+        # a NaN center or an infinite width used to give uniform data silently
+        {"initial_data": {"name": "bump", "params": {"center": nan}}},
+        {"initial_data": {"name": "two-phase", "params": {"width": float("inf")}}},
+    ):
+        with pytest.raises(ValueError):
+            experiment_from_dict(_base_doc(out, **bad))
+    assert not out.exists()
+
+
+def test_config_types_are_not_coerced(tmp_path):
+    # bool("false") is True and int(2.7) is 2: both used to pass silently
+    for value in ("false", "true", 0, 1, None):
+        with pytest.raises(ValueError, match="allow_ill_prepared"):
+            experiment_from_dict(_base_doc(tmp_path, allow_ill_prepared=value))
+    for value in (2.7, True, "2", float("nan")):
+        with pytest.raises(ValueError, match="workers"):
+            experiment_from_dict(_base_doc(tmp_path, workers=value))
+    assert experiment_from_dict(_base_doc(tmp_path, allow_ill_prepared=False)).allow_ill_prepared is False
+    assert experiment_from_dict(_base_doc(tmp_path, workers=2.0)).workers == 2
+    with pytest.raises(ValueError, match="unknown config key"):
+        experiment_from_dict(_base_doc(tmp_path, seed=0))
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"An experiment config is a JSON document.*?```json\n(.*?)```", readme, re.S)
+    assert block, "README lost its example config"
+    doc = json.loads(block.group(1))
+    doc["output_dir"] = str(tmp_path)
+    cfg = experiment_from_dict(doc)
+    assert cfg.eps_list and cfg.jko is not None and cfg.workers == doc["workers"]
+
+
 def test_config_hash_ignores_execution_keys(tmp_path):
     cfg_a = experiment_from_dict(_base_doc(tmp_path / "a"))
     cfg_b = experiment_from_dict(_base_doc(tmp_path / "b", workers=3))
     assert config_hash(cfg_a) == config_hash(cfg_b)
     assert len(config_hash(cfg_a)) == 64
-    cfg_c = experiment_from_dict(_base_doc(tmp_path / "a", seed=8))
+    cfg_c = experiment_from_dict(_base_doc(tmp_path / "a", initial_data={"name": "cosine", "params": {"a": 0.3}}))
     assert config_hash(cfg_c) != config_hash(cfg_a)
     doc = _base_doc(tmp_path, solver={"dt": 2e-4, "t_end": 0.01, "n": 96, "eps": 0.1})
     assert config_hash(experiment_from_dict(doc)) == config_hash(cfg_a)  # key order free

@@ -36,12 +36,18 @@ def _cosine_field(n, a):
 
 def test_config_validation():
     JkoConfig(tau=1e-3)
+    nan = float("nan")
     for bad in (
         dict(tau=0.0),
         dict(tau=1e-3, m=32),
         dict(tau=1e-3, inner_tol=0.0),
         dict(tau=1e-3, inner_max=5),
-        dict(tau=1e-3, reconstruct_bandwidth=0.0),
+        dict(tau=nan),
+        dict(tau=float("inf")),
+        dict(tau=1e-3, inner_tol=nan),
+        dict(tau=1e-3, m=100.5),
+        dict(tau=1e-3, m=nan),
+        dict(tau=1e-3, inner_max=nan),
     ):
         with pytest.raises(ValueError):
             JkoConfig(**bad)

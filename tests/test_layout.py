@@ -1,7 +1,7 @@
 """Module boundaries: every chflow module imports only modules of a lower layer
 and never another module's private names, the hot stencil modules use no
-per-call-heavy numpy helpers, and only the solvers touch scipy.sparse,
-without its diags/identity builders."""
+per-call-heavy numpy helpers, only the solvers touch scipy.sparse,
+without its diags/identity builders, and every config field is read."""
 
 import ast
 from pathlib import Path
@@ -134,3 +134,37 @@ def test_modules_import_only_lower_layers():
         if _LAYER_OF.get(target, len(_LAYERS)) >= _LAYER_OF[path.stem]
     ]
     assert not offenders, "\n".join(offenders)
+
+
+# a config field nothing reads is an option that changes no number
+_CONFIG_CLASSES = {
+    "SolverConfig": "solvers",
+    "JkoConfig": "jko",
+    "ExperimentConfig": "harness",
+    "InitialData": "harness",
+}
+
+
+def _attribute_reads(node, owner=None):
+    """(attribute name, class whose __post_init__ encloses the read, or None) for every read."""
+    for child in ast.iter_child_nodes(node):
+        inner = owner
+        if isinstance(node, ast.ClassDef) and isinstance(child, ast.FunctionDef) and child.name == "__post_init__":
+            inner = node.name
+        if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+            yield child.attr, inner
+        yield from _attribute_reads(child, inner)
+
+
+def test_every_config_field_is_read_outside_its_validation():
+    fields = {}
+    for cls, module in _CONFIG_CLASSES.items():
+        tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text())
+        (body,) = [node.body for node in tree.body if isinstance(node, ast.ClassDef) and node.name == cls]
+        fields[cls] = [stmt.target.id for stmt in body if isinstance(stmt, ast.AnnAssign)]
+    readers = {}
+    for path in PACKAGE_DIR.glob("*.py"):
+        for name, owner in _attribute_reads(ast.parse(path.read_text())):
+            readers.setdefault(name, set()).add(owner)
+    unread = [f"{cls}.{name}" for cls, names in fields.items() for name in names if not readers.get(name, set()) - {cls}]
+    assert not unread, "fields read nowhere but in their own __post_init__: " + ", ".join(unread)

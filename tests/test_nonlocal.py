@@ -24,7 +24,7 @@ K0_BUMP = 0.019764204532974783
 
 @pytest.fixture(scope="module")
 def kern():
-    return make_kernel("bump")
+    return make_kernel()
 
 
 @pytest.fixture(scope="module")
@@ -52,8 +52,6 @@ def test_kernel_profile_and_moments(kern):
     # quadrature refinement: the smooth bump converges far faster than O(h^2)
     _, k0_coarse = kernel_moments(kern, 2049)
     assert abs(k0_coarse - k0) < 1e-12 * k0
-    with pytest.raises(ValueError):
-        make_kernel("tophat")
 
 
 def test_kernel_on_grid_contract(kern):

@@ -59,6 +59,7 @@ def _growth_rate(w2_at_one, eps, k):
 def test_config_validation():
     good = dict(n=64, dt=1e-3, eps=0.1, t_end=1.0)
     SolverConfig(**good)
+    nan, inf = float("nan"), float("inf")
     for bad in (
         dict(good, n=8),
         dict(good, dt=0.0),
@@ -68,9 +69,22 @@ def test_config_validation():
         dict(good, theta_scheme=1.5),
         dict(good, newton_tol=0.0),
         dict(good, positivity_mode="bounce"),
+        # NaN passed every `<= 0` check; a NaN dt failed later inside SuperLU
+        dict(good, dt=nan),
+        dict(good, dt=inf),
+        dict(good, t_end=nan),
+        dict(good, t_end=inf),
+        dict(good, eps=nan),
+        dict(good, eps=inf),
+        dict(good, newton_tol=nan),
+        dict(good, n=64.5),
+        dict(good, n=nan),
+        dict(good, n="64"),
     ):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
+    whole = SolverConfig(**dict(good, n=64.0))
+    assert whole.n == 64 and type(whole.n) is int
 
 
 def test_constant_field_is_fixed_point(wrinkle):
@@ -294,7 +308,9 @@ def test_step_flavor_guards(wrinkle, quadratic_env):
 def test_output_times_validation(wrinkle):
     f = DensityField(np.ones(64))
     cfg = SolverConfig(n=64, dt=1e-3, eps=0.1, t_end=0.01)
-    for bad in ([0.0], [0.005, 0.01], [0.0, 0.005, 0.005], [0.0, 0.02]):
+    nan = float("nan")
+    bad_times = ([0.0], [0.005, 0.01], [0.0, 0.005, 0.005], [0.0, 0.02], [0.0, nan, 0.01], [nan, 0.01], [0.0, 0.01, nan])
+    for bad in bad_times:
         with pytest.raises(ValueError):
             simulate_eps(f, cfg, wrinkle, output_times=bad)
 
@@ -321,14 +337,15 @@ def test_trajectory_record_validation_and_csv(tmp_path, wrinkle):
     assert len(rows) == len(rec.times) + 1
     first = rows[1].split(",")
     assert float(first[0]) == 0.0 and float(first[-1]) == 0.0
-    with pytest.raises(ValueError):
-        TrajectoryRecord(
-            times=np.array([0.0, 0.0]),
-            snapshots=rec.snapshots[:2],
-            reports=rec.reports[:2],
-            events=[],
-            flavor="eps",
-        )
+    for times in ([0.0, 0.0], [0.0, float("nan")], [0.0, float("inf")]):
+        with pytest.raises(ValueError):
+            TrajectoryRecord(
+                times=np.array(times),
+                snapshots=rec.snapshots[:2],
+                reports=rec.reports[:2],
+                events=[],
+                flavor="eps",
+            )
 
 
 def test_dispersion_run_at_roundoff_floor_never_halves(wrinkle):
