@@ -8,6 +8,7 @@ regularized run per eps, compared in transport distance, slope, and energy.
 import hashlib
 import json
 import math
+import numbers
 import platform
 import subprocess
 from concurrent.futures import ProcessPoolExecutor
@@ -28,7 +29,7 @@ from .potential import (
     from_polynomial,
     make_potential,
 )
-from .solvers import SolverConfig, check_output_times, simulate_eps, simulate_limit, whole_number
+from .solvers import SolverConfig, check_output_times, real_number, simulate_eps, simulate_limit, whole_number
 from .wasserstein1d import DensityField, w2_periodic
 
 __all__ = [
@@ -68,23 +69,27 @@ def generate_initial(name, params, n):
     """
     params = dict(params or {})
     x = (np.arange(int(n)) + 0.5) / int(n)
+
+    def param(key, default):
+        return real_number(params.get(key, default), f"{name} parameter {key}")
+
     if name == "uniform":
         _reject_unknown(params, (), "uniform parameter")
         vals = np.ones(x.size)
     elif name == "cosine":
         _reject_unknown(params, ("a", "k"), "cosine parameter")
-        a = float(params.get("a", 0.1))
-        k = float(params.get("k", 1))
+        a = param("a", 0.1)
+        k = params.get("k", 1)
         if not 0.0 <= a < 1.0:
             raise ValueError("cosine amplitude must satisfy 0 <= a < 1")
-        if k < 1 or not k.is_integer():
+        if isinstance(k, bool) or not isinstance(k, numbers.Real) or not (k >= 1 and float(k).is_integer()):
             raise ValueError("cosine mode must be a positive integer")
         vals = 1.0 + a * np.cos(2.0 * np.pi * int(k) * x)
     elif name == "bump":
         _reject_unknown(params, ("width", "floor", "center"), "bump parameter")
-        width = float(params.get("width", 0.5))
-        floor = float(params.get("floor", 0.1))
-        center = float(params.get("center", 0.5))
+        width = param("width", 0.5)
+        floor = param("floor", 0.1)
+        center = param("center", 0.5)
         if not 0.0 < width <= 1.0:
             raise ValueError("bump width must lie in (0, 1]")
         if floor < 0.0:
@@ -95,9 +100,9 @@ def generate_initial(name, params, n):
         vals = floor + np.where(arg > 0.0, np.exp(-1.0 / np.maximum(arg, 1e-300)), 0.0)
     elif name == "two-phase":
         _reject_unknown(params, ("lo", "hi", "width"), "two-phase parameter")
-        lo = float(params.get("lo", 0.4))
-        hi = float(params.get("hi", 1.6))
-        width = float(params.get("width", 0.05))
+        lo = param("lo", 0.4)
+        hi = param("hi", 1.6)
+        width = param("width", 0.05)
         if lo < 0.0 or hi < 0.0:
             raise ValueError("two-phase levels must be nonnegative")
         if width <= 0.0:
@@ -105,8 +110,6 @@ def generate_initial(name, params, n):
         vals = lo + (hi - lo) * 0.5 * (np.tanh((x - 0.25) / width) - np.tanh((x - 0.75) / width))
     else:
         raise ValueError(f"unknown initial-data generator {name!r}")
-    if not all(math.isfinite(float(v)) for v in params.values()):
-        raise ValueError("generator parameters must be finite")
     if float(np.min(vals)) < 0.0:
         raise ValueError("generator parameters produced negative density")
     return DensityField.normalized(vals)
@@ -142,8 +145,9 @@ class ExperimentConfig:
     log-spaced default over [0, t_end]; others are checked with the
     solvers' rule (``check_output_times``) when the config is built, and so
     is a ``jko`` section's tau against t_end (``jko_step_count``).
-    ``allow_ill_prepared`` must be a bool and ``workers`` a whole number:
-    neither is coerced.
+    ``allow_ill_prepared`` must be a bool, ``workers`` a whole number, and
+    the potential coefficients, ``eps_list`` and ``output_times`` finite
+    real numbers (`real_number`): none is coerced from a string or a bool.
     """
 
     potential: object
@@ -158,19 +162,17 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not isinstance(self.potential, str):
-            object.__setattr__(self, "potential", tuple(float(c) for c in self.potential))
-            if not all(math.isfinite(c) for c in self.potential):
-                raise ValueError("potential coefficients must be finite")
-        eps = tuple(float(e) for e in self.eps_list)
+            object.__setattr__(self, "potential", tuple(real_number(c, "potential coefficients") for c in self.potential))
+        eps = tuple(real_number(e, "eps_list entries") for e in self.eps_list)
         object.__setattr__(self, "eps_list", eps)
-        if not all(0.0 < e < math.inf for e in eps):
-            raise ValueError("eps_list entries must be positive and finite")
+        if not all(e > 0.0 for e in eps):
+            raise ValueError("eps_list entries must be positive")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("eps_list must be strictly decreasing")
         dirs = [f"eps-{e:g}" for e in eps]
         if len(set(dirs)) < len(dirs):
             raise ValueError(f"eps_list entries must name distinct sweep directories, got {dirs}")
-        times = tuple(float(t) for t in self.output_times)
+        times = tuple(real_number(t, "output_times") for t in self.output_times)
         object.__setattr__(self, "output_times", times)
         if times:
             check_output_times(self.solver, times)

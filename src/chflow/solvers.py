@@ -52,6 +52,7 @@ __all__ = [
     "mobility_faces",
     "newton",
     "past_horizon",
+    "real_number",
     "run_trajectory",
     "simulate_eps",
     "simulate_limit",
@@ -76,6 +77,13 @@ def whole_number(value, what):
     return int(value)
 
 
+def real_number(value, what):
+    """float(value) for a finite real number; a bool, a string, NaN or an infinity raises."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not np.isfinite(float(value)):
+        raise ValueError(f"{what} must be a finite real number")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     n: int
@@ -88,10 +96,10 @@ class SolverConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n", whole_number(self.n, "n"))
+        for name in ("dt", "eps", "t_end", "theta_scheme", "newton_tol"):
+            object.__setattr__(self, name, real_number(getattr(self, name), name))
         if self.n < 16:
             raise ValueError("need at least 16 cells")
-        if not np.all(np.isfinite([self.dt, self.t_end, self.eps, self.newton_tol])):
-            raise ValueError("dt, t_end, eps and newton_tol must be finite")
         if self.dt <= 0.0 or self.t_end <= 0.0:
             raise ValueError("dt and t_end must be positive")
         if self.eps < 0.0:

@@ -5,14 +5,16 @@ np.interp on the piecewise-linear CDF, and the circle distance is minimized
 by exhaustive assignment (all cyclic shifts of sorted particles, optionally
 cross-checked by the Hungarian algorithm over every permutation).  The
 particle deposit is the masked B-spline with an np.add.at scatter, the
-guarded potentials evaluate through Polynomial.__call__, the stepping
+movement Hessian is assembled densely from an n x m deposit Jacobian, the
+movement step is the L-BFGS-B search the Newton solve replaced, the guarded
+potentials evaluate through Polynomial.__call__, the stepping
 matrices are chains of scipy.sparse sums and products, and the periodic
 convolution is a direct sum of shifted copies.
 """
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linear_sum_assignment, minimize
 import scipy.sparse as sp
 
 
@@ -132,6 +134,64 @@ def movement_objective_masked(x, anchor, tau_eff, eps, spec, n, p_cells):
     kernel_d = bspline_d_masked(t) * (n / p_cells) ** 2 / m
     de_dx = -h * np.sum(p[idx] * kernel_d, axis=1)
     return value, 2.0 * delta / m + 2.0 * tau_eff * de_dx
+
+
+def bspline_d2_masked(t):
+    a = np.abs(t)
+    out = np.zeros_like(a)
+    inner = a < 1.0
+    outer = (a >= 1.0) & (a < 2.0)
+    out[inner] = 3.0 * a[inner] - 2.0
+    out[outer] = 2.0 - a[outer]
+    return out
+
+
+def positive_part_hessian(x, tau_eff, eps, spec, n, p_cells):
+    """Dense H+ of the movement functional, and which particles its clipping touches.
+
+    H+ = (2/m) I + 2 tau [J^T (h W''+ + (eps^2/h) D^T D) J + diag(D2+)] with the
+    deposit Jacobian J built as a dense n x m array from nearest-image offsets
+    (needs 4p < n).  A particle counts as clipped when W'' < 0 on a cell it
+    touches or D2 < 0 at it.
+    """
+    m = x.size
+    h = 1.0 / n
+    centres = (np.arange(n) + 0.5) / n
+    t = ((centres[:, None] - np.asarray(x)[None, :] + 0.5) % 1.0 - 0.5) * (n / p_cells)
+    jac = -bspline_d_masked(t) * (n / p_cells) ** 2 / m
+    f = bspline_masked(t).sum(axis=1) * (n / p_cells) / m
+    mu = spec.eval_W1(f) - eps * eps * (np.roll(f, -1) - 2.0 * f + np.roll(f, 1)) / (h * h)
+    d2 = h * (mu[:, None] * bspline_d2_masked(t)).sum(axis=0) * (n / p_cells) ** 3 / m
+    w2 = spec.eval_W2(f)
+    diff = np.roll(np.eye(n), 1, axis=1) - np.eye(n)
+    inner = h * np.diag(np.maximum(w2, 0.0)) + (eps * eps / h) * (diff.T @ diff)
+    hess = (2.0 / m) * np.eye(m) + 2.0 * tau_eff * (jac.T @ inner @ jac + np.diag(np.maximum(d2, 0.0)))
+    touches_clipped = (np.abs(t) < 2.0)[w2 < 0.0].any(axis=0)
+    return hess, touches_clipped | (d2 < 0.0)
+
+
+def minimize_lbfgs(x0, objective, tol_scaled, max_iter):
+    """The movement step by L-BFGS-B, projected and guarded as the Newton solve is."""
+    anchor = np.asarray(x0, dtype=float)
+    m = anchor.size
+    res = minimize(
+        objective,
+        anchor,
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": max_iter, "maxcor": 20, "ftol": 0.0, "gtol": 2.0 * tol_scaled / m},
+    )
+    v = np.sort(np.asarray(res.x, dtype=float))
+    floors = np.arange(m) * 1e-10
+    candidate = np.maximum.accumulate(v - floors) + floors
+    span = candidate[-1] - candidate[0]
+    if span > 1.0 - 1e-10:
+        candidate = candidate[0] + (candidate - candidate[0]) * (1.0 - m * 1e-10) / span
+    value, grad = objective(candidate)
+    anchor_value, _ = objective(anchor)
+    if value > anchor_value:
+        return anchor.copy(), {"objective": anchor_value, "grad_scaled": float("inf"), "iterations": int(res.nit)}
+    return candidate, {"objective": value, "grad_scaled": 0.5 * m * float(np.max(np.abs(grad))), "iterations": int(res.nit)}
 
 
 def guarded_polynomial(poly, lo, hi):

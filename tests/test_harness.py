@@ -218,6 +218,25 @@ def test_config_types_are_not_coerced(tmp_path):
             experiment_from_dict(_base_doc(tmp_path, workers=value))
     assert experiment_from_dict(_base_doc(tmp_path, allow_ill_prepared=False)).allow_ill_prepared is False
     assert experiment_from_dict(_base_doc(tmp_path, workers=2.0)).workers == 2
+    # float("0.1") and float(True) used to let strings and bools through as numbers
+    solver = {"n": 96, "dt": 2e-4, "eps": 0.1, "t_end": 0.01}
+    for key, value, what in (
+        ("eps_list", ["0.1", "0.05"], "eps_list"),
+        ("eps_list", [True, 0.5], "eps_list"),
+        ("output_times", ["0", "0.01"], "output_times"),
+        ("output_times", [False, 0.01], "output_times"),
+        ("potential", ["0", "1"], "potential"),
+        ("initial_data", {"name": "cosine", "params": {"a": "0.2"}}, "cosine parameter a"),
+        ("initial_data", {"name": "bump", "params": {"floor": True}}, "bump parameter floor"),
+        ("initial_data", {"name": "cosine", "params": {"k": "2"}}, "cosine mode"),
+        ("solver", dict(solver, dt="2e-4"), "dt"),
+        ("solver", dict(solver, theta_scheme=True), "theta_scheme"),
+        ("jko", {"tau": "1e-3"}, "tau"),
+        ("jko", {"tau": 1e-3, "inner_tol": "1e-6"}, "inner_tol"),
+    ):
+        with pytest.raises(ValueError, match=what):
+            experiment_from_dict(_base_doc(tmp_path, **{key: value}))
+    assert experiment_from_dict(_base_doc(tmp_path, eps_list=[1, 0.5])).eps_list == (1.0, 0.5)
     with pytest.raises(ValueError, match="unknown config key"):
         experiment_from_dict(_base_doc(tmp_path, seed=0))
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chflow.functionals import energy_eps
 from chflow.jko import (
@@ -21,7 +23,7 @@ from chflow.potential import from_polynomial, make_potential
 from chflow.solvers import SolverConfig, simulate_eps
 from chflow.wasserstein1d import DensityField, w2_periodic
 
-from oracles import deposit_masked, movement_objective_masked
+from oracles import deposit_masked, minimize_lbfgs, movement_objective_masked, positive_part_hessian
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +110,86 @@ def test_objective_gradient_matches_finite_differences(cubic):
     assert np.max(np.abs(fd - grad)) <= 1e-6 * np.max(np.abs(fd))
 
 
+def _dense(band, wrap):
+    """band + V V^T as a dense matrix, from the lower band rows."""
+    m = band.shape[1]
+    hess = wrap @ wrap.T
+    for d, row in enumerate(band):
+        i = np.arange(m - d)
+        hess[i + d, i] += row[: m - d]
+        if d:
+            hess[i, i + d] += row[: m - d]
+    return hess
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    st.integers(16, 256),
+    st.integers(1, 8),
+    st.sampled_from([1, 3]),
+    st.floats(0.02, 1.0),
+    st.floats(-1.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+@example(128, 4, 1, 1.0, -0.5, 0)  # a full-period run wrapping across x = 0
+@example(16, 1, 3, 0.05, 0.99, 1)  # a cluster straddling x = 1, every cell touched from one lift
+def test_band_plus_wrap_rows_equal_dense_hessian(cubic, n, ratio, p_cells, span, shift, seed):
+    rng = np.random.default_rng(seed)
+    m = n * ratio
+    x = shift + span * np.sort(rng.random(m))
+    objective = _Objective(x + 1e-3 * rng.standard_normal(m), 1e-3, 0.1, cubic, n, p_cells)
+    band, wrap = objective.hessian(objective.evaluate(x)[2])
+    assert band.shape[1] == m and wrap.shape[0] == m
+    expected, _ = positive_part_hessian(x, 1e-3, 0.1, cubic, n, p_cells)
+    assert np.max(np.abs(_dense(band, wrap) - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_hessian_matches_finite_differences_where_nothing_is_clipped():
+    convex = from_polynomial([0.0, 0.0, 1.0, 0.0, 1.0], name="convex-quartic")
+    rng = np.random.default_rng(7)
+    n, m, p_cells = 96, 128, 3
+    anchor = np.sort(rng.random(m))
+    objective = _Objective(anchor, tau_eff=1e-3, eps=0.08, spec=convex, n=n, p_cells=p_cells)
+    x = np.sort(anchor + 0.002 * rng.standard_normal(m))
+    hess = _dense(*objective.hessian(objective.evaluate(x)[2]))
+    _, clipped = positive_part_hessian(x, 1e-3, 0.08, convex, n, p_cells)
+    assert np.min(convex.eval_W2(density_from_particles(x, n, p_cells))) > 0.0
+    kept = np.flatnonzero(~clipped)  # D2 >= 0 at these particles, so H+ is the Hessian on them
+    assert kept.size >= m // 4
+    bump = 1e-6
+    fd = np.zeros((m, m))
+    for i in range(m):
+        xp = x.copy()
+        xp[i] += bump
+        xm = x.copy()
+        xm[i] -= bump
+        fd[:, i] = (objective(xp)[1] - objective(xm)[1]) / (2.0 * bump)
+    block = np.ix_(kept, kept)
+    assert np.max(np.abs(hess[block] - fd[block])) <= 1e-7 * np.max(np.abs(hess))
+
+
+def test_newton_step_matches_lbfgs_oracle(cubic):
+    n, m = 128, 512
+    positions = particles_from_density(_cosine_field(n, 0.3), m)
+    for tau in (2.5e-3, 1.25e-3, 6.25e-4):
+        cfg = JkoConfig(tau=tau, m=m)
+        x, info = jko_step_positions(positions, cfg, 0.1, cubic, n)
+        # the bandwidth is twice the particle spacing 1/512, rounded to at least one cell
+        x_ref, ref = minimize_lbfgs(positions, _Objective(positions, tau, 0.1, cubic, n, 1), cfg.inner_tol, cfg.inner_max)
+        assert info["objective"] <= ref["objective"] + 1e-10
+        assert np.max(np.abs(x - x_ref)) <= 1e-6
+
+
+def test_newton_reaches_tight_tolerance_on_criterion_4_first_step(cubic):
+    # L-BFGS-B stalls near 5e-7 on the tau = 2.5e-3 step
+    n, m = 128, 512
+    positions = particles_from_density(_cosine_field(n, 0.3), m)
+    for tau in (2.5e-3, 1.25e-3, 6.25e-4):
+        _, info = jko_step_positions(positions, JkoConfig(tau=tau, m=m, inner_tol=1e-9), 0.1, cubic, n)
+        assert info["converged"] and info["grad_scaled"] <= 1e-9
+        assert info["iterations"] <= 30
+
+
 def test_displacement_scales_linearly_in_tau(cubic):
     n, m, eps = 128, 512, 0.1
     base = particles_from_density(_cosine_field(n, 0.3), m)
@@ -187,6 +269,15 @@ def test_de_giorgi_interpolant_family(cubic):
             de_giorgi_interpolant(f0, bad_s, cfg, eps, cubic)
 
 
+def test_step_rejects_unordered_particles(cubic):
+    base = particles_from_density(_cosine_field(128, 0.3), 256)
+    crossed = base.copy()
+    crossed[[10, 11]] = crossed[[11, 10]]
+    for bad in (crossed, np.concatenate((base[:-1], [base[0] + 1.0]))):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            jko_step_positions(bad, JkoConfig(tau=1e-3, m=256), 0.1, cubic, 128)
+
+
 def test_convergence_failure_carries_best_iterate(cubic):
     base = particles_from_density(_cosine_field(128, 0.3), 256)
     cfg = JkoConfig(tau=4e-3, m=256, inner_tol=1e-13, inner_max=10)
@@ -195,6 +286,18 @@ def test_convergence_failure_carries_best_iterate(cubic):
     err = excinfo.value
     assert err.positions.shape == base.shape
     assert err.grad_norm > 1e-13
+
+
+def test_record_keeps_inner_work_per_step(cubic):
+    f0 = _cosine_field(128, 0.3)
+    cfg = JkoConfig(tau=2.5e-3, m=512)
+    rec = simulate_jko(f0, cfg, 0.1, cubic, 5e-3)
+    iterations = rec.extras["inner_iterations"]
+    halvings = rec.extras["line_search_halvings"]
+    assert len(iterations) == len(halvings) == len(rec.times)
+    assert iterations[0] == 0 and halvings[0] == 0 and np.all(iterations[1:] >= 1)
+    _, first = jko_step_positions(particles_from_density(f0, cfg.m), cfg, 0.1, cubic, 128)
+    assert (iterations[1], halvings[1]) == (first["iterations"], first["line_search_halvings"])
 
 
 def test_simulate_requires_multiple_of_tau(cubic):

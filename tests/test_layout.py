@@ -1,7 +1,8 @@
 """Module boundaries: every chflow module imports only modules of a lower layer
 and never another module's private names, the hot stencil modules use no
 per-call-heavy numpy helpers, only the solvers touch scipy.sparse,
-without its diags/identity builders, and every config field is read."""
+without its diags/identity builders, jko has no scipy.optimize path, and
+every config field is read."""
 
 import ast
 from pathlib import Path
@@ -53,6 +54,23 @@ def test_stencil_modules_avoid_roll_and_add_at():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Call) and _dotted(node.func) in _SLOW_CALLS:
                 offenders.append(f"{path.name}:{node.lineno} calls {_dotted(node.func)}")
+    assert not offenders, "\n".join(offenders)
+
+
+def test_jko_uses_no_scipy_optimize():
+    # the inner solve is the Newton iteration on H+; no second (L-BFGS) path
+    path = PACKAGE_DIR / "jko.py"
+    offenders = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [_dotted(node)]
+        else:
+            continue
+        offenders += [f"{path.name}:{node.lineno} uses {name}" for name in names if name.startswith("scipy.optimize")]
     assert not offenders, "\n".join(offenders)
 
 

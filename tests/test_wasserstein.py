@@ -96,6 +96,8 @@ _cells = st.lists(st.floats(0.0, 10.0), min_size=4, max_size=96).filter(lambda v
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(_cells, _cells, _cells)
 @example([0.0, 4 / 3, 4 / 3, 4 / 3], [1.0] * 4, [1.0] * 5)
+# the minimum offset is a kink of the cost (an edge of one density meets one of the other)
+@example([1.0, 0.0, 0.0, 0.0], [1.0, 2.0, 4.0, 2.0, 0.0, 3.0, 0.0, 0.0, 0.0, 2.75, 0.5], [1.0] * 4)
 def test_metric_axioms_on_random_densities(a, b, c):
     fa, fb, fc = _field(a), _field(b), _field(c)
     dab, dbc, dac = w2_periodic(fa, fb), w2_periodic(fb, fc), w2_periodic(fa, fc)
