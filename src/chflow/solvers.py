@@ -5,13 +5,14 @@ so the discrete mass telescopes exactly no matter how inaccurate the
 Newton solve is.  The regularized flow and the implicit nonlocal model
 step through one lagged-mobility implicit flux step; the limit stepper is
 a backward Euler step of a monotone system, which keeps the minimum
-principle and dissipates the relaxed energy unconditionally.  Newton
-stops on a small residual or a small simplified correction, so dt is
-halved only when a step truly fails, never at the roundoff floor.  Every
-implicit step linearises to one stepping matrix, I - dt theta Dx(m Dx
-(diag(c) - s Dxx)), whose cyclic bands `stepping_bands` builds;
-`factorize` takes those bands, gathers them into CSC (`band_matrix`,
-pattern cached per size) and factorises them.
+principle and dissipates the relaxed energy unconditionally.  Newton is
+a chord iteration: one LU per step, refreshed only when a step fails to
+halve the residual.  It stops on a small residual or a small simplified
+correction, so dt is halved only when a step truly fails, never at the
+roundoff floor.  Every implicit step linearises to one stepping matrix,
+I - dt theta Dx(m Dx (diag(c) - s Dxx)), whose cyclic bands
+`stepping_bands` builds; `factorize` takes those bands, gathers them into
+CSC (`band_matrix`, pattern cached per size) and factorises them.
 """
 
 from __future__ import annotations
@@ -216,25 +217,39 @@ def stepping_bands(m, c, stiffness, h, dt_theta):
 
 
 def newton(vals, residual_fn, jacobian_fn, tol, max_iter):
-    """Full-step Newton: accept f once its residual or its simplified correction
-    lu.solve(r) is below tol * (1 + max |f|) (Deuflhard 2004; Kelley 2003);
-    raise StepFailure when a step neither converges nor lowers the residual.
+    """Chord Newton: factorise the Jacobian at the first iterate and reuse the
+    LU for every correction, refreshing it at the current iterate only when a
+    step fails to halve the residual (Deuflhard 2004, simplified Newton).
+
+    f is accepted once its residual or its simplified correction lu.solve(r),
+    which is also the next chord step, is below tol * (1 + max |f|)
+    (Deuflhard 2004; Kelley 2003).  StepFailure is raised when a step taken
+    with a fresh factor does not lower the residual, or after max_iter steps.
     """
     f = vals.copy()
     r = residual_fn(f)
     norm = float(np.max(np.abs(r)))
     if norm < tol * (1.0 + float(np.max(np.abs(f)))):
         return f
+    lu = factorize(jacobian_fn(f))
+    step, fresh = lu.solve(r), True
     for _ in range(max_iter):
-        lu = factorize(jacobian_fn(f))
-        f = f - lu.solve(r)
+        f = f - step
         r = residual_fn(f)
         norm_new = float(np.max(np.abs(r)))
         scale = tol * (1.0 + float(np.max(np.abs(f))))
-        if norm_new < scale or float(np.max(np.abs(lu.solve(r)))) < scale:
+        if norm_new < scale:
             return f
-        if not norm_new < norm:
-            raise StepFailure(f"Newton step did not lower the residual {norm:.3e}")
+        step = lu.solve(r)
+        if float(np.max(np.abs(step))) < scale:
+            return f
+        contracted = norm_new < 0.5 * norm
+        if not contracted:
+            if fresh and not norm_new < norm:
+                raise StepFailure(f"Newton step did not lower the residual {norm:.3e}")
+            lu = factorize(jacobian_fn(f))
+            step = lu.solve(r)
+        fresh = not contracted
         norm = norm_new
     raise StepFailure("Newton did not converge")
 
@@ -336,12 +351,13 @@ def past_horizon(t, t_end):
 
 def check_output_times(cfg, output_times):
     """Snapshot times of a run: a default grid for None, else at least two
-    times that start at 0, strictly increase and are not `past_horizon`."""
+    finite real numbers (`real_number`: no strings, no bools) that start at
+    0, strictly increase and are not `past_horizon`."""
     if output_times is None:
         return np.linspace(0.0, cfg.t_end, min(33, max(2, int(round(cfg.t_end / cfg.dt)) + 1)))
-    times = np.asarray(output_times, dtype=float)
-    if times.ndim != 1 or times.size < 2:
+    if np.ndim(output_times) != 1 or len(output_times) < 2:
         raise ValueError("need at least two output times")
+    times = np.array([real_number(t, "output time") for t in output_times])
     if abs(times[0]) > 1e-14 or not np.all(np.diff(times) > 0.0):
         raise ValueError("output times must start at 0 and be strictly increasing")
     if past_horizon(times[-1], cfg.t_end):

@@ -8,14 +8,19 @@ particle deposit is the masked B-spline with an np.add.at scatter, the
 movement Hessian is assembled densely from an n x m deposit Jacobian, the
 movement step is the L-BFGS-B search the Newton solve replaced, the guarded
 potentials evaluate through Polynomial.__call__, the stepping
-matrices are chains of scipy.sparse sums and products, and the periodic
-convolution is a direct sum of shifted copies.
+matrices are chains of scipy.sparse sums and products, the periodic
+convolution is a direct sum of shifted copies, and the implicit step's
+Newton iteration factorises a fresh Jacobian, assembled from COO, at
+every iterate.
 """
 
 import numpy as np
 from numpy.polynomial import Polynomial
 from scipy.optimize import linear_sum_assignment, minimize
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from chflow.solvers import StepFailure
 
 
 def inverse_cdf(values, levels):
@@ -261,3 +266,36 @@ def convolve_direct(values, kernel_values, h):
     for m in np.nonzero(kernel_values)[0]:
         out += kernel_values[m] * np.roll(values, m)
     return out * h
+
+
+def bands_sparse(bands):
+    """CSC matrix with entry (j, (j+o) mod n) from row o + w of the (2w+1, n) bands, from COO."""
+    n = bands.shape[1]
+    width = bands.shape[0] // 2
+    rows = np.tile(np.arange(n), 2 * width + 1)
+    cols = (rows + np.repeat(np.arange(-width, width + 1), n)) % n
+    return sp.csc_matrix((bands.ravel(), (rows, cols)), shape=(n, n))
+
+
+def newton_fresh_jacobian(vals, residual_fn, jacobian_fn, tol, max_iter):
+    """Full-step Newton with a Jacobian factorised afresh at every iterate,
+    under the library's stopping rule: accept f once its residual or its
+    simplified correction is below tol * (1 + max |f|); StepFailure when a
+    step neither converges nor lowers the residual."""
+    f = vals.copy()
+    r = residual_fn(f)
+    norm = float(np.max(np.abs(r)))
+    if norm < tol * (1.0 + float(np.max(np.abs(f)))):
+        return f
+    for _ in range(max_iter):
+        lu = spla.splu(bands_sparse(jacobian_fn(f)))
+        f = f - lu.solve(r)
+        r = residual_fn(f)
+        norm_new = float(np.max(np.abs(r)))
+        scale = tol * (1.0 + float(np.max(np.abs(f))))
+        if norm_new < scale or float(np.max(np.abs(lu.solve(r)))) < scale:
+            return f
+        if not norm_new < norm:
+            raise StepFailure(f"Newton step did not lower the residual {norm:.3e}")
+        norm = norm_new
+    raise StepFailure("Newton did not converge")

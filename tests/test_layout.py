@@ -1,8 +1,9 @@
 """Module boundaries: every chflow module imports only modules of a lower layer
 and never another module's private names, the hot stencil modules use no
 per-call-heavy numpy helpers, only the solvers touch scipy.sparse,
-without its diags/identity builders, jko has no scipy.optimize path, and
-every config field is read."""
+without its diags/identity builders, every LU goes through the one
+factorisation seam, jko has no scipy.optimize path, and every config field
+is read."""
 
 import ast
 from pathlib import Path
@@ -107,6 +108,48 @@ def test_only_solvers_use_scipy_sparse_and_never_its_builders():
         for path in sorted(PACKAGE_DIR.glob("*.py"))
         for kind, what in _scipy_sparse_uses(path)
         if kind == "call" or path.stem != "solvers"
+    ]
+    assert not offenders, "\n".join(offenders)
+
+
+# the one LU seam: splu is called only by solvers.factorize, and factorize only
+# by the Newton iteration and the semi-implicit nonlocal step, so a swap of the
+# LU touches one function and a wrapper on factorize sees every factorisation
+_LU_SEAM = {
+    "splu": {("solvers", "factorize")},
+    "factorize": {("solvers", "newton"), ("nonlocal_model", "_advance_nonlocal")},
+}
+
+
+def _seam_uses(path):
+    """(name, enclosing top-level function or None, line) for every reference to a seam name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                # an import under another name would hide the uses from this check
+                for alias in node.names:
+                    name = alias.name.rpartition(".")[2]
+                    if name in _LU_SEAM and alias.asname is not None:
+                        yield name, f"an import as {alias.asname}", node.lineno
+                continue
+            else:
+                continue
+            if name in _LU_SEAM:
+                yield name, owner, node.lineno
+
+
+def test_every_lu_goes_through_factorize():
+    offenders = [
+        f"{path.name}:{line} uses {name} in {owner}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for name, owner, line in _seam_uses(path)
+        if (path.stem, owner) not in _LU_SEAM[name]
     ]
     assert not offenders, "\n".join(offenders)
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from chflow import solvers
 from chflow.diagnostics import energy_dissipation_audit
 from chflow.potential import compute_convex_envelope, from_polynomial, make_potential
 from chflow.solvers import (
@@ -27,7 +28,7 @@ from chflow.solvers import (
     stepping_bands,
 )
 from chflow.wasserstein1d import DensityField, w2_periodic
-from oracles import diffusion_system_sparse, flux_jacobian_sparse, limit_jacobian_sparse
+from oracles import diffusion_system_sparse, flux_jacobian_sparse, limit_jacobian_sparse, newton_fresh_jacobian
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +256,65 @@ def test_limit_comparison_principle(quadratic_env):
         assert np.all(hi >= lo - 1e-12)
 
 
+def _count_factorisations(monkeypatch):
+    """Patch solvers.factorize with a wrapper that adds 1 to counts[-1] per call."""
+    counts = [0]
+    factorize = solvers.factorize
+
+    def counting(bands):
+        counts[-1] += 1
+        return factorize(bands)
+
+    monkeypatch.setattr(solvers, "factorize", counting)
+    return counts
+
+
+def test_chord_newton_refreshes_on_rough_data(quadratic_env, monkeypatch):
+    # the limit steps of test_limit_comparison_principle: white noise at
+    # dt/h^2 ~ 3.3, where the Jacobian moves between iterates, so the factor
+    # of the first iterate alone does not converge
+    counts = _count_factorisations(monkeypatch)
+    rng = np.random.default_rng(5)
+    n = 128
+    h = 1.0 / n
+    cfg = SolverConfig(n=n, dt=2e-4, eps=0.0, t_end=1.0)
+
+    def step(vals):
+        counts.append(0)
+        return step_limit_values(vals, h, cfg.dt, cfg, quadratic_env)
+
+    for _ in range(3):
+        lo = 0.3 + rng.random(n)
+        hi = lo + 0.2 * rng.random(n)
+        for _ in range(5):
+            lo, hi = step(lo), step(hi)
+    per_step = counts[1:]
+    assert len(per_step) == 30 and min(per_step) >= 1
+    assert max(per_step) > 1
+
+
+def test_chord_newton_factorises_once_per_step_on_smooth_runs(spinodal, monkeypatch):
+    # the finest run of the benchmark sweep, with its output times
+    counts = _count_factorisations(monkeypatch)
+    steps = []
+    newton_ = solvers.newton
+
+    def counting_newton(*args):
+        steps.append(None)
+        return newton_(*args)
+
+    monkeypatch.setattr(solvers, "newton", counting_newton)
+    n = 128
+    x = (np.arange(n) + 0.5) / n
+    f0 = DensityField.normalized(1.0 + 0.1 * np.cos(2.0 * np.pi * x))
+    cfg = SolverConfig(n=n, dt=2e-4, eps=0.025, t_end=0.02)
+    rec = simulate_eps(f0, cfg, spinodal, output_times=[0.0, 2e-5, 0.02])
+    assert rec.completed
+    assert [ev for ev in rec.events if ev["type"] == "dt-halve"] == []  # every Newton call is an accepted step
+    assert len(steps) > 100
+    assert counts[0] <= len(steps)
+
+
 def test_limit_minimum_principle(quadratic_env):
     n = 128
     x = (np.arange(n) + 0.5) / n
@@ -313,6 +373,15 @@ def test_output_times_validation(wrinkle):
     for bad in bad_times:
         with pytest.raises(ValueError):
             simulate_eps(f, cfg, wrinkle, output_times=bad)
+
+
+def test_output_times_are_not_coerced_from_strings_or_bools(wrinkle):
+    f = DensityField(np.ones(64))
+    cfg = SolverConfig(n=64, dt=1e-3, eps=0.1, t_end=0.01)
+    for bad in (["0", "0.001"], [0.0, "0.005"], [False, 0.005], (0.0, np.True_)):
+        with pytest.raises(ValueError, match="output time"):
+            simulate_eps(f, cfg, wrinkle, output_times=bad)
+    assert list(simulate_eps(f, cfg, wrinkle, output_times=(0, 0.005)).times) == [0.0, 0.005]
 
 
 def test_positivity_modes():
@@ -397,6 +466,43 @@ def _check_invariants(rec, f0):
 def test_eps_flow_invariants_on_random_wells(spec, f0, eps, dt, theta):
     cfg = SolverConfig(n=f0.n, dt=dt, eps=eps, t_end=5 * dt, theta_scheme=theta)
     _check_invariants(simulate_eps(f0, cfg, spec, output_times=np.linspace(0.0, 5 * dt, 6)), f0)
+
+
+def _assert_matches_fresh_jacobian(step, dt):
+    """step(dt) by the chord iteration and by Newton with a fresh Jacobian at
+    every iterate agree, at the first dt of the halving sequence that the
+    fresh iteration solves (the dt the trajectory loop would take)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "newton", newton_fresh_jacobian)
+        while True:
+            try:
+                fresh = step(dt)
+                break
+            except StepFailure:
+                dt *= 0.5
+    chord = step(dt)
+    unit = SolverConfig.newton_tol * (1.0 + float(np.max(np.abs(fresh.values))))
+    assert np.max(np.abs(chord.values - fresh.values)) <= 10.0 * unit
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(_wells, _data, st.floats(0.05, 0.2), st.floats(1e-5, 1e-3), st.sampled_from([0.5, 1.0]))
+def test_chord_newton_matches_fresh_jacobian_on_random_wells_eps(spec, f0, eps, dt, theta):
+    def step(dt):
+        return step_eps(f0, SolverConfig(n=f0.n, dt=dt, eps=eps, t_end=dt, theta_scheme=theta), spec)
+
+    _assert_matches_fresh_jacobian(step, dt)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(_wells, _data, st.floats(1e-5, 1e-3))
+def test_chord_newton_matches_fresh_jacobian_on_random_wells_limit(spec, f0, dt):
+    env = compute_convex_envelope(spec)
+
+    def step(dt):
+        return step_limit(f0, SolverConfig(n=f0.n, dt=dt, eps=0.0, t_end=dt), env)
+
+    _assert_matches_fresh_jacobian(step, dt)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
