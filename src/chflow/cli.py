@@ -17,7 +17,6 @@ from .harness import load_config, run_single, run_sweep
 from .potential import (
     HypothesisViolation,
     canonical_names,
-    compute_convex_envelope,
     compute_unstable_set,
     make_potential,
     validate_hypotheses,
@@ -69,14 +68,13 @@ def _cmd_sweep(args):
 
 def _cmd_envelope(args):
     spec = make_potential(args.potential)
-    env = compute_convex_envelope(spec)
-    unstable = compute_unstable_set(spec, env)
+    unstable = compute_unstable_set(spec.envelope)
     print(
         json.dumps(
             _jsonable(
                 {
                     "potential": args.potential,
-                    "breakpoints": env.breakpoints,
+                    "breakpoints": spec.envelope.breakpoints,
                     "sigma": unstable.intervals,
                     "m0": unstable.m0,
                     "degenerate_first": unstable.degenerate_first,

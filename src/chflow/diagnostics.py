@@ -225,7 +225,7 @@ def energy_dissipation_audit(traj):
     return dissipation_audit(traj.times, energies, slopes, traj.speeds(), traj.flavor)
 
 
-def well_preparedness(f_eps_family, f0, env, spec):
+def well_preparedness(f_eps_family, f0, spec):
     """Trend of d2-distance and energy gap for an eps-family of initial data.
 
     ``f_eps_family`` lists (eps, field) pairs sorted by decreasing eps; the
@@ -237,7 +237,7 @@ def well_preparedness(f_eps_family, f0, env, spec):
         raise ValueError("family must be nonempty")
     if any(b >= a for a, b in zip(eps_values, eps_values[1:])):
         raise ValueError("family must be sorted by strictly decreasing eps")
-    e_target = energy_star(f0, env)
+    e_target = energy_star(f0, spec.envelope)
     rows = tuple(
         (eps, w2_periodic(field, f0), energy_eps(field, eps, spec) - e_target)
         for eps, field in f_eps_family

@@ -161,14 +161,14 @@ def slope_star(f: DensityField, env: ConvexEnvelope) -> float:
     return float(np.sqrt(np.sum(f.values * de * de) * f.h))
 
 
-def energy_report(f: DensityField, eps: float, spec: PotentialSpec, env: ConvexEnvelope) -> EnergyReport:
-    """Bundle both energies and both slopes for one snapshot."""
+def energy_report(f: DensityField, eps: float, spec: PotentialSpec) -> EnergyReport:
+    """Bundle both energies and both slopes for one snapshot; the relaxed ones use ``spec.envelope``."""
     e_eps = energy_eps(f, eps, spec)
-    e_star = energy_star(f, env)
+    e_star = energy_star(f, spec.envelope)
     return EnergyReport(
         e_eps=e_eps,
         e_star=e_star,
         slope_eps=slope_eps(f, eps, spec),
-        slope_star=slope_star(f, env),
+        slope_star=slope_star(f, spec.envelope),
         gap=e_eps - e_star,
     )

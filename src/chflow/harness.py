@@ -24,7 +24,6 @@ from .jko import JkoConfig, jko_step_count, simulate_jko, write_ledger_csv
 from .nonlocal_model import compare_local_nonlocal, make_kernel, simulate_nonlocal
 from .potential import (
     HypothesisViolation,
-    compute_convex_envelope,
     compute_unstable_set,
     from_polynomial,
     make_potential,
@@ -172,10 +171,10 @@ class ExperimentConfig:
         dirs = [f"eps-{e:g}" for e in eps]
         if len(set(dirs)) < len(dirs):
             raise ValueError(f"eps_list entries must name distinct sweep directories, got {dirs}")
-        times = tuple(real_number(t, "output_times") for t in self.output_times)
-        object.__setattr__(self, "output_times", times)
+        times = tuple(self.output_times)
         if times:
-            check_output_times(self.solver, times)
+            times = tuple(float(t) for t in check_output_times(self.solver, times))
+        object.__setattr__(self, "output_times", times)
         if self.jko is not None:
             jko_step_count(self.jko.tau, self.solver.t_end)
         if not isinstance(self.allow_ill_prepared, bool):
@@ -194,12 +193,23 @@ _JKO_KEYS = tuple(f.name for f in fields(JkoConfig))
 _INITIAL_KEYS = tuple(f.name for f in fields(InitialData))
 
 
+# the JSON type of each section; another type would fail inside dict() or tuple() with Python's own message
+_SECTION_TYPES = {"potential": ((str, list, tuple), "a name or an array"), "solver": (dict, "an object"),
+                  "initial_data": (dict, "an object"), "jko": (dict, "an object"),
+                  "eps_list": ((list, tuple), "an array"), "output_times": ((list, tuple), "an array")}
+
+
 def experiment_from_dict(doc):
-    """Build an ExperimentConfig from a JSON document, rejecting typos."""
+    """Build an ExperimentConfig from a JSON document, rejecting typos and sections of the wrong type."""
+    if not isinstance(doc, dict):
+        raise ValueError("config must be a JSON object")
     _reject_unknown(doc, _TOP_KEYS, "config")
     for key in ("potential", "solver", "initial_data", "output_dir"):
-        if key not in doc:
+        if doc.get(key) is None:
             raise ValueError(f"config is missing required key {key!r}")
+    for key, (kind, what) in _SECTION_TYPES.items():
+        if doc.get(key) is not None and not isinstance(doc[key], kind):
+            raise ValueError(f"config key {key!r} must be {what}")
     solver_doc = dict(doc["solver"])
     _reject_unknown(solver_doc, _SOLVER_KEYS, "solver")
     solver = SolverConfig(**solver_doc)
@@ -212,6 +222,8 @@ def experiment_from_dict(doc):
     _reject_unknown(initial_doc, _INITIAL_KEYS, "initial_data")
     if "name" not in initial_doc:
         raise ValueError("initial_data needs a generator name")
+    if initial_doc.get("params") is not None and not isinstance(initial_doc["params"], dict):
+        raise ValueError("initial_data params must be a JSON object")
     initial = InitialData(name=initial_doc["name"], params=dict(initial_doc.get("params") or {}))
     cfg = ExperimentConfig(
         potential=doc["potential"],
@@ -303,9 +315,9 @@ def write_manifest(out_dir, cfg, outputs, extra=None):
 
 
 def _potential_of(cfg):
-    if isinstance(cfg.potential, str):
-        return make_potential(cfg.potential)
-    return from_polynomial(cfg.potential)
+    """The config's potential, which carries its envelope, and its unstable set."""
+    spec = make_potential(cfg.potential) if isinstance(cfg.potential, str) else from_polynomial(cfg.potential)
+    return spec, compute_unstable_set(spec.envelope)
 
 
 def _grid_for(eps, n_base):
@@ -359,9 +371,7 @@ def run_single(cfg, mode):
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
-    spec = _potential_of(cfg)
-    env = compute_convex_envelope(spec)
-    unstable = compute_unstable_set(spec, env)
+    spec, unstable = _potential_of(cfg)
     times = cfg.times()
     f0 = generate_initial(cfg.initial_data.name, cfg.initial_data.params, cfg.solver.n)
 
@@ -370,10 +380,10 @@ def run_single(cfg, mode):
     outputs = []
 
     if mode == "eps":
-        record = simulate_eps(f0, cfg.solver, spec, output_times=times, env=env)
+        record = simulate_eps(f0, cfg.solver, spec, output_times=times)
     elif mode == "limit":
         limit_cfg = replace(cfg.solver, eps=0.0)
-        record = simulate_limit(f0, limit_cfg, env, output_times=times)
+        record = simulate_limit(f0, limit_cfg, spec.envelope, output_times=times)
     elif mode == "jko":
         if cfg.jko is None:
             raise ValueError("mode=jko needs a jko config section")
@@ -381,7 +391,7 @@ def run_single(cfg, mode):
         ledger_path = out_dir / "ledger.csv"
         write_ledger_csv(record, ledger_path)
         outputs.append(ledger_path)
-        fd_record = simulate_eps(f0, cfg.solver, spec, output_times=record.times, env=env)
+        fd_record = simulate_eps(f0, cfg.solver, spec, output_times=record.times)
         cross_path = out_dir / "cross_validation.csv"
         with open(cross_path, "w", newline="") as fh:
             fh.write("t,d2\n")
@@ -390,7 +400,7 @@ def run_single(cfg, mode):
         outputs.append(cross_path)
     else:
         kern = make_kernel()
-        record = simulate_nonlocal(f0, cfg.solver, kern, spec, env=env, output_times=times)
+        record = simulate_nonlocal(f0, cfg.solver, kern, spec, output_times=times)
         if getattr(spec, "name", None) == "cubic-motivation":
             comparison = compare_local_nonlocal(
                 f0, cfg.solver.eps, kern, spec, cfg.solver.t_end, dt=cfg.solver.dt, n_out=len(times)
@@ -453,15 +463,12 @@ class SweepReport:
 
 def _sweep_worker(payload):
     """One regularized run and its gap columns; exceptions become row failures."""
-    cfg, eps, times, limit_vals, limit_slopes, limit_energies = payload
+    cfg, spec, unstable, eps, times, limit_vals, limit_slopes, limit_energies = payload
     try:
-        spec = _potential_of(cfg)
-        env = compute_convex_envelope(spec)
-        unstable = compute_unstable_set(spec, env)
         n_eps = _grid_for(eps, cfg.solver.n)
         f0 = generate_initial(cfg.initial_data.name, cfg.initial_data.params, n_eps)
         run_cfg = replace(cfg.solver, n=n_eps, eps=eps)
-        record = simulate_eps(f0, run_cfg, spec, output_times=times, env=env)
+        record = simulate_eps(f0, run_cfg, spec, output_times=times)
         if not record.completed or len(record.snapshots) != len(limit_vals):
             raise RuntimeError("regularized run aborted before reaching t_end")
         limit_snaps = [DensityField(v) for v in limit_vals]
@@ -492,8 +499,7 @@ def run_sweep(cfg):
     """
     if not cfg.eps_list:
         raise ValueError("run_sweep needs a nonempty eps_list")
-    spec = _potential_of(cfg)
-    env = compute_convex_envelope(spec)
+    spec, unstable = _potential_of(cfg)
     times = cfg.times()
 
     grids = {eps: _grid_for(eps, cfg.solver.n) for eps in cfg.eps_list}
@@ -504,7 +510,7 @@ def run_sweep(cfg):
         (eps, generate_initial(cfg.initial_data.name, cfg.initial_data.params, grids[eps]))
         for eps in cfg.eps_list
     ]
-    prep = well_preparedness(family, f0_limit, env, spec)
+    prep = well_preparedness(family, f0_limit, spec)
     if not prep.well_prepared and not cfg.allow_ill_prepared:
         raise HypothesisViolation(
             "initial data is not well prepared for this eps family",
@@ -512,13 +518,13 @@ def run_sweep(cfg):
         )
 
     limit_cfg = replace(cfg.solver, n=n_limit, eps=0.0)
-    limit_rec = simulate_limit(f0_limit, limit_cfg, env, output_times=times)
+    limit_rec = simulate_limit(f0_limit, limit_cfg, spec.envelope, output_times=times)
     limit_vals = [snap.values for snap in limit_rec.snapshots]
     limit_slopes = tuple(rep.slope_star for rep in limit_rec.reports)
     limit_energies = tuple(rep.e_star for rep in limit_rec.reports)
 
     payloads = [
-        (cfg, eps, times, limit_vals, limit_slopes, limit_energies) for eps in cfg.eps_list
+        (cfg, spec, unstable, eps, times, limit_vals, limit_slopes, limit_energies) for eps in cfg.eps_list
     ]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=min(cfg.workers, len(payloads))) as pool:

@@ -24,7 +24,7 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.linalg.lapack import dtbtrs
 
 from .functionals import chemical_potential_values, energy_eps_values, energy_report
-from .potential import PotentialSpec, compute_convex_envelope
+from .potential import PotentialSpec
 from .solvers import TrajectoryRecord, past_horizon, real_number, whole_number
 from .wasserstein1d import DensityField, to_quantiles
 
@@ -396,13 +396,12 @@ def simulate_jko(f0: DensityField, cfg: JkoConfig, eps: float, spec: PotentialSp
     and densities are reconstructed only for snapshots and reports.
     """
     n_steps = jko_step_count(cfg.tau, t_end)
-    env = compute_convex_envelope(spec)
     n = f0.n
     p_cells = _bandwidth_cells(cfg, n)
 
     positions = particles_from_density(f0, cfg.m)
     snapshots = [DensityField.normalized(density_from_particles(positions, n, p_cells))]
-    reports = [energy_report(snapshots[0], eps, spec, env)]
+    reports = [energy_report(snapshots[0], eps, spec)]
     times = [0.0]
     events = []
     increments = [0.0]
@@ -422,7 +421,7 @@ def simulate_jko(f0: DensityField, cfg: JkoConfig, eps: float, spec: PotentialSp
             )
         snap = DensityField.normalized(density_from_particles(positions, n, p_cells))
         snapshots.append(snap)
-        reports.append(energy_report(snap, eps, spec, env))
+        reports.append(energy_report(snap, eps, spec))
         times.append(k * cfg.tau)
         increments.append(info["d2_increment"])
         iterations.append(info["iterations"])

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import EnergyReport, dx_forward, energy_star
-from .potential import compute_convex_envelope
 from .solvers import (
     SolverConfig,
     StepFailure,
@@ -160,7 +159,7 @@ def energy_nonlocal(f: DensityField, eps, kern, spec, split=False):
     return (total, seminorm) if split else total
 
 
-def simulate_nonlocal(f0, cfg, kern, spec, env=None, output_times=None, scheme="semi-implicit"):
+def simulate_nonlocal(f0, cfg, kern, spec, output_times=None, scheme="semi-implicit"):
     """Drive the aggregation model with the adaptive-dt trajectory loop.
 
     Reports carry the model energy in e_eps and the relaxed bulk energy in
@@ -175,8 +174,6 @@ def simulate_nonlocal(f0, cfg, kern, spec, env=None, output_times=None, scheme="
         raise ValueError("field resolution does not match config")
     if scheme not in ("semi-implicit", "implicit"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    if env is None:
-        env = compute_convex_envelope(spec)
     h = f0.h
     k_grid = kernel_on_grid(kern, cfg.eps, cfg.n)
     eps2k0 = cfg.eps * cfg.eps * kern.k0
@@ -193,7 +190,7 @@ def simulate_nonlocal(f0, cfg, kern, spec, env=None, output_times=None, scheme="
 
     def make_report(snap):
         e_model = energy_of(snap.values)
-        e_bulk = energy_star(snap, env)
+        e_bulk = energy_star(snap, spec.envelope)
         return EnergyReport(
             e_eps=e_model, e_star=e_bulk, slope_eps=0.0, slope_star=0.0, gap=e_model - e_bulk
         )

@@ -4,7 +4,7 @@ A potential W : [0, inf) -> R drives both the interfacial equation and its
 transport limit.  Everything downstream needs four pieces of structure:
 
 * guarded evaluation of W, W', W'' on a working window [0, nu_max],
-* the convex envelope W** together with its breakpoints,
+* the convex envelope W** with its breakpoints, which each spec carries,
 * the unstable band Sigma = closure({W > W**} union {0}), a finite union of
   closed intervals, plus the marker density m0 separating the first two,
 * the pressure-like primitives Q'(y) = y W'(y) - W(y) and
@@ -21,7 +21,8 @@ runaway quartic tails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -46,6 +47,8 @@ class PotentialSpec:
 
     ``eval_W``, ``eval_W1`` and ``eval_W2`` accept scalars or arrays and are
     defined on all of R via quadratic continuation beyond [0, domain_max].
+    ``envelope`` is W** on that window; left out, it is built once when the
+    spec is, so every consumer reads the same envelope.
     """
 
     name: str
@@ -53,6 +56,11 @@ class PotentialSpec:
     eval_W1: Callable[[np.ndarray], np.ndarray]
     eval_W2: Callable[[np.ndarray], np.ndarray]
     domain_max: float
+    envelope: ConvexEnvelope | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.envelope is None:
+            object.__setattr__(self, "envelope", compute_convex_envelope(self))
 
 
 @dataclass(frozen=True)
@@ -71,7 +79,6 @@ class ConvexEnvelope:
     eval_Qss1: Callable[[np.ndarray], np.ndarray]
     eval_Wss2: Callable[[np.ndarray], np.ndarray]
     segments: tuple = field(repr=False)
-    domain_max: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -101,27 +108,24 @@ def _horner(coef, x):
     return c0
 
 
+def _continued(coefs, lo, hi, x):
+    """p(t) + p'(t) d + p''(t) d^2 / 2 at t = x clipped to [lo, hi], d = x - t,
+    for the coefficient tuples `coefs` of p, p', p'' (or of p', p'', or of p'')."""
+    x = np.asarray(x, dtype=float)
+    t = np.clip(x, lo, hi)
+    d = x - t
+    out = _horner(coefs[0], t)
+    if len(coefs) > 1:
+        out = out + _horner(coefs[1], t) * d
+    if len(coefs) > 2:
+        out = out + 0.5 * _horner(coefs[2], t) * d * d
+    return out
+
+
 def _guarded_callables(poly, lo, hi):
-    """Quadratic continuation of a polynomial outside [lo, hi]."""
+    """Quadratic continuation of a polynomial outside [lo, hi], as picklable partials."""
     c0, c1, c2 = (tuple(q.coef) for q in (poly, poly.deriv(1), poly.deriv(2)))
-
-    def w(x):
-        x = np.asarray(x, dtype=float)
-        t = np.clip(x, lo, hi)
-        d = x - t
-        return _horner(c0, t) + _horner(c1, t) * d + 0.5 * _horner(c2, t) * d * d
-
-    def w1(x):
-        x = np.asarray(x, dtype=float)
-        t = np.clip(x, lo, hi)
-        return _horner(c1, t) + _horner(c2, t) * (x - t)
-
-    def w2(x):
-        x = np.asarray(x, dtype=float)
-        t = np.clip(x, lo, hi)
-        return _horner(c2, t)
-
-    return w, w1, w2
+    return tuple(partial(_continued, coefs, lo, hi) for coefs in ((c0, c1, c2), (c1, c2), (c2,)))
 
 
 def from_polynomial(coefficients, name="custom", max_density=2.0):
@@ -134,9 +138,11 @@ def from_polynomial(coefficients, name="custom", max_density=2.0):
         dropped to enforce the normalization W(0) = W'(0) = 0; it affects no
         flux and no envelope geometry.
     max_density : float
-        Largest density value the caller expects to feed in; the working
-        window is sized as max(3*m0, 2*max_density) and always covers the
-        unstable band with margin.
+        Largest density value the caller expects to feed in.  The working
+        window [0, max(3*m0, 2*max_density, b + 1)], b the right end of the
+        last unstable band, covers that band with margin; m0 and b come from
+        a provisional window past every critical and inflection point.  The
+        spec carries the envelope of the final window.
     """
     c = np.array(coefficients, dtype=float)
     if c.size < 1:
@@ -146,10 +152,8 @@ def from_polynomial(coefficients, name="custom", max_density=2.0):
     c[1] = 0.0
     poly = Polynomial(c)
 
-    provisional = _provisional_window(poly, max_density)
-    spec0 = _spec_from_poly(poly, name, provisional)
-    env0 = compute_convex_envelope(spec0)
-    uset0 = compute_unstable_set(spec0, env0, max_intervals=64)
+    provisional = _spec_from_poly(poly, name, _provisional_window(poly, max_density))
+    uset0 = compute_unstable_set(provisional.envelope, max_intervals=64)
     last_band_end = float(uset0.intervals[-1, 1])
     domain_max = max(3.0 * uset0.m0, 2.0 * max_density, last_band_end + 1.0)
     return _spec_from_poly(poly, name, float(domain_max))
@@ -332,33 +336,35 @@ def compute_convex_envelope(spec, n_samples=2048):
     slopes = np.array([s[3] for s in segments])
     intercepts = np.array([s[4] for s in segments])
 
-    def _locate(z):
-        idx = np.searchsorted(starts, z, side="right") - 1
-        return np.clip(idx, 0, len(segments) - 1)
-
-    def _piecewise(on_bridge, on_graph):
-        # bridge segments follow the tangent line, graph segments follow W
-        def evaluate(z):
-            z = np.asarray(z, dtype=float)
-            idx = _locate(z)
-            out = np.where(is_bridge[idx], on_bridge(z, idx), on_graph(z))
-            return out if out.shape else float(out)
-        return evaluate
-
-    wss = _piecewise(lambda z, idx: slopes[idx] * z + intercepts[idx], spec.eval_W)
-    wss1 = _piecewise(lambda z, idx: slopes[idx], spec.eval_W1)
-    wss2 = _piecewise(lambda z, idx: 0.0, spec.eval_W2)
-
-    def qss1(z):
-        z = np.asarray(z, dtype=float)
-        return z * wss1(z) - wss(z)
-
+    graph = (spec.eval_W, spec.eval_W1, spec.eval_W2)
+    wss, wss1, wss2 = (partial(_envelope_piece, starts, is_bridge, slopes, intercepts, order, graph[order])
+                       for order in range(3))
     return ConvexEnvelope(breakpoints=breakpoints, eval_Wss=wss, eval_Wss1=wss1,
-                          eval_Qss1=qss1, eval_Wss2=wss2, segments=segments,
-                          domain_max=spec.domain_max)
+                          eval_Qss1=partial(_envelope_q1, wss, wss1), eval_Wss2=wss2,
+                          segments=segments)
 
 
-def compute_unstable_set(spec, envelope, max_intervals=8):
+def _envelope_piece(starts, is_bridge, slopes, intercepts, order, on_graph, z):
+    """Derivative `order` of W**: the tangent line on bridge segments, W on graph segments."""
+    z = np.asarray(z, dtype=float)
+    idx = np.clip(np.searchsorted(starts, z, side="right") - 1, 0, starts.size - 1)
+    if order == 0:
+        on_bridge = slopes[idx] * z + intercepts[idx]
+    elif order == 1:
+        on_bridge = slopes[idx]
+    else:
+        on_bridge = 0.0
+    out = np.where(is_bridge[idx], on_bridge, on_graph(z))
+    return out if out.shape else float(out)
+
+
+def _envelope_q1(wss, wss1, z):
+    """Q**'(z) = z W**'(z) - W**(z)."""
+    z = np.asarray(z, dtype=float)
+    return z * wss1(z) - wss(z)
+
+
+def compute_unstable_set(envelope, max_intervals=8):
     """Extract Sigma and the marker density m0 from an envelope.
 
     Raises :class:`HypothesisViolation` when Sigma splits into more than
@@ -398,7 +404,7 @@ def distance_to_sigma(values, unstable):
     return out if out.shape else float(out)
 
 
-def validate_hypotheses(spec, envelope=None, unstable=None):
+def validate_hypotheses(spec):
     """Report on the structural hypotheses; never raises.
 
     Checks, on 4096 samples of the working window: the growth controls
@@ -407,8 +413,6 @@ def validate_hypotheses(spec, envelope=None, unstable=None):
     strict convexity of W off Sigma.  Returns a dict with one entry per
     hypothesis plus an overall ``ok`` flag.
     """
-    if envelope is None:
-        envelope = compute_convex_envelope(spec)
     report = {}
 
     x = np.linspace(0.0, spec.domain_max, 4096)
@@ -431,15 +435,13 @@ def validate_hypotheses(spec, envelope=None, unstable=None):
     }
 
     try:
-        if unstable is None:
-            unstable = compute_unstable_set(spec, envelope)
-        report["h3"] = {"ok": True, "count": unstable.count, "m0": unstable.m0,
-                        "intervals": unstable.intervals.tolist()}
+        unstable = compute_unstable_set(spec.envelope)
     except HypothesisViolation as exc:
         report["h3"] = {"ok": False, "reason": str(exc)}
-        unstable = None
-
-    if unstable is not None:
+        report["h4"] = {"ok": False, "reason": "Sigma unavailable"}
+    else:
+        report["h3"] = {"ok": True, "count": unstable.count, "m0": unstable.m0,
+                        "intervals": unstable.intervals.tolist()}
         dist = distance_to_sigma(x, unstable)
         outside = dist > max(1e-6 * spec.domain_max, 1e-9)
         if outside.any():
@@ -447,8 +449,6 @@ def validate_hypotheses(spec, envelope=None, unstable=None):
             report["h4"] = {"ok": min_w2 > 0.0, "min_W2_off_sigma": min_w2}
         else:
             report["h4"] = {"ok": False, "reason": "no sample off Sigma"}
-    else:
-        report["h4"] = {"ok": False, "reason": "Sigma unavailable"}
 
     report["normalization"] = {
         "ok": abs(float(spec.eval_W(0.0))) <= 1e-12 and abs(float(spec.eval_W1(0.0))) <= 1e-12,

@@ -37,7 +37,7 @@ from .functionals import (
     pad_periodic,
     slope_star,
 )
-from .potential import ConvexEnvelope, PotentialSpec, compute_convex_envelope
+from .potential import ConvexEnvelope, PotentialSpec
 from .wasserstein1d import DensityField, metric_speed
 
 __all__ = [
@@ -357,7 +357,7 @@ def check_output_times(cfg, output_times):
         return np.linspace(0.0, cfg.t_end, min(33, max(2, int(round(cfg.t_end / cfg.dt)) + 1)))
     if np.ndim(output_times) != 1 or len(output_times) < 2:
         raise ValueError("need at least two output times")
-    times = np.array([real_number(t, "output time") for t in output_times])
+    times = np.array([real_number(t, "every output time in output_times") for t in output_times])
     if abs(times[0]) > 1e-14 or not np.all(np.diff(times) > 0.0):
         raise ValueError("output times must start at 0 and be strictly increasing")
     if past_horizon(times[-1], cfg.t_end):
@@ -426,7 +426,6 @@ def simulate_eps(
     cfg: SolverConfig,
     spec: PotentialSpec,
     output_times=None,
-    env: ConvexEnvelope | None = None,
 ) -> TrajectoryRecord:
     """Run the regularized flow to t_end with adaptive step control.
 
@@ -437,14 +436,12 @@ def simulate_eps(
         raise ValueError("simulate_eps needs eps > 0")
     if f0.n != cfg.n:
         raise ValueError("field resolution does not match config")
-    if env is None:
-        env = compute_convex_envelope(spec)
 
     def advance(v, h, dt, t, events):
         return _advance_eps(v, h, dt, cfg, spec, t, events)
 
     def make_report(snap):
-        return energy_report(snap, cfg.eps, spec, env)
+        return energy_report(snap, cfg.eps, spec)
 
     h0 = f0.h
 

@@ -69,7 +69,7 @@ def test_criterion_02_conservation_and_monotonicity():
         env = compute_convex_envelope(spec)
         for name, params in generators:
             f0 = generate_initial(name, params, 64)
-            rec_e = simulate_eps(f0, SolverConfig(n=64, dt=1e-4, eps=0.1, t_end=0.01), spec, output_times=times, env=env)
+            rec_e = simulate_eps(f0, SolverConfig(n=64, dt=1e-4, eps=0.1, t_end=0.01), spec, output_times=times)
             rec_l = simulate_limit(f0, SolverConfig(n=64, dt=1e-4, eps=0.0, t_end=0.01), env, output_times=times)
             for rec, col in ((rec_e, "e_eps"), (rec_l, "e_star")):
                 assert rec.completed
@@ -199,14 +199,14 @@ def test_criterion_06_slope_liminf(spinodal_sweep):
 def test_criterion_07_wrinkling_localization():
     spec = make_potential("quartic-wrinkle")
     env = compute_convex_envelope(spec)
-    sigma = compute_unstable_set(spec, env)
+    sigma = compute_unstable_set(env)
     eta = 0.05
     finals = {}
     for eps in (0.05, 0.025, 0.0125):
         n = max(128, int(np.ceil(8.0 / eps)))
         f0 = generate_initial("two-phase", {"lo": 0.3, "hi": 1.7, "width": 4 * eps}, n)
         cfg = SolverConfig(n=n, dt=2e-4, eps=eps, t_end=0.01)
-        rec = simulate_eps(f0, cfg, spec, output_times=(0.0, 0.005, 0.01), env=env)
+        rec = simulate_eps(f0, cfg, spec, output_times=(0.0, 0.005, 0.01))
         assert rec.completed
         finals[eps] = rec.snapshots[-1]
     delta = calibrate_delta([finals[0.05], finals[0.025]], sigma, eta)

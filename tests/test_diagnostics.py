@@ -33,27 +33,27 @@ def cubic():
 def wrinkle_stack():
     spec = make_potential("quartic-wrinkle")
     env = compute_convex_envelope(spec)
-    return spec, env, compute_unstable_set(spec, env)
+    return spec, env, compute_unstable_set(env)
 
 
 @pytest.fixture(scope="module")
 def spinodal_stack():
     spec = make_potential("quartic-spinodal")
     env = compute_convex_envelope(spec)
-    return spec, env, compute_unstable_set(spec, env)
+    return spec, env, compute_unstable_set(env)
 
 
 @pytest.fixture(scope="module")
 def wrinkled_run(wrinkle_stack):
     # seeded noise around the spinodal mean grows into a saturated wrinkle state
-    spec, env, _ = wrinkle_stack
+    spec, _, _ = wrinkle_stack
     rng = np.random.default_rng(5)
     n = 320
     noise = rng.standard_normal(n)
     noise -= noise.mean()
     f0 = DensityField(1.0 + 0.05 * noise)
     cfg = SolverConfig(n=n, dt=5e-4, eps=0.025, t_end=0.5)
-    return simulate_eps(f0, cfg, spec, output_times=[0.0, 0.1, 0.25, 0.5], env=env)
+    return simulate_eps(f0, cfg, spec, output_times=[0.0, 0.1, 0.25, 0.5])
 
 
 def _cosine_field(n, a):
@@ -237,7 +237,7 @@ def test_well_preparedness_trend_and_exact_gap(spinodal_stack, cubic):
     n = 256
     f = _cosine_field(n, 0.3)
     family = [(eps, f) for eps in (0.1, 0.05, 0.025)]
-    report = well_preparedness(family, f, env, spec)
+    report = well_preparedness(family, f, spec)
     h1 = h1_local(f, [(0.0, 1.0)])
     for (eps, d2, gap) in report.rows:
         # values stay under the envelope contact set, so the gap is pure Dirichlet
@@ -246,7 +246,7 @@ def test_well_preparedness_trend_and_exact_gap(spinodal_stack, cubic):
     assert report.well_prepared
 
     env_c = compute_convex_envelope(cubic)
-    bad = well_preparedness(family, f, env_c, cubic)
+    bad = well_preparedness(family, f, cubic)
     floor = float(np.mean(cubic.eval_W(f.values) - env_c.eval_Wss(f.values)))
     assert floor > 0.02
     for (eps, _, gap) in bad.rows:
@@ -254,14 +254,14 @@ def test_well_preparedness_trend_and_exact_gap(spinodal_stack, cubic):
     assert not bad.well_prepared
 
     with pytest.raises(ValueError):
-        well_preparedness([(0.05, f), (0.1, f)], f, env, spec)
+        well_preparedness([(0.05, f), (0.1, f)], f, spec)
 
 
 def test_distance_to_band_persists_under_eps(cubic):
     # lower-semicontinuity proxy: once the transition layers are thin, no
     # neighborhood of a bulk sample point dips halfway toward the band
     env = compute_convex_envelope(cubic)
-    sigma = compute_unstable_set(cubic, env)
+    sigma = compute_unstable_set(env)
     t_fix = 0.005
     samples = (0.45, 0.5, 0.55)
     flags_per_eps = []
@@ -276,7 +276,6 @@ def test_distance_to_band_persists_under_eps(cubic):
             SolverConfig(n=n, dt=1e-4, eps=eps, t_end=t_fix),
             cubic,
             output_times=[0.0, t_fix],
-            env=env,
         )
         dT = distance_to_sigma(rec.snapshots[-1].values, sigma)
         flags = []

@@ -255,9 +255,9 @@ def test_gap_exact_for_two_phase_field(cubic, cubic_env):
     assert gap == pytest.approx(expected, rel=1e-12)
 
 
-def test_energy_report_fields_and_gap_guard(cubic, cubic_env):
+def test_energy_report_fields_and_gap_guard(cubic):
     f = _cosine_field(128, 0.3)
-    rep = energy_report(f, 0.1, cubic, cubic_env)
+    rep = energy_report(f, 0.1, cubic)
     assert rep.gap == pytest.approx(rep.e_eps - rep.e_star, abs=1e-15)
     assert rep.gap >= -1e-10
     assert rep.slope_eps >= 0.0 and rep.slope_star >= 0.0

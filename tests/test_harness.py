@@ -100,7 +100,7 @@ def test_two_phase_on_convex_branches_is_ill_prepared():
     f0 = generate_initial("two-phase", {"lo": 0.3, "hi": 1.7}, 256)
     gaps = [energy_eps(f, eps, spec) - energy_star(f0, env) for eps, f in family]
     assert all(g > 0.01 for g in gaps)
-    report = well_preparedness(family, f0, env, spec)
+    report = well_preparedness(family, f0, spec)
     assert not report.well_prepared
 
 
@@ -233,9 +233,19 @@ def test_config_types_are_not_coerced(tmp_path):
         ("solver", dict(solver, theta_scheme=True), "theta_scheme"),
         ("jko", {"tau": "1e-3"}, "tau"),
         ("jko", {"tau": 1e-3, "inner_tol": "1e-6"}, "inner_tol"),
+        # sections of the wrong JSON type used to fail inside dict() or tuple()
+        ("solver", [1, 2], "solver"),
+        ("initial_data", "cosine", "initial_data"),
+        ("initial_data", {"name": "cosine", "params": [1]}, "params"),
+        ("jko", 5, "jko"),
+        ("potential", 5, "potential"),
+        ("eps_list", 0.1, "eps_list"),
+        ("output_times", 0.01, "output_times"),
     ):
         with pytest.raises(ValueError, match=what):
             experiment_from_dict(_base_doc(tmp_path, **{key: value}))
+    with pytest.raises(ValueError, match="config"):
+        experiment_from_dict([_base_doc(tmp_path)])
     assert experiment_from_dict(_base_doc(tmp_path, eps_list=[1, 0.5])).eps_list == (1.0, 0.5)
     with pytest.raises(ValueError, match="unknown config key"):
         experiment_from_dict(_base_doc(tmp_path, seed=0))
@@ -390,10 +400,10 @@ def test_run_sweep_isolates_failures(tmp_path, monkeypatch):
 
     real = harness.simulate_eps
 
-    def poisoned(f0, run_cfg, spec, output_times=None, env=None):
+    def poisoned(f0, run_cfg, spec, output_times=None):
         if abs(run_cfg.eps - 0.1) < 1e-12:
             raise RuntimeError("poisoned run")
-        return real(f0, run_cfg, spec, output_times=output_times, env=env)
+        return real(f0, run_cfg, spec, output_times=output_times)
 
     monkeypatch.setattr(harness, "simulate_eps", poisoned)
     report = run_sweep(experiment_from_dict(_sweep_doc(tmp_path)))
@@ -404,6 +414,47 @@ def test_run_sweep_isolates_failures(tmp_path, monkeypatch):
     assert "poisoned" in report.failures[0][1]
     manifest = json.loads((tmp_path / "sweep" / "manifest.json").read_text())
     assert manifest["failures"] == [{"eps": 0.1, "error": "RuntimeError: poisoned run"}]
+
+
+def test_each_potential_builds_its_envelope_once(tmp_path, monkeypatch):
+    # every chflow binding of compute_convex_envelope is wrapped, so a rebuild
+    # anywhere counts; from_polynomial builds two, the provisional window's and
+    # the final one, and the runs read spec.envelope
+    import sys
+
+    import chflow.potential as potential
+    from chflow.jko import JkoConfig, simulate_jko
+    from chflow.nonlocal_model import make_kernel, simulate_nonlocal
+    from chflow.solvers import simulate_eps
+
+    real = potential.compute_convex_envelope
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].domain_max)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("chflow") and getattr(module, "compute_convex_envelope", None) is real:
+            monkeypatch.setattr(module, "compute_convex_envelope", counting)
+
+    times = [0.0, 0.002, 0.004]
+    solver = {"n": 96, "dt": 2e-4, "eps": 0.1, "t_end": 0.004}
+    run_sweep(experiment_from_dict(_sweep_doc(tmp_path, solver=solver, eps_list=[0.1, 0.05, 0.025],
+                                              output_times=times)))
+    assert len(calls) == 2
+    calls.clear()
+    run_single(experiment_from_dict(_base_doc(tmp_path, solver=solver, output_times=times)), "nonlocal")
+    assert len(calls) == 2
+
+    spec = make_potential("cubic-motivation")
+    calls.clear()
+    f0 = generate_initial("cosine", {"a": 0.2}, 96)
+    cfg = SolverConfig(**solver)
+    simulate_eps(f0, cfg, spec, output_times=times)
+    simulate_nonlocal(f0, cfg, make_kernel(), spec, output_times=times)
+    simulate_jko(f0, JkoConfig(tau=1e-3, m=256), 0.1, spec, 0.004)
+    assert calls == []
 
 
 def test_sweep_parallel_matches_serial(tmp_path):

@@ -2,8 +2,8 @@
 and never another module's private names, the hot stencil modules use no
 per-call-heavy numpy helpers, only the solvers touch scipy.sparse,
 without its diags/identity builders, every LU goes through the one
-factorisation seam, jko has no scipy.optimize path, and every config field
-is read."""
+factorisation seam, jko has no scipy.optimize path, only potential builds
+convex envelopes, and every config field is read."""
 
 import ast
 from pathlib import Path
@@ -150,6 +150,18 @@ def test_every_lu_goes_through_factorize():
         for path in sorted(PACKAGE_DIR.glob("*.py"))
         for name, owner, line in _seam_uses(path)
         if (path.stem, owner) not in _LU_SEAM[name]
+    ]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_only_potential_builds_envelopes():
+    # every PotentialSpec carries its envelope; a call elsewhere would rebuild it
+    offenders = [
+        f"{path.name}:{node.lineno} calls {_dotted(node.func)}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.stem != "potential"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and _dotted(node.func).rpartition(".")[2] == "compute_convex_envelope"
     ]
     assert not offenders, "\n".join(offenders)
 

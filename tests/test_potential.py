@@ -8,6 +8,8 @@ The three built-in potentials admit exact contact points:
   contacts sit at c -+ s where s^3/3 - s/4 = 0, i.e. s = sqrt(3)/2.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,7 +40,7 @@ WRINKLE_A, WRINKLE_B = 1.0 - S, 1.0 + S
 def cubic():
     spec = make_potential("cubic-motivation")
     env = compute_convex_envelope(spec)
-    uset = compute_unstable_set(spec, env)
+    uset = compute_unstable_set(env)
     return spec, env, uset
 
 
@@ -48,7 +50,7 @@ def quartics():
     for name in ("quartic-spinodal", "quartic-wrinkle"):
         spec = make_potential(name)
         env = compute_convex_envelope(spec)
-        out[name] = (spec, env, compute_unstable_set(spec, env))
+        out[name] = (spec, env, compute_unstable_set(env))
     return out
 
 
@@ -167,8 +169,8 @@ def test_guarded_extension_is_quadratic(cubic):
 
 
 def test_hypothesis_reports_pass_for_builtins(quartics, cubic):
-    for spec, env, uset in [cubic] + list(quartics.values()):
-        report = validate_hypotheses(spec, env, uset)
+    for spec, _, _ in [cubic] + list(quartics.values()):
+        report = validate_hypotheses(spec)
         assert report["ok"], report
 
 
@@ -181,10 +183,10 @@ def test_too_many_bands_raises():
     w = w2.integ(2)
     spec = from_polynomial(w.coef, name="wiggly", max_density=3.0)
     env = compute_convex_envelope(spec, n_samples=4096)
-    uset = compute_unstable_set(spec, env, max_intervals=8)
+    uset = compute_unstable_set(env, max_intervals=8)
     assert uset.count == 2
     with pytest.raises(HypothesisViolation):
-        compute_unstable_set(spec, env, max_intervals=1)
+        compute_unstable_set(env, max_intervals=1)
 
 
 def test_unknown_name_rejected():
@@ -219,3 +221,22 @@ def test_guarded_callables_equal_polynomial_evaluation(u):
         poly = Polynomial(coefficients)
         for got, want in zip(_guarded_callables(poly, 0.0, 1.5), guarded_polynomial(poly, 0.0, 1.5)):
             assert np.array_equal(got(u), want(u))
+
+
+def _every_evaluation(spec):
+    env = spec.envelope
+    return (spec.eval_W, spec.eval_W1, spec.eval_W2, env.eval_Wss, env.eval_Wss1, env.eval_Wss2, env.eval_Qss1)
+
+
+def test_potentials_survive_pickling_bit_for_bit():
+    # sweep workers receive the spec by pickle, so the copy must evaluate
+    # exactly as the original, inside the window and past both of its ends
+    custom = from_polynomial([0.0, 0.0, 1.0, -1.0, 0.3])  # graph, bridge, graph
+    for spec in [*CANONICAL_SPECS.values(), custom]:
+        copy = pickle.loads(pickle.dumps(spec))
+        assert (copy.name, copy.domain_max) == (spec.name, spec.domain_max)
+        np.testing.assert_array_equal(copy.envelope.breakpoints, spec.envelope.breakpoints)
+        x = np.linspace(-1.0, spec.domain_max + 1.0, 4001)
+        for got, want in zip(_every_evaluation(copy), _every_evaluation(spec)):
+            assert np.array_equal(got(x), want(x))
+            assert got(float(x[-1])) == want(float(x[-1]))
