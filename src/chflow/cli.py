@@ -99,14 +99,11 @@ def _cmd_audit(args):
         # the relaxed energy never exceeds the regularized one
         if e_eps - e_star < -1e-10:
             raise ValueError(f"negative energy gap {e_eps - e_star!r} in row {k}")
+    # a limit run writes the relaxed pair into both column pairs, so the eps pair serves every flavor
     limit_like = cols["e_eps"] == cols["e_star"] and cols["slope_eps"] == cols["slope_star"]
-    flavor = args.flavor if args.flavor != "auto" else ("limit" if limit_like else "eps")
-    if flavor == "limit":
-        energies, slopes = cols["e_star"], cols["slope_star"]
-    else:
-        energies, slopes = cols["e_eps"], cols["slope_eps"]
-    audit = dissipation_audit(cols["t"], energies, slopes, cols["speed"], flavor)
-    tol_audit = args.tol * abs(energies[0]) + 1e-15
+    flavor = "limit" if limit_like else "eps"
+    audit = dissipation_audit(cols["t"], cols["e_eps"], cols["slope_eps"], cols["speed"], flavor)
+    tol_audit = args.tol * abs(cols["e_eps"][0]) + 1e-15
     satisfied = audit.satisfied(tol_audit)
     print(
         json.dumps(
@@ -158,7 +155,6 @@ def _build_parser():
     p_audit = sub.add_parser("audit", help="energy-dissipation audit of a trajectory CSV")
     p_audit.add_argument("--trajectory", required=True, help="path to trajectory.csv")
     p_audit.add_argument("--tol", type=float, default=1e-3, help="residual tolerance, relative to |E(0)|")
-    p_audit.add_argument("--flavor", choices=("auto", "eps", "limit"), default="auto")
     p_audit.set_defaults(func=_cmd_audit)
 
     p_val = sub.add_parser("validate-potential", help="check structural hypotheses of a potential")

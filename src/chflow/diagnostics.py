@@ -214,14 +214,13 @@ def dissipation_audit(times, energies, slopes, speeds, flavor):
 def energy_dissipation_audit(traj):
     """Check E(0) - E(t) against the dissipated slope and speed integrals.
 
-    Uses the sharp-interface pair (e_star, slope_star) for limit runs and
-    (e_eps, slope_eps) otherwise.
+    Reads (e_eps, slope_eps) for every flavor: a limit run reports the
+    relaxed pair in both columns.
     """
     if traj.reports is None or len(traj.reports) < 2:
         raise ValueError("audit needs at least two snapshots with energy reports")
-    limit = traj.flavor == "limit"
-    energies = [rep.e_star if limit else rep.e_eps for rep in traj.reports]
-    slopes = [rep.slope_star if limit else rep.slope_eps for rep in traj.reports]
+    energies = [rep.e_eps for rep in traj.reports]
+    slopes = [rep.slope_eps for rep in traj.reports]
     return dissipation_audit(traj.times, energies, slopes, traj.speeds(), traj.flavor)
 
 

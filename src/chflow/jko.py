@@ -8,9 +8,11 @@ whose width is an integer number of cells, which deposits the mass of
 every particle exactly (translates of the spline sum to one).
 
 The inner minimization is a damped Newton iteration on the positive part
-H+ of the particle Hessian, banded up to the few cell rows whose particle
-run wraps across x = 0: a banded Cholesky factorisation plus a Woodbury
-correction solves each step (`_Objective.hessian`, `_newton_direction`).
+H+ of the particle Hessian.  H+ is a diagonal plus the energy Hessian in the
+cell values seen through the deposit stencil, so each Newton system is
+solved in cell space: one cyclic band system of n unknowns, factorised
+through `solvers.factorize` like every other implicit step
+(`_newton_direction`).
 """
 
 from __future__ import annotations
@@ -19,13 +21,10 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import cho_solve_banded, cholesky_banded
-from scipy.linalg.lapack import dtbtrs
 
-from .functionals import chemical_potential_values, energy_eps_values, energy_report
+from .functionals import chemical_potential_values, energy_eps_values, energy_report, laplacian
 from .potential import PotentialSpec
-from .solvers import TrajectoryRecord, past_horizon, real_number, whole_number
+from .solvers import TrajectoryRecord, factorize, past_horizon, real_number, whole_number
 from .wasserstein1d import DensityField, to_quantiles
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
 _SEPARATION = 1e-10
 _ARMIJO = 1e-4  # sufficient-decrease fraction of the Newton slope
 _MAX_HALVINGS = 40
-_BAND_CHUNK = 8  # band rows assembled per pass
 
 
 class JkoConvergenceFailure(RuntimeError):
@@ -140,7 +138,7 @@ def _signed_wrap(delta):
 
 
 class _Objective:
-    """Value, gradient and positive-part Hessian of the movement functional at fixed anchor."""
+    """Value and gradient of the movement functional at fixed anchor."""
 
     def __init__(self, anchor, tau_eff, eps, spec, n, p_cells):
         self.anchor = anchor
@@ -156,7 +154,7 @@ class _Objective:
         return value, grad
 
     def evaluate(self, x):
-        """Value, gradient, and the deposit state the Hessian is built from."""
+        """Value, gradient, and the deposit state the Newton direction is built from."""
         m = x.size
         h, eps, n = self.h, self.eps, self.n
         delta = _signed_wrap(x - self.anchor)
@@ -169,94 +167,41 @@ class _Objective:
         kernel_d = _bspline_d(t) * (n / self.p_cells) ** 2 / m
         de_dx = -h * np.sum(p[idx] * kernel_d, axis=1)
         grad = 2.0 * delta / m + 2.0 * self.tau_eff * de_dx
-        return value, grad, (x, vals, idx, t, p, kernel_d)
-
-    def hessian(self, state):
-        """H+ = band + V V^T: the lower band (row d holds H+[i + d, i]) and the wrap rows V.
-
-        H+ = (2/m) I + 2 tau [J^T (h W''+ + (eps^2/h) D^T D) J + diag(D2+)], with J = df/dx,
-        D the forward difference and D2_i = h sum_j mu_j d2f_j/dx_i^2, negative parts of W''
-        and D2 dropped.  The energy part is a sum of one outer product per cell row of J
-        and of DJ.  On the universal cover particle i touches cells start_i + k, k < 4p + 1
-        (the first with zero weight, so that DJ fits the same window), and the particles
-        touching one cover cell are consecutive; a row whose cell is touched from one lift
-        only is an outer product inside the band, a row touched from two (where the run
-        of particles wraps across x = 0) becomes a column of V.
-        """
-        x, vals, idx, t, p, kernel_d = state
-        m, n, h = x.size, self.n, self.h
-        q = 4 * self.p_cells + 1
-        two_tau = 2.0 * self.tau_eff
-        # window[i, 0] is particle i's column of J, window[i, 1] that of DJ, over the cover
-        # cells start_i + k in entries q + k; entries 0 .. q - 1 (for shifted reads) and 2q
-        # (J one cell past the window) stay zero
-        window = np.zeros((m, 2, 2 * q + 1))
-        window[:, 0, q + 1 : 2 * q] = -kernel_d
-        window[:, 1, q : 2 * q] = window[:, 0, q + 1 :] - window[:, 0, q : 2 * q]
-        stencil = window[:, :, q : 2 * q]
-
-        xm = x % 1.0
-        lift = np.concatenate(([0], np.cumsum(xm[1:] < xm[:-1])))
-        start = np.floor(xm * n - 0.5).astype(int) - 2 * self.p_cells + n * lift
-        rel = start - start[0]
-        width = rel[-1] + q
-        cells = (start[0] + np.arange(width)) % n
-        slots = cells[rel[:, None] + np.arange(q)]  # cell of every window entry
-
-        def wrapping(first):
-            """Cells touched from two lifts by window entries first .. q - 1."""
-            runs = np.cumsum(np.bincount(rel + first, minlength=width + 1) - np.bincount(rel + q, minlength=width + 1))
-            return np.bincount(cells[runs[:width] > 0], minlength=n) > 1
-
-        weight = np.stack(
-            (two_tau * h * np.maximum(self.spec.eval_W2(vals), 0.0), np.full(n, two_tau * self.eps**2 / h))
-        )
-        wrap = np.stack((wrapping(1), wrapping(0)))
-        weighted = stencil * np.where(wrap, 0.0, weight)[:, slots].transpose(1, 0, 2)
-
-        # band[d, i] pairs particle i with i + d while start_{i+d} - start_i < q, reading the
-        # partner's window shifted by that difference: shifted[l * q + s] is particle l's
-        # window seen from cover cell start_l - s, and the extra last row is all zero
-        shifted = sliding_window_view(window[:, :, : 2 * q], q, axis=2)[:, :, q:0:-1].transpose(0, 2, 1, 3)
-        shifted = np.concatenate((shifted.reshape(m * q, 2 * q), np.zeros((1, 2 * q))))
-        weighted = weighted.reshape(m, 2 * q)
-        last = np.searchsorted(start, start + q, side="left")
-        band = np.empty((int(np.max(last - np.arange(m))), m))
-        for lo in range(0, band.shape[0], _BAND_CHUNK):  # bounds the temporaries of a dense cluster
-            partner = np.arange(m)[:, None] + np.arange(lo, min(lo + _BAND_CHUNK, band.shape[0]))
-            clipped = np.minimum(partner, m - 1)
-            rows = np.where(partner < last[:, None], clipped * q + start[clipped] - start[:, None], m * q)
-            band[lo : lo + partner.shape[1]] = np.einsum("icj,ij->ci", np.take(shifted, rows, axis=0), weighted)
-        d2 = h * np.sum(p[idx] * _bspline_d2(t), axis=1) * (n / self.p_cells) ** 3 / m
-        band[0] += 2.0 / m + two_tau * np.maximum(d2, 0.0)
-
-        # one column of V per wrapping row with a nonzero weight
-        live = (wrap & (weight > 0.0)).ravel()
-        k = int(np.count_nonzero(live))
-        column = np.full(2 * n, -1)
-        column[live] = np.arange(k)
-        row_of = np.arange(2)[:, None] * n + slots[:, None, :]  # (m, 2, q): row of J or DJ
-        col = column[row_of]
-        i, part, j = np.nonzero(col >= 0)
-        values = stencil[i, part, j] * np.sqrt(weight.ravel()[row_of[i, part, j]])
-        wrap_rows = np.bincount(i * k + col[i, part, j], values, minlength=m * k)
-        return band, wrap_rows.astype(float).reshape(m, k)  # bincount of nothing is integer
+        return value, grad, (vals, idx, t, p, kernel_d)
 
 
-def _newton_direction(band, wrap, grad):
-    """Solve (B + V V^T) s = -grad: banded Cholesky B = L L^T, Woodbury correction for V.
+def _newton_direction(state, grad, objective):
+    """Solve H+ s = -grad in cell space through the one LU (`factorize`).
 
-    B >= (2/m) I, so the factorisation cannot fail, and the k x k
-    capacitance matrix I + (L^-1 V)^T (L^-1 V) is symmetric positive definite
-    (Golub & Van Loan, Matrix Computations, 2.1.4).
+    H+ = Dg + 2 tau J^T A J, with Dg = 2/m + 2 tau max(D2, 0) diagonal
+    (D2_i = h sum_j mu_j d2f_j/dx_i^2), J = df/dx the deposit stencil and
+    A = h max(W'', 0) + (eps^2/h) D^T D the cyclic tridiagonal energy Hessian
+    in the cell values (D the forward difference).  By the push-through
+    identity u = J s solves (I + 2 tau K A) u = J Dg^-1 r with K = J Dg^-1 J^T
+    and r = -grad, and then s = Dg^-1 (r - 2 tau J^T A u).  Particle i's
+    column of J covers the 4p consecutive cells idx[i], so K is a cyclic band
+    of half-width 4p - 1 and K A one of half-width 4p.
     """
-    factor = cholesky_banded(band, lower=True)
-    step = cho_solve_banded((factor, True), -grad)
-    if wrap.shape[1]:
-        half = dtbtrs(factor, wrap, uplo="L")[0]
-        capacitance = np.eye(wrap.shape[1]) + half.T @ half
-        step = step - cho_solve_banded((factor, True), wrap @ np.linalg.solve(capacitance, wrap.T @ step))
-    return step
+    vals, idx, t, p, kernel_d = state
+    m, n, h, q = grad.size, vals.size, objective.h, idx.shape[1]
+    two_tau = 2.0 * objective.tau_eff
+    d2 = h * np.sum(p[idx] * _bspline_d2(t), axis=1) * (n / objective.p_cells) ** 3 / m
+    dg = 2.0 / m + two_tau * np.maximum(d2, 0.0)
+    w2 = h * np.maximum(objective.spec.eval_W2(vals), 0.0)
+    off = objective.eps**2 / h
+    # row o + q + 1 holds K[a, (a + o) mod n]; the rows |o| >= q stay zero for A's off-diagonals
+    offset = np.arange(q)[None, :] - np.arange(q)[:, None]
+    rows = (offset + q + 1)[None] * n + idx[:, :, None]
+    pairs = kernel_d[:, :, None] * kernel_d[:, None, :] / dg[:, None, None]
+    k_bands = np.bincount(rows.ravel(), pairs.ravel(), minlength=(2 * q + 3) * n).reshape(2 * q + 3, n)
+    # (K A)[a, a + o] = K[a, a + o] A[a + o, a + o] - (eps^2/h) (K[a, a + o - 1] + K[a, a + o + 1])
+    cols = (np.arange(n)[None, :] + np.arange(-q, q + 1)[:, None]) % n
+    system = two_tau * (k_bands[1:-1] * (w2 + 2.0 * off)[cols] - off * (k_bands[:-2] + k_bands[2:]))
+    system[q] += 1.0
+    scaled = -grad / dg  # Dg^-1 r
+    u = factorize(system).solve(np.bincount(idx.ravel(), (-kernel_d * scaled[:, None]).ravel(), minlength=n))
+    au = w2 * u - objective.eps**2 * h * laplacian(u, h)
+    return scaled + two_tau * np.sum(kernel_d * au[idx], axis=1) / dg
 
 
 def _project(x, hits):
@@ -274,7 +219,7 @@ def _project(x, hits):
 
 
 def _ordered(x):
-    """Particles in order and within one period: the set the band structure holds on."""
+    """Particles in order and within one period: the set on which the transport term is the squared metric."""
     return bool(np.all(x[1:] >= x[:-1])) and x[-1] - x[0] < 1.0
 
 
@@ -296,7 +241,7 @@ def _minimize(x0, objective, tol_scaled, max_iter):
     anchor_value = value
     iterations = halvings = 0
     while 0.5 * m * float(np.max(np.abs(grad))) > tol_scaled and iterations < max_iter:
-        step = _newton_direction(*objective.hessian(state), grad)
+        step = _newton_direction(state, grad, objective)
         slope = float(grad @ step)
         for k in range(_MAX_HALVINGS):
             trial = x + 0.5**k * step
@@ -360,10 +305,8 @@ def jko_step_positions(prev_positions, cfg: JkoConfig, eps: float, spec: Potenti
 
 
 def jko_step(f: DensityField, cfg: JkoConfig, eps: float, spec: PotentialSpec) -> DensityField:
-    """Advance one outer step from a gridded density."""
-    positions = particles_from_density(f, cfg.m)
-    x, _ = jko_step_positions(positions, cfg, eps, spec, f.n)
-    return DensityField.normalized(density_from_particles(x, f.n, _bandwidth_cells(cfg, f.n)))
+    """Advance one outer step from a gridded density: the interpolant at s = tau."""
+    return de_giorgi_interpolant(f, cfg.tau, cfg, eps, spec)
 
 
 def de_giorgi_interpolant(f_prev: DensityField, s: float, cfg: JkoConfig, eps: float, spec: PotentialSpec) -> DensityField:

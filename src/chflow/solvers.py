@@ -64,9 +64,6 @@ __all__ = [
     "whole_number",
 ]
 
-_POSITIVITY_MODES = ("clip-renormalize", "reject-halve")
-
-
 class StepFailure(RuntimeError):
     """One implicit step could not be completed at the requested dt."""
 
@@ -93,7 +90,6 @@ class SolverConfig:
     t_end: float
     theta_scheme: float = 1.0
     newton_tol: float = 1e-10
-    positivity_mode: str = "clip-renormalize"
 
     def __post_init__(self):
         object.__setattr__(self, "n", whole_number(self.n, "n"))
@@ -109,8 +105,6 @@ class SolverConfig:
             raise ValueError("theta_scheme must lie in (0, 1]")
         if self.newton_tol <= 0.0:
             raise ValueError("newton_tol must be positive")
-        if self.positivity_mode not in _POSITIVITY_MODES:
-            raise ValueError(f"positivity_mode must be one of {_POSITIVITY_MODES}")
 
 
 @dataclass
@@ -278,7 +272,8 @@ def implicit_flux_step(vals, h, dt, theta, potential, curvature, stiffness, cfg,
     linearisation mu' = diag(c) - stiffness * Dxx.  The Jacobian lags the
     mobility, I - dt theta M(v) (diag(c(v)) - stiffness L): the derivative of
     m is dropped, the flux in the residual is kept exact.  Newton's tolerance
-    and the positivity mode come from cfg; Newton gets 50 iterations.
+    comes from cfg and Newton gets 50 iterations; a negative result is
+    clipped and renormalized (`enforce_positivity`).
     """
     explicit = (1.0 - theta) * divergence_of_flux(vals, potential(vals), h) if theta < 1.0 else 0.0
 
@@ -289,7 +284,7 @@ def implicit_flux_step(vals, h, dt, theta, potential, curvature, stiffness, cfg,
         return stepping_bands(mobility_faces(v), curvature(v), stiffness, h, dt * theta)
 
     out = newton(vals, residual, jacobian, cfg.newton_tol, 50)
-    return enforce_positivity(out, h, cfg.positivity_mode, t, events)
+    return enforce_positivity(out, h, "clip-renormalize", t, events)
 
 
 def _advance_eps(vals, h, dt, cfg, spec, t, events):
@@ -313,7 +308,7 @@ def _advance_limit(vals, h, dt, cfg, env, t, events):
         return stepping_bands(np.ones_like(v), np.maximum(0.0, v * env.eval_Wss2(v)), 0.0, h, dt)
 
     out = newton(vals, residual, jacobian, cfg.newton_tol, 50)
-    return enforce_positivity(out, h, cfg.positivity_mode, t, events)
+    return enforce_positivity(out, h, "clip-renormalize", t, events)
 
 
 def step_eps(f: DensityField, cfg: SolverConfig, spec: PotentialSpec) -> DensityField:

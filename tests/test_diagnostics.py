@@ -5,6 +5,7 @@ import pytest
 
 from chflow.diagnostics import (
     calibrate_delta,
+    dissipation_audit,
     energy_dissipation_audit,
     h1_local,
     oscillation_profile,
@@ -220,6 +221,12 @@ def test_audit_matches_limit_equality_residual(cubic):
     rec = simulate_limit(f0, cfg, env, output_times=np.linspace(0.0, 0.01, 9))
     audit = energy_dissipation_audit(rec)
     assert audit.flavor == "limit"
+    # the eps columns of a limit record carry the relaxed pair, bit for bit
+    star = dissipation_audit(
+        rec.times, [rep.e_star for rep in rec.reports], [rep.slope_star for rep in rec.reports], rec.speeds(), "limit"
+    )
+    assert np.array_equal(audit.residuals, star.residuals)
+    assert (audit.slope_integral, audit.speed_integral) == (star.slope_integral, star.speed_integral)
     # speed fallback: same audit with the cached speeds stripped
     bare = TrajectoryRecord(
         times=rec.times,

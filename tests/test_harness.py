@@ -127,6 +127,10 @@ def test_experiment_config_validation(tmp_path):
         experiment_from_dict(_base_doc(tmp_path, solvr={}))
     with pytest.raises(ValueError, match="unknown solver key"):
         experiment_from_dict(_base_doc(tmp_path, solver={"n": 96, "dt": 1e-4, "eps": 0.1, "t_end": 0.01, "cfl": 0.5}))
+    # positivity handling is fixed per flow, so no solver key selects it
+    positivity = {"n": 96, "dt": 1e-4, "eps": 0.1, "t_end": 0.01, "positivity_mode": "clip-renormalize"}
+    with pytest.raises(ValueError, match="unknown solver key.*positivity_mode"):
+        experiment_from_dict(_base_doc(tmp_path, solver=positivity))
     with pytest.raises(ValueError, match="unknown jko key"):
         experiment_from_dict(_base_doc(tmp_path, jko={"tau": 1e-3, "steps": 5}))
     with pytest.raises(ValueError, match="unknown initial_data key"):
@@ -492,6 +496,11 @@ def test_cli_simulate_and_audit_roundtrip(tmp_path, capsys):
     audit = json.loads(capsys.readouterr().out)
     assert audit["flavor"] == "limit"
     assert audit["satisfied"] is True
+    # the flavor is read from the columns; there is no option to override it
+    with pytest.raises(SystemExit) as exit_info:
+        main(["audit", "--trajectory", str(traj), "--flavor", "eps"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --flavor" in capsys.readouterr().err
 
 
 def test_cli_envelope_and_validate(capsys):

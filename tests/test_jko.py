@@ -18,7 +18,7 @@ from chflow.jko import (
     simulate_jko,
     write_ledger_csv,
 )
-from chflow.jko import _Objective
+from chflow.jko import _Objective, _newton_direction
 from chflow.potential import from_polynomial, make_potential
 from chflow.solvers import SolverConfig, simulate_eps
 from chflow.wasserstein1d import DensityField, w2_periodic
@@ -110,18 +110,6 @@ def test_objective_gradient_matches_finite_differences(cubic):
     assert np.max(np.abs(fd - grad)) <= 1e-6 * np.max(np.abs(fd))
 
 
-def _dense(band, wrap):
-    """band + V V^T as a dense matrix, from the lower band rows."""
-    m = band.shape[1]
-    hess = wrap @ wrap.T
-    for d, row in enumerate(band):
-        i = np.arange(m - d)
-        hess[i + d, i] += row[: m - d]
-        if d:
-            hess[i, i + d] += row[: m - d]
-    return hess
-
-
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(
     st.integers(16, 256),
@@ -132,16 +120,17 @@ def _dense(band, wrap):
     st.integers(0, 2**32 - 1),
 )
 @example(128, 4, 1, 1.0, -0.5, 0)  # a full-period run wrapping across x = 0
-@example(16, 1, 3, 0.05, 0.99, 1)  # a cluster straddling x = 1, every cell touched from one lift
-def test_band_plus_wrap_rows_equal_dense_hessian(cubic, n, ratio, p_cells, span, shift, seed):
+@example(16, 1, 3, 0.05, 0.99, 1)  # a cluster straddling x = 1; 25 bands on 16 cells overlap
+def test_newton_direction_solves_dense_positive_part_system(cubic, n, ratio, p_cells, span, shift, seed):
     rng = np.random.default_rng(seed)
     m = n * ratio
     x = shift + span * np.sort(rng.random(m))
     objective = _Objective(x + 1e-3 * rng.standard_normal(m), 1e-3, 0.1, cubic, n, p_cells)
-    band, wrap = objective.hessian(objective.evaluate(x)[2])
-    assert band.shape[1] == m and wrap.shape[0] == m
-    expected, _ = positive_part_hessian(x, 1e-3, 0.1, cubic, n, p_cells)
-    assert np.max(np.abs(_dense(band, wrap) - expected)) <= 1e-12 * np.max(np.abs(expected))
+    _, grad, state = objective.evaluate(x)
+    step = _newton_direction(state, grad, objective)
+    hess, _ = positive_part_hessian(x, 1e-3, 0.1, cubic, n, p_cells)
+    scale = np.max(np.abs(hess)) * np.max(np.abs(step))
+    assert np.max(np.abs(hess @ step + grad)) <= 1e-10 * scale
 
 
 def test_hessian_matches_finite_differences_where_nothing_is_clipped():
@@ -151,8 +140,7 @@ def test_hessian_matches_finite_differences_where_nothing_is_clipped():
     anchor = np.sort(rng.random(m))
     objective = _Objective(anchor, tau_eff=1e-3, eps=0.08, spec=convex, n=n, p_cells=p_cells)
     x = np.sort(anchor + 0.002 * rng.standard_normal(m))
-    hess = _dense(*objective.hessian(objective.evaluate(x)[2]))
-    _, clipped = positive_part_hessian(x, 1e-3, 0.08, convex, n, p_cells)
+    hess, clipped = positive_part_hessian(x, 1e-3, 0.08, convex, n, p_cells)
     assert np.min(convex.eval_W2(density_from_particles(x, n, p_cells))) > 0.0
     kept = np.flatnonzero(~clipped)  # D2 >= 0 at these particles, so H+ is the Hessian on them
     assert kept.size >= m // 4
@@ -184,10 +172,10 @@ def test_newton_reaches_tight_tolerance_on_criterion_4_first_step(cubic):
     # L-BFGS-B stalls near 5e-7 on the tau = 2.5e-3 step
     n, m = 128, 512
     positions = particles_from_density(_cosine_field(n, 0.3), m)
-    for tau in (2.5e-3, 1.25e-3, 6.25e-4):
+    for tau, iterations in ((2.5e-3, 22), (1.25e-3, 11), (6.25e-4, 6)):
         _, info = jko_step_positions(positions, JkoConfig(tau=tau, m=m, inner_tol=1e-9), 0.1, cubic, n)
         assert info["converged"] and info["grad_scaled"] <= 1e-9
-        assert info["iterations"] <= 30
+        assert info["iterations"] == iterations
 
 
 def test_displacement_scales_linearly_in_tau(cubic):

@@ -2,7 +2,7 @@
 and never another module's private names, the hot stencil modules use no
 per-call-heavy numpy helpers, only the solvers touch scipy.sparse,
 without its diags/identity builders, every LU goes through the one
-factorisation seam, jko has no scipy.optimize path, only potential builds
+factorisation seam, jko imports nothing from scipy, only potential builds
 convex envelopes, and every config field is read."""
 
 import ast
@@ -58,8 +58,9 @@ def test_stencil_modules_avoid_roll_and_add_at():
     assert not offenders, "\n".join(offenders)
 
 
-def test_jko_uses_no_scipy_optimize():
-    # the inner solve is the Newton iteration on H+; no second (L-BFGS) path
+def test_jko_imports_nothing_from_scipy():
+    # the inner solve is the Newton iteration on H+, its systems factorised through
+    # solvers.factorize; no second (L-BFGS) path and no linear algebra of its own
     path = PACKAGE_DIR / "jko.py"
     offenders = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -71,7 +72,7 @@ def test_jko_uses_no_scipy_optimize():
             names = [_dotted(node)]
         else:
             continue
-        offenders += [f"{path.name}:{node.lineno} uses {name}" for name in names if name.startswith("scipy.optimize")]
+        offenders += [f"{path.name}:{node.lineno} uses {name}" for name in names if name.split(".")[0] == "scipy"]
     assert not offenders, "\n".join(offenders)
 
 
@@ -113,11 +114,12 @@ def test_only_solvers_use_scipy_sparse_and_never_its_builders():
 
 
 # the one LU seam: splu is called only by solvers.factorize, and factorize only
-# by the Newton iteration and the semi-implicit nonlocal step, so a swap of the
-# LU touches one function and a wrapper on factorize sees every factorisation
+# by the Newton iteration, the semi-implicit nonlocal step and the JKO Newton
+# direction, so a swap of the LU touches one function and a wrapper on factorize
+# sees every factorisation
 _LU_SEAM = {
     "splu": {("solvers", "factorize")},
-    "factorize": {("solvers", "newton"), ("nonlocal_model", "_advance_nonlocal")},
+    "factorize": {("solvers", "newton"), ("nonlocal_model", "_advance_nonlocal"), ("jko", "_newton_direction")},
 }
 
 

@@ -69,7 +69,6 @@ def test_config_validation():
         dict(good, theta_scheme=0.0),
         dict(good, theta_scheme=1.5),
         dict(good, newton_tol=0.0),
-        dict(good, positivity_mode="bounce"),
         # NaN passed every `<= 0` check; a NaN dt failed later inside SuperLU
         dict(good, dt=nan),
         dict(good, dt=inf),
