@@ -10,10 +10,8 @@ import json
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from .diagnostics import dissipation_audit
-from .harness import load_config, run_single, run_sweep
+from .harness import jsonable, load_config, run_single, run_sweep
 from .potential import (
     HypothesisViolation,
     canonical_names,
@@ -23,18 +21,6 @@ from .potential import (
 )
 
 __all__ = ["main"]
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
 
 
 def _cmd_simulate(args):
@@ -62,7 +48,7 @@ def _cmd_sweep(args):
         "grids": {f"{eps:g}": n for eps, n in report.grids.items()},
         "failures": [{"eps": eps, "error": msg} for eps, msg in report.failures],
     }
-    print(json.dumps(_jsonable(payload), sort_keys=True))
+    print(json.dumps(jsonable(payload), sort_keys=True))
     return 1 if report.failures else 0
 
 
@@ -71,7 +57,7 @@ def _cmd_envelope(args):
     unstable = compute_unstable_set(spec.envelope)
     print(
         json.dumps(
-            _jsonable(
+            jsonable(
                 {
                     "potential": args.potential,
                     "breakpoints": spec.envelope.breakpoints,
@@ -107,18 +93,7 @@ def _cmd_audit(args):
     satisfied = audit.satisfied(tol_audit)
     print(
         json.dumps(
-            _jsonable(
-                {
-                    "flavor": audit.flavor,
-                    "times": audit.times,
-                    "residuals": audit.residuals,
-                    "slope_integral": audit.slope_integral,
-                    "speed_integral": audit.speed_integral,
-                    "min_residual": audit.min_residual,
-                    "tol_audit": tol_audit,
-                    "satisfied": satisfied,
-                }
-            ),
+            jsonable({**asdict(audit), "tol_audit": tol_audit, "satisfied": satisfied}),
             sort_keys=True,
         )
     )
@@ -128,7 +103,7 @@ def _cmd_audit(args):
 def _cmd_validate_potential(args):
     spec = make_potential(args.potential)
     report = validate_hypotheses(spec)
-    print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
+    print(json.dumps(jsonable(report), indent=2, sort_keys=True))
     return 0 if report["ok"] else 2
 
 
@@ -172,7 +147,7 @@ def main(argv=None):
         payload = {"hypothesis_violation": str(exc)}
         report = getattr(exc, "report", None)
         if report is not None:
-            payload["report"] = _jsonable(report)
+            payload["report"] = jsonable(report)
         print(json.dumps(payload, sort_keys=True))
         return 2
     except Exception as exc:  # runtime failure contract: exit 1, message on stderr

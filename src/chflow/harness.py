@@ -41,6 +41,7 @@ __all__ = [
     "default_output_times",
     "experiment_from_dict",
     "generate_initial",
+    "jsonable",
     "load_config",
     "run_single",
     "run_sweep",
@@ -50,6 +51,19 @@ __all__ = [
 _MODES = ("eps", "limit", "jko", "nonlocal")
 _WRINKLE_ETA = 0.05
 _WRINKLE_DELTA = 0.125
+
+
+def jsonable(obj):
+    """obj with numpy scalars and arrays turned into Python numbers and lists, for `json.dump`."""
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    return obj
 
 
 def _reject_unknown(mapping, allowed, where):
@@ -274,7 +288,7 @@ def _git_describe():
             text=True,
             timeout=10,
         )
-    except OSError:
+    except (OSError, subprocess.SubprocessError):  # no git, or a hung one (TimeoutExpired)
         return "unknown"
     return out.stdout.strip() if out.returncode == 0 and out.stdout.strip() else "unknown"
 
@@ -340,17 +354,6 @@ def _wrinkle_rows(record, unstable):
         {"t": float(t), **_wrinkle_summary(snap, unstable)}
         for t, snap in zip(record.times, record.snapshots)
     ]
-
-
-def _audit_as_dict(audit):
-    return {
-        "flavor": audit.flavor,
-        "times": [float(t) for t in audit.times],
-        "residuals": [float(r) for r in audit.residuals],
-        "slope_integral": audit.slope_integral,
-        "speed_integral": audit.speed_integral,
-        "min_residual": audit.min_residual,
-    }
 
 
 def _write_final_state(record, path):
@@ -421,7 +424,7 @@ def run_single(cfg, mode):
 
     audit_path = out_dir / "audit.json"
     audit_payload = (
-        _audit_as_dict(energy_dissipation_audit(record))
+        jsonable(asdict(energy_dissipation_audit(record)))
         if len(record.snapshots) >= 2
         else {"error": "run aborted before the second snapshot"}
     )
@@ -495,6 +498,7 @@ def run_sweep(cfg):
 
     The reference runs on the finest grid the sweep needs.  Initial data must
     pass the well-preparedness gate unless allow_ill_prepared is set.  A
+    reference run that aborts raises RuntimeError before any eps run.  A
     failing eps is recorded and skipped; the remaining runs are unaffected.
     """
     if not cfg.eps_list:
@@ -519,6 +523,9 @@ def run_sweep(cfg):
 
     limit_cfg = replace(cfg.solver, n=n_limit, eps=0.0)
     limit_rec = simulate_limit(f0_limit, limit_cfg, spec.envelope, output_times=times)
+    if not limit_rec.completed:
+        abort_t = next(ev["t"] for ev in limit_rec.events if ev["type"] == "abort")
+        raise RuntimeError(f"relaxed reference run (n = {n_limit}) aborted at t = {abort_t!r}; no eps run was started")
     limit_vals = [snap.values for snap in limit_rec.snapshots]
     limit_slopes = tuple(rep.slope_star for rep in limit_rec.reports)
     limit_energies = tuple(rep.e_star for rep in limit_rec.reports)

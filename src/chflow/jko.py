@@ -40,7 +40,6 @@ __all__ = [
     "write_ledger_csv",
 ]
 
-_SEPARATION = 1e-10
 _ARMIJO = 1e-4  # sufficient-decrease fraction of the Newton slope
 _MAX_HALVINGS = 40
 
@@ -204,35 +203,22 @@ def _newton_direction(state, grad, objective):
     return scaled + two_tau * np.sum(kernel_d * au[idx], axis=1) / dg
 
 
-def _project(x, hits):
-    """Restore monotone order and the minimal separation floor."""
-    v = np.sort(x)
-    floors = np.arange(v.size) * _SEPARATION
-    shifted = np.maximum.accumulate(v - floors)
-    out = shifted + floors
-    hits[0] += int(np.count_nonzero(out != v))
-    span = out[-1] - out[0]
-    if span > 1.0 - _SEPARATION:
-        out = out[0] + (out - out[0]) * (1.0 - v.size * _SEPARATION) / span
-        hits[1] += 1
-    return out
-
-
 def _ordered(x):
     """Particles in order and within one period: the set on which the transport term is the squared metric."""
     return bool(np.all(x[1:] >= x[:-1])) and x[-1] - x[0] < 1.0
 
 
 def _minimize(x0, objective, tol_scaled, max_iter):
-    """Damped Newton on H+ with a monotonicity projection at the end.
+    """Damped Newton on H+ from an ordered anchor; returns a new array and the info.
 
     Each iteration solves H+ s = -grad and backtracks from the full step,
-    halving until the Armijo condition holds at an ordered configuration;
-    particles do not cross for resolvable steps, so the projection
-    normally acts as the identity and exists as a guard.  Convergence is
-    declared on (m/2) * ||grad||_inf, the per-particle force imbalance in
-    displacement units.  Whatever happens, the returned configuration is
-    monotone and its objective never exceeds the stay-put value.
+    halving until the Armijo condition holds at an ordered configuration
+    (`_ordered`), so every accepted iterate is ordered and spans less than
+    one period.  Convergence is declared on (m/2) * ||grad||_inf, the
+    per-particle force imbalance in displacement units.  At the roundoff
+    floor the Newton slope need not be negative, and Armijo can then accept
+    a tiny rise above the stay-put value; the anchor is returned instead,
+    with grad_scaled = inf.
     """
     anchor = np.asarray(x0, dtype=float)
     m = anchor.size
@@ -256,13 +242,9 @@ def _minimize(x0, objective, tol_scaled, max_iter):
             break  # at the roundoff floor: the step lowers neither the objective nor the gradient
         x, value, grad, state = trial, trial_value, trial_grad, trial_state
         iterations += 1
-    hits = [0, 0]
-    candidate = _project(x, hits)
-    if not np.array_equal(candidate, x):
-        value, grad = objective(candidate)
     if value > anchor_value:
-        # projection undid the progress; staying put is always admissible
-        candidate, value = anchor.copy(), anchor_value
+        # staying put is always admissible
+        x, value = anchor, anchor_value
         grad_scaled = float("inf")
     else:
         grad_scaled = 0.5 * m * float(np.max(np.abs(grad)))
@@ -272,22 +254,22 @@ def _minimize(x0, objective, tol_scaled, max_iter):
         "line_search_halvings": halvings,
         "objective": float(value),
         "grad_scaled": grad_scaled,
-        "separation_hits": hits[0],
-        "span_rescales": hits[1],
     }
-    return candidate, info
+    return (x.copy() if x is anchor else x), info
 
 
 def jko_step_positions(prev_positions, cfg: JkoConfig, eps: float, spec: PotentialSpec, n: int, s: float | None = None):
     """One movement step in particle coordinates; returns (positions, info).
 
-    Starting the search at the previous positions guarantees the returned
-    objective never exceeds the stay-put value, which is what the energy
-    ledger of the outer scheme relies on.
+    `s` (0 < s <= tau, default tau) is the weight of the energy, which the
+    De Giorgi interpolant varies.  Starting the search at the previous
+    positions guarantees the returned objective never exceeds the stay-put
+    value, which is what the energy ledger of the outer scheme relies on.
     """
     tau_eff = cfg.tau if s is None else s
-    if tau_eff <= 0.0 or tau_eff > cfg.tau * (1.0 + 1e-12):
-        raise ValueError("effective step must lie in (0, tau]")
+    if not 0.0 < tau_eff <= cfg.tau * (1.0 + 1e-12):
+        raise ValueError("s must lie in (0, tau]")
+    tau_eff = min(tau_eff, cfg.tau)
     anchor = np.asarray(prev_positions, dtype=float)
     if not _ordered(anchor):
         raise ValueError("particle positions must be non-decreasing and span less than one period")
@@ -311,10 +293,8 @@ def jko_step(f: DensityField, cfg: JkoConfig, eps: float, spec: PotentialSpec) -
 
 def de_giorgi_interpolant(f_prev: DensityField, s: float, cfg: JkoConfig, eps: float, spec: PotentialSpec) -> DensityField:
     """Variational interpolant at intermediate weight 0 < s <= tau."""
-    if not 0.0 < s <= cfg.tau * (1.0 + 1e-12):
-        raise ValueError("s must lie in (0, tau]")
     positions = particles_from_density(f_prev, cfg.m)
-    x, _ = jko_step_positions(positions, cfg, eps, spec, f_prev.n, s=min(s, cfg.tau))
+    x, _ = jko_step_positions(positions, cfg, eps, spec, f_prev.n, s=s)
     return DensityField.normalized(density_from_particles(x, f_prev.n, _bandwidth_cells(cfg, f_prev.n)))
 
 
@@ -346,22 +326,12 @@ def simulate_jko(f0: DensityField, cfg: JkoConfig, eps: float, spec: PotentialSp
     snapshots = [DensityField.normalized(density_from_particles(positions, n, p_cells))]
     reports = [energy_report(snapshots[0], eps, spec)]
     times = [0.0]
-    events = []
     increments = [0.0]
     iterations = [0]
     halvings = [0]
 
     for k in range(1, n_steps + 1):
         positions, info = jko_step_positions(positions, cfg, eps, spec, n)
-        if info["separation_hits"] or info["span_rescales"]:
-            events.append(
-                {
-                    "type": "projection",
-                    "t": k * cfg.tau,
-                    "separation_hits": info["separation_hits"],
-                    "span_rescales": info["span_rescales"],
-                }
-            )
         snap = DensityField.normalized(density_from_particles(positions, n, p_cells))
         snapshots.append(snap)
         reports.append(energy_report(snap, eps, spec))
@@ -374,7 +344,7 @@ def simulate_jko(f0: DensityField, cfg: JkoConfig, eps: float, spec: PotentialSp
         times=np.array(times),
         snapshots=snapshots,
         reports=reports,
-        events=events,
+        events=[],
         flavor="jko",
     )
     increments = np.array(increments)

@@ -364,6 +364,7 @@ def run_trajectory(f0, cfg, advance, make_report, energy_of, flavor, output_time
     """Adaptive-dt loop shared by every flow: snapshots, reports, events.
 
     `advance(vals, h, dt, t, events)` takes one step or raises StepFailure.
+    The events it appends reach the record only if the step is accepted.
     """
     times = check_output_times(cfg, output_times)
     vals = f0.values.copy()
@@ -384,8 +385,9 @@ def run_trajectory(f0, cfg, advance, make_report, energy_of, flavor, output_time
     for t_out in times[1:]:
         while t < t_out * (1.0 - 1e-12) and not aborted:
             dt_eff = min(dt_cur, t_out - t)
+            attempt = []
             try:
-                new_vals = advance(vals, h, dt_eff, t, events)
+                new_vals = advance(vals, h, dt_eff, t, attempt)
                 e_new = energy_of(new_vals)
                 if e_new > e_prev + slack:
                     raise StepFailure(f"energy increased by {e_new - e_prev:.3e}")
@@ -397,6 +399,7 @@ def run_trajectory(f0, cfg, advance, make_report, energy_of, flavor, output_time
                     events.append({"type": "abort", "t": t, "dt": dt_cur})
                     aborted = True
                 continue
+            events += attempt
             vals, e_prev = new_vals, e_new
             t += dt_eff
             grown_after += 1

@@ -14,6 +14,7 @@ from chflow.functionals import energy_eps, energy_star
 from chflow.harness import (
     ExperimentConfig,
     InitialData,
+    collect_versions,
     config_hash,
     default_output_times,
     experiment_from_dict,
@@ -420,6 +421,35 @@ def test_run_sweep_isolates_failures(tmp_path, monkeypatch):
     assert manifest["failures"] == [{"eps": 0.1, "error": "RuntimeError: poisoned run"}]
 
 
+def test_run_sweep_stops_when_the_reference_aborts(tmp_path, monkeypatch):
+    import chflow.harness as harness
+    from chflow.solvers import TrajectoryRecord
+
+    real = harness.simulate_limit
+    eps_runs = []
+
+    def truncated(f0, cfg, env, output_times=None):
+        rec = real(f0, cfg, env, output_times=output_times)
+        abort = {"type": "abort", "t": 0.0125, "dt": 1e-16}
+        return TrajectoryRecord(rec.times[:2], rec.snapshots[:2], rec.reports[:2], [abort], rec.flavor)
+
+    monkeypatch.setattr(harness, "simulate_limit", truncated)
+    monkeypatch.setattr(harness, "simulate_eps", lambda *args, **kwargs: eps_runs.append(args))
+    with pytest.raises(RuntimeError, match=r"relaxed reference run \(n = 160\) aborted at t = 0\.0125"):
+        run_sweep(experiment_from_dict(_sweep_doc(tmp_path)))
+    assert eps_runs == []
+
+
+def test_git_timeout_reads_unknown(monkeypatch):
+    import subprocess
+
+    def hung(cmd, **kwargs):
+        raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+    monkeypatch.setattr(subprocess, "run", hung)
+    assert collect_versions()["git"] == "unknown"
+
+
 def test_each_potential_builds_its_envelope_once(tmp_path, monkeypatch):
     # every chflow binding of compute_convex_envelope is wrapped, so a rebuild
     # anywhere counts; from_polynomial builds two, the provisional window's and
@@ -496,11 +526,26 @@ def test_cli_simulate_and_audit_roundtrip(tmp_path, capsys):
     audit = json.loads(capsys.readouterr().out)
     assert audit["flavor"] == "limit"
     assert audit["satisfied"] is True
+    # one audit schema: the CLI prints audit.json's keys and values plus its verdict
+    saved = json.loads((tmp_path / "single-limit" / "audit.json").read_text())
+    assert {k: v for k, v in audit.items() if k not in ("tol_audit", "satisfied")} == saved
     # the flavor is read from the columns; there is no option to override it
     with pytest.raises(SystemExit) as exit_info:
         main(["audit", "--trajectory", str(traj), "--flavor", "eps"])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --flavor" in capsys.readouterr().err
+
+
+def test_cli_sweep_smoke(tmp_path, capsys):
+    doc = _sweep_doc(tmp_path, solver={"n": 32, "dt": 2e-4, "eps": 0.2, "t_end": 1e-3}, eps_list=[0.2, 0.1])
+    del doc["output_times"]
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", "--config", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [row["eps"] for row in payload["rows"]] == [0.2, 0.1]
+    assert payload["failures"] == []
+    assert payload["grids"] == {"0.2": 40, "0.1": 80}
 
 
 def test_cli_envelope_and_validate(capsys):

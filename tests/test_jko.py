@@ -18,7 +18,7 @@ from chflow.jko import (
     simulate_jko,
     write_ledger_csv,
 )
-from chflow.jko import _Objective, _newton_direction
+from chflow.jko import _bandwidth_cells, _Objective, _newton_direction
 from chflow.potential import from_polynomial, make_potential
 from chflow.solvers import SolverConfig, simulate_eps
 from chflow.wasserstein1d import DensityField, w2_periodic
@@ -131,6 +131,36 @@ def test_newton_direction_solves_dense_positive_part_system(cubic, n, ratio, p_c
     hess, _ = positive_part_hessian(x, 1e-3, 0.1, cubic, n, p_cells)
     scale = np.max(np.abs(hess)) * np.max(np.abs(step))
     assert np.max(np.abs(hess @ step + grad)) <= 1e-10 * scale
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    st.integers(16, 256),
+    st.integers(1, 8),
+    st.floats(0.02, 1.0),
+    st.floats(-1.0, 1.0),
+    st.sampled_from([1e-4, 1e-3, 1e-2]),
+    st.integers(0, 2**32 - 1),
+)
+@example(128, 4, 1.0, -0.5, 1e-3, 0)  # a full-period run wrapping across x = 0
+@example(16, 4, 0.05, 0.99, 1e-2, 1)  # a cluster straddling x = 1
+def test_step_stays_ordered_and_below_stay_put_on_random_anchors(cubic, n, ratio, span, shift, tau, seed):
+    # the ordered line search is the only ordering guard: whatever the inner solve
+    # reaches, it hands back a new, ordered array
+    m = max(64, n * ratio)
+    anchor = shift + span * np.sort(np.random.default_rng(seed).random(m))
+    # random anchors give rough densities; this tolerance and cap let about 26 of the
+    # 42 draws converge and the rest raise, so both outcomes are checked
+    cfg = JkoConfig(tau=tau, m=m, inner_tol=1e-3, inner_max=100)
+    try:
+        x, info = jko_step_positions(anchor, cfg, 0.1, cubic, n)
+    except JkoConvergenceFailure as err:
+        x, info = err.positions, None
+    assert np.all(np.diff(x) >= 0.0) and x[-1] - x[0] < 1.0
+    assert not np.shares_memory(x, anchor)
+    if info is not None:
+        stay_put = _Objective(anchor, tau, 0.1, cubic, n, _bandwidth_cells(cfg, n))(anchor)[0]
+        assert info["objective"] <= stay_put
 
 
 def test_hessian_matches_finite_differences_where_nothing_is_clipped():

@@ -426,6 +426,51 @@ def test_dispersion_run_at_roundoff_floor_never_halves(wrinkle):
     assert [ev for ev in rec.events if ev["type"] == "dt-halve"] == []
 
 
+def _scripted_run(script):
+    """run_trajectory over [0, 0.5] on a toy flow whose first steps follow `script`.
+
+    "clip" appends a clip event and keeps the state, "fail" appends one and
+    raises StepFailure, "rise" appends one and raises the energy (the first
+    value) by 1; every later step keeps the state.
+    """
+    calls = []
+
+    def advance(vals, h, dt, t, events):
+        kind = script[len(calls)] if len(calls) < len(script) else "keep"
+        calls.append(kind)
+        if kind == "keep":
+            return vals.copy()
+        events.append({"type": "clip", "t": t, "min_before": -1.0})
+        if kind == "fail":
+            raise StepFailure("scripted failure")
+        return vals + (1.0 if kind == "rise" else 0.0)
+
+    cfg = SolverConfig(n=16, dt=0.25, eps=0.1, t_end=0.5)
+    return solvers.run_trajectory(
+        DensityField(np.ones(16)), cfg, advance, lambda snap: None, lambda v: float(v[0]), "eps", [0.0, 0.5]
+    )
+
+
+@pytest.mark.parametrize("kind, reason", [("fail", "scripted failure"), ("rise", "energy increased by 1.000e+00")])
+def test_rejected_step_leaves_no_events(kind, reason):
+    rec = _scripted_run([kind, "clip"])
+    assert rec.completed and rec.times.tolist() == [0.0, 0.5]
+    # the rejected attempt's clip is gone; the accepted retry's clip stays
+    assert rec.events == [
+        {"type": "dt-halve", "t": 0.0, "dt": 0.125, "reason": reason},
+        {"type": "clip", "t": 0.0, "min_before": -1.0},
+    ]
+    assert np.all(rec.snapshots[-1].values == 1.0)
+
+
+def test_dt_underflow_aborts_the_run():
+    rec = _scripted_run(["fail"] * 41)
+    assert not rec.completed
+    assert len(rec.snapshots) == 1 and rec.times.tolist() == [0.0]
+    assert [ev["type"] for ev in rec.events] == ["dt-halve"] * 41 + ["abort"]
+    assert rec.events[-1] == {"type": "abort", "t": 0.0, "dt": 0.25 * 2.0**-41}
+
+
 def test_newton_fails_when_the_step_raises_the_residual():
     calls = []
 
