@@ -19,6 +19,7 @@ from .potential import (
     make_potential,
     validate_hypotheses,
 )
+from .solvers import real_number
 
 __all__ = ["main"]
 
@@ -74,6 +75,8 @@ def _cmd_envelope(args):
 
 
 def _cmd_audit(args):
+    if real_number(args.tol, "--tol") < 0.0:
+        raise ValueError("--tol must be nonnegative")
     cols = {key: [] for key in ("e_eps", "e_star", "slope_eps", "slope_star", "t", "speed")}
     with open(args.trajectory, newline="") as fh:
         for row in csv.DictReader(fh):

@@ -11,8 +11,8 @@ halve the residual.  It stops on a small residual or a small simplified
 correction, so dt is halved only when a step truly fails, never at the
 roundoff floor.  Every implicit step linearises to one stepping matrix,
 I - dt theta Dx(m Dx (diag(c) - s Dxx)), whose cyclic bands
-`stepping_bands` builds; `factorize` takes those bands, gathers them into
-CSC (`band_matrix`, pattern cached per size) and factorises them.
+`stepping_bands` builds; `factorize` scatters those bands into LAPACK band
+storage in a folded cell order (plan cached per size) and factors them.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from __future__ import annotations
 import csv
 import functools
 import numbers
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .functionals import (
     EnergyReport,
@@ -44,7 +44,6 @@ __all__ = [
     "SolverConfig",
     "StepFailure",
     "TrajectoryRecord",
-    "band_matrix",
     "check_output_times",
     "divergence_of_flux",
     "enforce_positivity",
@@ -150,33 +149,40 @@ class TrajectoryRecord:
 
 
 @functools.lru_cache(maxsize=64)
-def _band_pattern(n, width):
-    """Read-only CSC (indices, indptr) of an n x n cyclic band matrix, rows
-    sorted per column, and the gather from its stacked bands into CSC order."""
-    rows = np.tile(np.arange(n, dtype=np.int32), 2 * width + 1)
-    perm = np.lexsort((rows, (rows + np.repeat(np.arange(-width, width + 1), n)) % n))
-    pattern = (rows[perm], np.arange(0, perm.size + 1, 2 * width + 1, dtype=np.int32), perm)
-    for arr in pattern:
+def _folded_plan(n, width):
+    """Read-only cell order 0, n-1, 1, n-2, ... and its inverse, the half-width
+    (at most 2 width) of an n x n cyclic band of half-width `width` in that
+    order, and each stacked band entry's Fortran flat index in LAPACK band storage."""
+    order = np.empty(n, dtype=np.intp)
+    order[0::2] = np.arange((n + 1) // 2)
+    order[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
+    where = np.argsort(order)
+    rows = np.tile(np.arange(n), 2 * width + 1)
+    i, j = where[rows], where[(rows + np.repeat(np.arange(-width, width + 1), n)) % n]
+    half = int(np.max(np.abs(i - j)))
+    flat = j * (3 * half + 1) + 2 * half + i - j
+    for arr in (order, where, flat):
         arr.flags.writeable = False
-    return pattern
-
-
-def band_matrix(bands):
-    """CSC matrix whose row o + w of the (2w+1, n) `bands` holds entry (j, (j+o) mod n).
-
-    Exact zeros are dropped, as scipy's sparse sums and products drop them:
-    SuperLU's column ordering depends on the pattern.  eliminate_zeros
-    compacts indices and indptr in place, so it gets copies of the pattern.
-    """
-    indices, indptr, perm = _band_pattern(bands.shape[1], bands.shape[0] // 2)
-    mat = sp.csc_matrix((bands.ravel()[perm], indices.copy(), indptr.copy()), shape=(bands.shape[1],) * 2)
-    mat.eliminate_zeros()
-    return mat
+    return order, where, half, flat
 
 
 def factorize(bands):
-    """Sparse LU of the stepping matrix with these bands; the one factorisation every stepper uses."""
-    return spla.splu(band_matrix(bands))
+    """LU, by LAPACK's partially pivoted band LU (dgbtrf), of the matrix whose
+    row o + w of the (2w+1, n) `bands` holds entry (j, (j+o) mod n); in the
+    folded cell order the cyclic band is a plain one, corners included, and
+    entries bands put on one position (2w+1 > n) are summed.  The one
+    factorisation every stepper uses; solve(rhs) takes and returns cell order."""
+    n = bands.shape[1]
+    order, where, half, flat = _folded_plan(n, bands.shape[0] // 2)
+    ab = np.bincount(flat, weights=bands.ravel(), minlength=(3 * half + 1) * n)
+    lu, piv, info = dgbtrf(ab.reshape((3 * half + 1, n), order="F"), half, half, overwrite_ab=True)
+    if info > 0:
+        raise RuntimeError("Factor is exactly singular")
+
+    def solve(rhs):
+        return dgbtrs(lu, half, half, rhs[order], piv, overwrite_b=True)[0][where]
+
+    return types.SimpleNamespace(solve=solve)
 
 
 def mobility_faces(v):
@@ -195,7 +201,7 @@ def stepping_bands(m, c, stiffness, h, dt_theta):
     """Five bands of I - dt_theta M (diag(c) - stiffness L), M = Dx(m Dx .) for
     face coefficients m; the diagonal sums its terms in the column order of
     M's rows, as a sparse product does.  With stiffness 0 the outer bands are
-    zeros, which `band_matrix` drops."""
+    zeros, which the band LU factors like any other entries."""
     m_minus = pad_periodic(m)[:-2]
     lo, di, up = m_minus / h**2, -(m + m_minus) / h**2, m / h**2
     a = c - stiffness * (-2.0 / h**2)

@@ -597,3 +597,19 @@ def test_cli_audit_rejects_negative_energy_gap(tmp_path, capsys):
     rounding.write_text(header + first + "0.01,1.0,1.0,1.0,-0.37500000005,-0.375,0.0,0.0,0.0\n")
     assert main(["audit", "--trajectory", str(rounding)]) == 0
     assert json.loads(capsys.readouterr().out)["flavor"] == "eps"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_cli_audit_rejects_bad_tolerance(tmp_path, capsys, tol):
+    # a bad flag is a runtime failure (exit 1), never a violated theory (exit 2)
+    traj = tmp_path / "flat.csv"
+    traj.write_text(
+        "t,min,max,mass,e_eps,e_star,slope_eps,slope_star,speed\n"
+        "0.0,1.0,1.0,1.0,-0.3,-0.375,0.0,0.0,0.0\n"
+        "0.01,1.0,1.0,1.0,-0.3,-0.375,0.0,0.0,0.0\n"
+    )
+    assert main(["audit", "--trajectory", str(traj), "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol must be" in captured.err
+    assert main(["audit", "--trajectory", str(traj), "--tol", "0"]) == 0

@@ -1,9 +1,8 @@
 """Module boundaries: every chflow module imports only modules of a lower layer
 and never another module's private names, the hot stencil modules use no
-per-call-heavy numpy helpers, only the solvers touch scipy.sparse,
-without its diags/identity builders, every LU goes through the one
-factorisation seam, jko imports nothing from scipy, only potential builds
-convex envelopes, and every config field is read."""
+per-call-heavy numpy helpers, no module touches scipy.sparse, every LU
+goes through the one factorisation seam, jko imports nothing from scipy,
+only potential builds convex envelopes, and every config field is read."""
 
 import ast
 from pathlib import Path
@@ -76,49 +75,37 @@ def test_jko_imports_nothing_from_scipy():
     assert not offenders, "\n".join(offenders)
 
 
-# the stepping matrices are built band by band into CSC (solvers.band_matrix);
-# chains of diags/identity sums and products cost more than the LU itself
-_SPARSE_BUILDERS = {"diags", "identity"}
-
-
+# the stepping matrices stay bands from builder to LU (solvers.factorize scatters
+# them into LAPACK band storage); no module builds or factors a sparse matrix
 def _scipy_sparse_uses(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    bound = set()  # local names of scipy.sparse modules and of what is imported from them
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            names = [(alias.name, alias.asname or alias.name) for alias in node.names]
+            names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [(f"{node.module}.{alias.name}", alias.asname or alias.name) for alias in node.names]
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [_dotted(node)]
         else:
             continue
-        for full, local in names:
-            if full == "scipy.sparse" or full.startswith("scipy.sparse."):
-                bound.add(local)
-                yield "import", f"{path.name}:{node.lineno} imports {full}"
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            name = _dotted(node.func)
-            head, _, last = name.rpartition(".")
-            if last in _SPARSE_BUILDERS and (name in bound or head in bound or head.startswith("scipy.sparse")):
-                yield "call", f"{path.name}:{node.lineno} calls {name}"
+        for name in names:
+            if name == "scipy.sparse" or name.startswith("scipy.sparse."):
+                yield f"{path.name}:{node.lineno} uses {name}"
 
 
-def test_only_solvers_use_scipy_sparse_and_never_its_builders():
-    offenders = [
-        what
-        for path in sorted(PACKAGE_DIR.glob("*.py"))
-        for kind, what in _scipy_sparse_uses(path)
-        if kind == "call" or path.stem != "solvers"
-    ]
+def test_no_module_uses_scipy_sparse():
+    offenders = [what for path in sorted(PACKAGE_DIR.glob("*.py")) for what in _scipy_sparse_uses(path)]
     assert not offenders, "\n".join(offenders)
 
 
-# the one LU seam: splu is called only by solvers.factorize, and factorize only
-# by the Newton iteration, the semi-implicit nonlocal step and the JKO Newton
-# direction, so a swap of the LU touches one function and a wrapper on factorize
-# sees every factorisation
+# the one LU seam: LAPACK's band LU (dgbtrf) and its solve (dgbtrs) are called only
+# inside solvers.factorize, SuperLU (splu) nowhere, and factorize only by the Newton
+# iteration, the semi-implicit nonlocal step and the JKO Newton direction, so a swap
+# of the LU touches one function and a wrapper on factorize sees every factorisation
 _LU_SEAM = {
-    "splu": {("solvers", "factorize")},
+    "dgbtrf": {("solvers", "factorize")},
+    "dgbtrs": {("solvers", "factorize")},
+    "splu": set(),
     "factorize": {("solvers", "newton"), ("nonlocal_model", "_advance_nonlocal"), ("jko", "_newton_direction")},
 }
 
@@ -147,13 +134,20 @@ def _seam_uses(path):
 
 
 def test_every_lu_goes_through_factorize():
-    offenders = [
-        f"{path.name}:{line} uses {name} in {owner}"
+    uses = [
+        (path.stem, name, owner, line)
         for path in sorted(PACKAGE_DIR.glob("*.py"))
         for name, owner, line in _seam_uses(path)
-        if (path.stem, owner) not in _LU_SEAM[name]
+    ]
+    offenders = [
+        f"{stem}.py:{line} uses {name} in {owner}"
+        for stem, name, owner, line in uses
+        if (stem, owner) not in _LU_SEAM[name]
     ]
     assert not offenders, "\n".join(offenders)
+    # every allowed place really uses its name: the LU is LAPACK's, and factorize keeps its callers
+    used = {(name, stem, owner) for stem, name, owner, _ in uses}
+    assert {(name, *place) for name, places in _LU_SEAM.items() for place in places} <= used
 
 
 def test_only_potential_builds_envelopes():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -20,15 +20,21 @@ from chflow.solvers import (
     step_limit_values,
 )
 from chflow.solvers import (
-    band_matrix,
     divergence_of_flux,
     enforce_positivity,
+    factorize,
     mobility_faces,
     newton,
     stepping_bands,
 )
 from chflow.wasserstein1d import DensityField, w2_periodic
-from oracles import diffusion_system_sparse, flux_jacobian_sparse, limit_jacobian_sparse, newton_fresh_jacobian
+from oracles import (
+    bands_sparse,
+    diffusion_system_sparse,
+    flux_jacobian_sparse,
+    limit_jacobian_sparse,
+    newton_fresh_jacobian,
+)
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +75,7 @@ def test_config_validation():
         dict(good, theta_scheme=0.0),
         dict(good, theta_scheme=1.5),
         dict(good, newton_tol=0.0),
-        # NaN passed every `<= 0` check; a NaN dt failed later inside SuperLU
+        # NaN passed every `<= 0` check; a NaN dt failed later inside the LU
         dict(good, dt=nan),
         dict(good, dt=inf),
         dict(good, t_end=nan),
@@ -575,7 +581,10 @@ def test_flux_stencils_equal_roll_formulas(vp, h):
     assert np.array_equal(divergence_of_flux(v, p, h), (flux - np.roll(flux, 1)) / h)
 
 
-def _assert_same_csc(got, want):
+def _assert_bands_equal(bands, want):
+    # the bands' matrix from COO, without the exact zeros the sparse products drop
+    got = bands_sparse(bands)
+    got.eliminate_zeros()
     assert got.format == want.format == "csc"
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
@@ -591,10 +600,10 @@ def _with_zeros(data, n, high, low=0.0):
 
 def _assert_tridiagonal_systems(m, q, h, dt):
     # stiffness 0: the outer bands are zeros, and the limit Jacobian (m = 1,
-    # c = q) and the diffusion system (c = 1) reach the LU tridiagonal
+    # c = q) and the diffusion system (c = 1) are tridiagonal
     one = np.ones(m.size)
-    _assert_same_csc(band_matrix(stepping_bands(one, q, 0.0, h, dt)), limit_jacobian_sparse(q, h, dt))
-    _assert_same_csc(band_matrix(stepping_bands(m, one, 0.0, h, dt)), diffusion_system_sparse(m, h, dt))
+    _assert_bands_equal(stepping_bands(one, q, 0.0, h, dt), limit_jacobian_sparse(q, h, dt))
+    _assert_bands_equal(stepping_bands(m, one, 0.0, h, dt), diffusion_system_sparse(m, h, dt))
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -602,9 +611,9 @@ def _assert_tridiagonal_systems(m, q, h, dt):
 def test_band_systems_equal_sparse_products(data, n, theta, dt, stiffness):
     # the one builder gives the same data, indices and indptr as the sparse
     # sums and products of all three systems, including the exact zeros of
-    # vacuum faces, zero curvature and flat envelope parts they drop; the
+    # vacuum faces, zero curvature and flat envelope parts they drop, and the
     # zero-free systems built next, from generic values that round
-    # differently in every summation order, reuse the cached pattern
+    # differently in every summation order
     h = 1.0 / n
     faces, cond = _with_zeros(data, n, 10.0), _with_zeros(data, n, 10.0)
     curv = _with_zeros(data, n, 1e3, -1e3)
@@ -612,10 +621,49 @@ def test_band_systems_equal_sparse_products(data, n, theta, dt, stiffness):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     generic = rng.uniform(0.1, 10.0, n), rng.uniform(-1e3, 1e3, n), rng.uniform(0.1, 10.0, n)
     for m, c, q in ((faces, curv, cond), generic):
-        _assert_same_csc(band_matrix(stepping_bands(m, c, stiffness, h, dt * theta)),
-                         flux_jacobian_sparse(m, c, stiffness, h, dt, theta))
+        _assert_bands_equal(stepping_bands(m, c, stiffness, h, dt * theta),
+                            flux_jacobian_sparse(m, c, stiffness, h, dt, theta))
         _assert_tridiagonal_systems(m, q, h, dt)
     # grids below the solvers' 16 cells, down to 4, where offsets +2 and -2 name one
-    # column: only zero outer bands land there, and they are dropped
+    # column: only zero outer bands land there, and they sum to zero
     k = data.draw(st.integers(4, 15))
     _assert_tridiagonal_systems(_with_zeros(data, k, 10.0), _with_zeros(data, k, 10.0), 1.0 / k, dt)
+
+
+def _assert_solves_as_dense(bands, rhs):
+    # forward error of two backward-stable solves: n roundoffs times the condition number
+    dense = bands_sparse(bands).toarray()
+    want = np.linalg.solve(dense, rhs)
+    got = factorize(bands).solve(rhs)
+    assert got.shape == rhs.shape
+    bound = rhs.size * np.finfo(float).eps * np.linalg.cond(dense, np.inf) * np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= bound
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.sampled_from([1, 2, 4, 12]), st.integers(16, 300), st.booleans(), st.integers(0, 2**32 - 1))
+@example(12, 16, False, 0)  # 25 bands on 16 cells: entries on one position are summed
+@example(12, 24, True, 1)
+def test_band_lu_matches_dense_solve(width, n, zero_outer, seed):
+    # non-symmetric bands and an indefinite diagonal, so partial pivoting swaps rows
+    rng = np.random.default_rng(seed)
+    bands = rng.uniform(-1.0, 1.0, (2 * width + 1, n))
+    if zero_outer:
+        bands[[0, -1]] = 0.0
+    _assert_solves_as_dense(bands, rng.uniform(-1.0, 1.0, n))
+    # the stepping matrix across the spinodal (W'' < 0 on some cells), with and
+    # without stiffness: the s = 0 systems carry two all-zero outer bands
+    h = 1.0 / n
+    faces, curv = rng.uniform(0.0, 2.0, n), rng.uniform(-10.0, 10.0, n)
+    for stiffness in (0.0, rng.uniform(1e-5, 1e-2)):
+        system = stepping_bands(faces, curv, stiffness, h, rng.uniform(1e-6, 1e-2))
+        _assert_solves_as_dense(system, rng.uniform(-1.0, 1.0, n))
+
+
+def test_band_lu_raises_on_an_exactly_singular_matrix():
+    bands = np.random.default_rng(3).uniform(-1.0, 1.0, (5, 40))
+    bands[:, 7] = 0.0  # row 7 is zero
+    with pytest.raises(RuntimeError, match="exactly singular"):
+        factorize(bands)
+    with pytest.raises(RuntimeError, match="exactly singular"):
+        factorize(np.zeros((9, 16)))
