@@ -1,7 +1,8 @@
 """Command-line front end: simulate, sweep, envelope, audit, validate-potential.
 
 Exit codes: 0 on success, 2 when a hypothesis or inequality the theory
-guarantees is violated by the data, 1 on runtime failure.
+guarantees is violated by the data, 1 on runtime failure or a malformed
+command line.
 """
 
 import argparse
@@ -110,8 +111,16 @@ def _cmd_validate_potential(args):
     return 0 if report["ok"] else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors at exit 1, since exit 2 means a violated hypothesis."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chflow",
         description="Periodic 1D interface dynamics and their transport-metric limit.",
     )

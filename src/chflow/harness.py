@@ -361,7 +361,7 @@ def _write_final_state(record, path):
     with open(path, "w", newline="") as fh:
         fh.write("x,density\n")
         for xi, vi in zip(snap.cell_centers(), snap.values):
-            fh.write(f"{xi!r},{float(vi)!r}\n")
+            fh.write(f"{float(xi)!r},{float(vi)!r}\n")
 
 
 def run_single(cfg, mode):
@@ -405,9 +405,7 @@ def run_single(cfg, mode):
         kern = make_kernel()
         record = simulate_nonlocal(f0, cfg.solver, kern, spec, output_times=times)
         if getattr(spec, "name", None) == "cubic-motivation":
-            comparison = compare_local_nonlocal(
-                f0, cfg.solver.eps, kern, spec, cfg.solver.t_end, dt=cfg.solver.dt, n_out=len(times)
-            )
+            comparison = compare_local_nonlocal(record, cfg.solver, kern, spec)
             cmp_path = out_dir / "comparison.json"
             with open(cmp_path, "w") as fh:
                 json.dump(asdict(comparison), fh, indent=2, sort_keys=True)

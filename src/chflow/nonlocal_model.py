@@ -3,26 +3,18 @@
 The model replaces the local interfacial term with a mollified attraction,
 ∂tν = -∂x(ν(∂x(K_eps*ν) - ν ∂xν)); expanding K_eps*ν - ν = eps²k0 νxx + ...
 recovers the regularized local flow with effective interface parameter
-eps_eff² = eps² k0, which is what compare_local_nonlocal measures.
+eps_eff² = eps² k0, which is what compare_local_nonlocal measures.  The
+model steps by backward Euler through `solvers.implicit_flux_step`, as the
+local flow does, so one run serves as the record and as the comparison's
+nonlocal side.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .functionals import EnergyReport, dx_forward, energy_star
-from .solvers import (
-    SolverConfig,
-    StepFailure,
-    divergence_of_flux,
-    enforce_positivity,
-    factorize,
-    implicit_flux_step,
-    mobility_faces,
-    run_trajectory,
-    simulate_eps,
-    stepping_bands,
-)
+from .functionals import EnergyReport, energy_star
+from .solvers import SolverConfig, implicit_flux_step, run_trajectory, simulate_eps
 from .wasserstein1d import DensityField, w2_periodic
 
 __all__ = [
@@ -102,34 +94,7 @@ def convolve_periodic(values, kernel_values, h):
     return np.fft.irfft(np.fft.rfft(values) * np.fft.rfft(kernel_values), values.size) * h
 
 
-def _advance_nonlocal(vals, h, dt, k_grid, t, events):
-    """Semi-implicit step: explicit centered aggregation, implicit diffusion.
-
-    The aggregation velocity is explicit and CFL-checked; the degenerate
-    (f²)-diffusion is backward Euler with lagged mobility, so the linear
-    system is an M-matrix.  The scheme is not positivity preserving, so a
-    negative cell rejects the step for the driver to halve dt.
-    """
-    c = convolve_periodic(vals, k_grid, h)
-    cfl = float(np.max(np.abs(dx_forward(c, h)))) * dt
-    if cfl > h:
-        raise StepFailure(f"aggregation CFL violated: |v| dt = {cfl:.3e} > h")
-    div_exp = divergence_of_flux(vals, c, h)
-
-    bands = stepping_bands(mobility_faces(vals) ** 2, np.ones_like(vals), 0.0, h, dt)
-    out = factorize(bands).solve(vals - dt * div_exp)
-    return enforce_positivity(out, h, "reject-halve", t, events)
-
-
-def step_nonlocal(f: DensityField, dt, eps, kern) -> DensityField:
-    """Advance the aggregation model by one semi-implicit step."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    k_grid = kernel_on_grid(kern, eps, f.n)
-    return DensityField(_advance_nonlocal(f.values, f.h, dt, k_grid, 0.0, []))
-
-
-def _advance_nonlocal_implicit(vals, h, dt, k_grid, eps2k0, cfg, t, events):
+def _advance_nonlocal_implicit(vals, h, dt, k_grid, kern, cfg, t, events):
     """One backward-Euler step with the convolution kept exact.
 
     The Jacobian replaces the convolution by its thin-interface surrogate
@@ -141,7 +106,23 @@ def _advance_nonlocal_implicit(vals, h, dt, k_grid, eps2k0, cfg, t, events):
     def mu(v):
         return 0.5 * v * v - convolve_periodic(v, k_grid, h)
 
+    eps2k0 = cfg.eps * cfg.eps * kern.k0
     return implicit_flux_step(vals, h, dt, 1.0, mu, lambda v: v - 1.0, eps2k0, cfg, t, events)
+
+
+def _kernel_for(f, cfg, kern, caller):
+    """K_eps on f's grid, once cfg is checked to have eps > 0 and f's resolution."""
+    if cfg.eps <= 0.0:
+        raise ValueError(f"{caller} needs eps > 0")
+    if f.n != cfg.n:
+        raise ValueError("field resolution does not match config")
+    return kernel_on_grid(kern, cfg.eps, cfg.n)
+
+
+def step_nonlocal(f: DensityField, cfg: SolverConfig, kern) -> DensityField:
+    """Advance the aggregation model by one backward-Euler step of size cfg.dt."""
+    k_grid = _kernel_for(f, cfg, kern, "step_nonlocal")
+    return DensityField(_advance_nonlocal_implicit(f.values, f.h, cfg.dt, k_grid, kern, cfg, 0.0, []))
 
 
 def _energy_values(vals, h, k_grid, spec):
@@ -159,31 +140,18 @@ def energy_nonlocal(f: DensityField, eps, kern, spec, split=False):
     return (total, seminorm) if split else total
 
 
-def simulate_nonlocal(f0, cfg, kern, spec, output_times=None, scheme="semi-implicit"):
-    """Drive the aggregation model with the adaptive-dt trajectory loop.
+def simulate_nonlocal(f0, cfg, kern, spec, output_times=None):
+    """Drive the aggregation model by backward Euler with the adaptive-dt trajectory loop.
 
     Reports carry the model energy in e_eps and the relaxed bulk energy in
     e_star; the local slope surrogates do not transfer to this model, so the
-    slope columns are recorded as zero.  scheme selects the stepper:
-    "semi-implicit" (explicit CFL-checked aggregation) or "implicit"
-    (backward Euler, matching the local solver's time discretization).
+    slope columns are recorded as zero.
     """
-    if cfg.eps <= 0.0:
-        raise ValueError("simulate_nonlocal needs eps > 0")
-    if f0.n != cfg.n:
-        raise ValueError("field resolution does not match config")
-    if scheme not in ("semi-implicit", "implicit"):
-        raise ValueError(f"unknown scheme {scheme!r}")
+    k_grid = _kernel_for(f0, cfg, kern, "simulate_nonlocal")
     h = f0.h
-    k_grid = kernel_on_grid(kern, cfg.eps, cfg.n)
-    eps2k0 = cfg.eps * cfg.eps * kern.k0
 
-    if scheme == "implicit":
-        def advance(vals, h_, dt, t, events):
-            return _advance_nonlocal_implicit(vals, h_, dt, k_grid, eps2k0, cfg, t, events)
-    else:
-        def advance(vals, h_, dt, t, events):
-            return _advance_nonlocal(vals, h_, dt, k_grid, t, events)
+    def advance(vals, h_, dt, t, events):
+        return _advance_nonlocal_implicit(vals, h_, dt, k_grid, kern, cfg, t, events)
 
     def energy_of(vals):
         return _energy_values(vals, h, k_grid, spec)[0]
@@ -196,7 +164,7 @@ def simulate_nonlocal(f0, cfg, kern, spec, output_times=None, scheme="semi-impli
         )
 
     record = run_trajectory(f0, cfg, advance, make_report, energy_of, "nonlocal", output_times)
-    record.extras["kernel"] = {"name": kern.name, "k0": kern.k0, "eps": cfg.eps, "scheme": scheme}
+    record.extras["kernel"] = {"name": kern.name, "k0": kern.k0, "eps": cfg.eps}
     return record
 
 
@@ -213,40 +181,29 @@ class ComparisonReport:
     sup_local: float
 
 
-def compare_local_nonlocal(f0, eps, kern, spec, t_end, dt=2e-4, n_out=6):
-    """Run both models from f0 and report d2 gaps at matched output times.
+def compare_local_nonlocal(record, cfg, kern, spec):
+    """d2 gaps between a nonlocal run and the matched local run, at the run's output times.
 
-    The local run uses eps_eff = eps*sqrt(k0).  Both runs use backward Euler
-    so the time discretizations cancel and the gaps measure the distance
-    between the models themselves.  No rate is asserted, only the trend
-    across eps values is meaningful, so the report carries raw gaps.
+    `record` is the `simulate_nonlocal` run under the SolverConfig `cfg`;
+    the local flow starts from its first snapshot with eps_eff =
+    eps*sqrt(k0) and is stepped by backward Euler under cfg's dt and Newton
+    tolerance, like the nonlocal run, so the time discretizations cancel and
+    the gaps measure the distance between the models themselves.  No rate is
+    asserted, only the trend across eps values is meaningful, so the report
+    carries raw gaps.
     """
     if getattr(spec, "name", None) != "cubic-motivation":
         raise ValueError("the comparison is calibrated for the cubic-motivation potential")
-    times = np.linspace(0.0, t_end, int(n_out))
-    eps_eff = eps * float(np.sqrt(kern.k0))
-    rec_nl = simulate_nonlocal(
-        f0,
-        SolverConfig(n=f0.n, dt=dt, eps=eps, t_end=t_end),
-        kern,
-        spec,
-        output_times=times,
-        scheme="implicit",
-    )
-    rec_loc = simulate_eps(
-        f0, SolverConfig(n=f0.n, dt=dt, eps=eps_eff, t_end=t_end), spec, output_times=times
-    )
-    gaps = tuple(
-        w2_periodic(a, b) for a, b in zip(rec_nl.snapshots, rec_loc.snapshots)
-    )
-    sup_nl = max(float(np.max(s.values)) for s in rec_nl.snapshots)
-    sup_loc = max(float(np.max(s.values)) for s in rec_loc.snapshots)
+    eps_eff = cfg.eps * float(np.sqrt(kern.k0))
+    local_cfg = replace(cfg, eps=eps_eff, theta_scheme=1.0)
+    rec_loc = simulate_eps(record.snapshots[0], local_cfg, spec, output_times=record.times)
+    gaps = tuple(w2_periodic(a, b) for a, b in zip(record.snapshots, rec_loc.snapshots))
     return ComparisonReport(
-        eps=float(eps),
+        eps=float(cfg.eps),
         eps_eff=float(eps_eff),
         k0=float(kern.k0),
-        times=tuple(float(t) for t in times),
+        times=tuple(float(t) for t in record.times),
         gaps=gaps,
-        sup_nonlocal=sup_nl,
-        sup_local=sup_loc,
+        sup_nonlocal=max(float(np.max(s.values)) for s in record.snapshots),
+        sup_local=max(float(np.max(s.values)) for s in rec_loc.snapshots),
     )

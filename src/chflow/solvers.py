@@ -2,17 +2,19 @@
 
 Both flows are conservative: the update is a difference of face fluxes,
 so the discrete mass telescopes exactly no matter how inaccurate the
-Newton solve is.  The regularized flow and the implicit nonlocal model
-step through one lagged-mobility implicit flux step; the limit stepper is
-a backward Euler step of a monotone system, which keeps the minimum
-principle and dissipates the relaxed energy unconditionally.  Newton is
-a chord iteration: one LU per step, refreshed only when a step fails to
-halve the residual.  It stops on a small residual or a small simplified
-correction, so dt is halved only when a step truly fails, never at the
-roundoff floor.  Every implicit step linearises to one stepping matrix,
-I - dt theta Dx(m Dx (diag(c) - s Dxx)), whose cyclic bands
-`stepping_bands` builds; `factorize` scatters those bands into LAPACK band
-storage in a folded cell order (plan cached per size) and factors them.
+Newton solve is.  The regularized flow and the nonlocal model step
+through one lagged-mobility implicit flux step; the limit stepper is a
+backward Euler step of a monotone system, which keeps the minimum
+principle and dissipates the relaxed energy unconditionally.  Every flow
+clips a Newton result with a negative cell and restores its mass
+(`enforce_positivity`).  Newton is a chord iteration: one LU per step,
+refreshed only when a step fails to halve the residual.  It stops on a
+small residual or a small simplified correction, so dt is halved only
+when a step truly fails, never at the roundoff floor.  Every implicit
+step linearises to one stepping matrix, I - dt theta Dx(m Dx (diag(c) -
+s Dxx)), whose cyclic bands `stepping_bands` builds; `factorize` scatters
+those bands into LAPACK band storage in a folded cell order (plan cached
+per size) and factors them.
 """
 
 from __future__ import annotations
@@ -254,13 +256,11 @@ def newton(vals, residual_fn, jacobian_fn, tol, max_iter):
     raise StepFailure("Newton did not converge")
 
 
-def enforce_positivity(vals, h, mode, t, events):
-    """Clip and rescale a negative step, or reject it under reject-halve."""
+def enforce_positivity(vals, h, t, events):
+    """Clip a negative step to zero and rescale it to its mass, with a clip event."""
     low = float(np.min(vals))
     if low >= 0.0:
         return vals
-    if mode == "reject-halve":
-        raise StepFailure(f"negative cell {low:.3e}")
     clipped = np.maximum(vals, 0.0)
     mass = float(np.sum(clipped) * h)
     if mass <= 0.0:
@@ -290,7 +290,7 @@ def implicit_flux_step(vals, h, dt, theta, potential, curvature, stiffness, cfg,
         return stepping_bands(mobility_faces(v), curvature(v), stiffness, h, dt * theta)
 
     out = newton(vals, residual, jacobian, cfg.newton_tol, 50)
-    return enforce_positivity(out, h, "clip-renormalize", t, events)
+    return enforce_positivity(out, h, t, events)
 
 
 def _advance_eps(vals, h, dt, cfg, spec, t, events):
@@ -314,7 +314,7 @@ def _advance_limit(vals, h, dt, cfg, env, t, events):
         return stepping_bands(np.ones_like(v), np.maximum(0.0, v * env.eval_Wss2(v)), 0.0, h, dt)
 
     out = newton(vals, residual, jacobian, cfg.newton_tol, 50)
-    return enforce_positivity(out, h, "clip-renormalize", t, events)
+    return enforce_positivity(out, h, t, events)
 
 
 def step_eps(f: DensityField, cfg: SolverConfig, spec: PotentialSpec) -> DensityField:

@@ -15,7 +15,7 @@ import pytest
 from chflow.diagnostics import calibrate_delta, energy_dissipation_audit, wrinkling_report
 from chflow.harness import experiment_from_dict, generate_initial, run_sweep
 from chflow.jko import JkoConfig, simulate_jko
-from chflow.nonlocal_model import compare_local_nonlocal, energy_nonlocal, make_kernel
+from chflow.nonlocal_model import compare_local_nonlocal, energy_nonlocal, make_kernel, simulate_nonlocal
 from chflow.potential import compute_convex_envelope, compute_unstable_set, make_potential
 from chflow.solvers import SolverConfig, simulate_eps, simulate_limit
 from chflow.wasserstein1d import DensityField, w2_periodic
@@ -303,8 +303,9 @@ def test_criterion_10_nonlocal_consistency():
     f0 = DensityField.normalized(1.0 + 0.05 * np.cos(2 * np.pi * _x(n)))
     gap = {}
     for eps in (0.1, 0.05):
-        rep = compare_local_nonlocal(f0, eps, kern, spec, t_end=0.05, dt=2e-4, n_out=6)
-        gap[eps] = rep.gaps[-1]
+        cfg = SolverConfig(n=n, dt=2e-4, eps=eps, t_end=0.05)
+        record = simulate_nonlocal(f0, cfg, kern, spec, output_times=np.linspace(0.0, 0.05, 6))
+        gap[eps] = compare_local_nonlocal(record, cfg, kern, spec).gaps[-1]
     _, semi = energy_nonlocal(f0, 0.05, kern, spec, split=True)
     coeffs = np.fft.rfft(f0.values) / n
     weights = np.full(coeffs.size, 2.0)

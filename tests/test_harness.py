@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chflow import harness, nonlocal_model
 from chflow.cli import main
 from chflow.diagnostics import well_preparedness
 from chflow.functionals import energy_eps, energy_star
@@ -23,6 +24,7 @@ from chflow.harness import (
     run_sweep,
 )
 from chflow.jko import jko_step_count
+from chflow.nonlocal_model import simulate_nonlocal
 from chflow.potential import HypothesisViolation, compute_convex_envelope, make_potential
 from chflow.solvers import SolverConfig
 
@@ -289,6 +291,8 @@ def test_run_single_limit_constant_stationary(tmp_path):
     assert len(rows) == 4  # header + three output times
     final = (out / "final_state.csv").read_text().strip().splitlines()
     assert final[0] == "x,density"
+    xs = np.array([float(line.split(",")[0]) for line in final[1:]])
+    assert np.array_equal(xs, record.snapshots[-1].cell_centers())
     dens = np.array([float(line.split(",")[1]) for line in final[1:]])
     assert np.max(np.abs(dens - 1.0)) < 1e-12
     wrinkle = json.loads((out / "wrinkle.json").read_text())
@@ -343,6 +347,24 @@ def test_run_single_nonlocal_comparison(tmp_path):
     assert cmp_doc["gaps"][0] == 0.0
     assert cmp_doc["eps_eff"] == pytest.approx(0.1 * np.sqrt(cmp_doc["k0"]), rel=1e-12)
     assert len(cmp_doc["gaps"]) == len(cmp_doc["times"]) == 3
+
+
+def test_run_single_nonlocal_runs_the_model_once(tmp_path, monkeypatch):
+    # the record's run is also the comparison's nonlocal side
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return simulate_nonlocal(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "simulate_nonlocal", counting)
+    monkeypatch.setattr(nonlocal_model, "simulate_nonlocal", counting)
+    record = run_single(experiment_from_dict(_base_doc(tmp_path, output_times=[])), "nonlocal")
+    assert len(calls) == 1
+    # so the comparison keeps the run's output times, here the log-spaced default
+    cmp_doc = json.loads((tmp_path / "single-nonlocal" / "comparison.json").read_text())
+    assert cmp_doc["times"] == list(record.times) == list(default_output_times(0.01))
+    assert len(cmp_doc["gaps"]) == 20 and cmp_doc["gaps"][0] == 0.0
 
 
 def _sweep_doc(out_dir, **overrides):
@@ -532,7 +554,7 @@ def test_cli_simulate_and_audit_roundtrip(tmp_path, capsys):
     # the flavor is read from the columns; there is no option to override it
     with pytest.raises(SystemExit) as exit_info:
         main(["audit", "--trajectory", str(traj), "--flavor", "eps"])
-    assert exit_info.value.code == 2
+    assert exit_info.value.code == 1
     assert "unrecognized arguments: --flavor" in capsys.readouterr().err
 
 
@@ -579,8 +601,38 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["audit", "--trajectory", str(rising)]) == 2
     capsys.readouterr()
 
-    with pytest.raises(SystemExit):
-        main(["simulate", "--config", "missing-mode.json"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bogus"],
+        [],
+        ["simulate", "--mode", "eps"],
+        ["simulate", "--config", "missing-mode.json"],
+        ["simulate", "--mode", "spectral", "--config", "c.json"],
+        ["audit", "--trajectory", "t.csv", "--tol", "-inf"],
+        ["audit", "--trajectory", "t.csv", "--tol", "small"],
+        ["envelope", "--potential", "cubic-motivation", "--extra"],
+    ],
+    ids=["unknown-command", "no-command", "no-config", "no-mode", "bad-mode", "tol-dash-inf", "tol-word", "extra-flag"],
+)
+def test_cli_usage_errors_exit_1(argv, capsys):
+    # exit 2 is kept for a violated hypothesis, so a malformed command line is exit 1
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: chflow") and "error:" in captured.err
+
+
+def test_cli_help_exits_0(capsys):
+    for argv in (["--help"], ["audit", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: chflow")
 
 
 def test_cli_audit_rejects_negative_energy_gap(tmp_path, capsys):
@@ -612,4 +664,8 @@ def test_cli_audit_rejects_bad_tolerance(tmp_path, capsys, tol):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--tol must be" in captured.err
+    # the joined form hands any value, -inf included, to the same check
+    for joined in (f"--tol={tol}", "--tol=-inf"):
+        assert main(["audit", "--trajectory", str(traj), joined]) == 1
+        assert "--tol must be" in capsys.readouterr().err
     assert main(["audit", "--trajectory", str(traj), "--tol", "0"]) == 0

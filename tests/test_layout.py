@@ -100,13 +100,13 @@ def test_no_module_uses_scipy_sparse():
 
 # the one LU seam: LAPACK's band LU (dgbtrf) and its solve (dgbtrs) are called only
 # inside solvers.factorize, SuperLU (splu) nowhere, and factorize only by the Newton
-# iteration, the semi-implicit nonlocal step and the JKO Newton direction, so a swap
-# of the LU touches one function and a wrapper on factorize sees every factorisation
+# iteration (every implicit step of every flow) and the JKO Newton direction, so a
+# swap of the LU touches one function and a wrapper on factorize sees every factorisation
 _LU_SEAM = {
     "dgbtrf": {("solvers", "factorize")},
     "dgbtrs": {("solvers", "factorize")},
     "splu": set(),
-    "factorize": {("solvers", "newton"), ("nonlocal_model", "_advance_nonlocal"), ("jko", "_newton_direction")},
+    "factorize": {("solvers", "newton"), ("jko", "_newton_direction")},
 }
 
 

@@ -14,7 +14,7 @@ from chflow.nonlocal_model import (
     step_nonlocal,
 )
 from chflow.potential import make_potential
-from chflow.solvers import SolverConfig, StepFailure
+from chflow.solvers import SolverConfig
 from chflow.wasserstein1d import DensityField
 from oracles import convolve_direct
 
@@ -88,7 +88,7 @@ def test_convolution_spectral_matches_direct(kern):
 def test_constant_field_stationary_and_energy(kern, cubic):
     n = 96
     f = DensityField(np.ones(n))
-    out = step_nonlocal(f, 1e-3, 0.1, kern)
+    out = step_nonlocal(f, SolverConfig(n=n, dt=1e-3, eps=0.1, t_end=1e-3), kern)
     assert np.max(np.abs(out.values - 1.0)) < 1e-13
     total, seminorm = energy_nonlocal(f, 0.1, kern, cubic, split=True)
     assert seminorm == 0.0
@@ -126,17 +126,20 @@ def test_mass_conservation_and_translation_equivariance(kern):
     shift = 17
     cur = f0
     rolled = DensityField(np.roll(f0.values, shift))
+    cfg = SolverConfig(n=n, dt=2e-4, eps=0.1, t_end=1e-3)
     for _ in range(5):
-        cur = step_nonlocal(cur, 2e-4, 0.1, kern)
-        rolled = step_nonlocal(rolled, 2e-4, 0.1, kern)
+        cur = step_nonlocal(cur, cfg, kern)
+        rolled = step_nonlocal(rolled, cfg, kern)
     assert abs(float(np.mean(cur.values)) - 1.0) < 1e-12
     assert np.max(np.abs(np.roll(cur.values, shift) - rolled.values)) < 1e-12
 
 
 def test_dispersion_matches_symbols(kern):
-    # growth of small mode-k data vs the exact symbol of the scheme, the
-    # continuum kernel symbol, and the matched local expansion (W''(1) = 0)
+    # growth of small mode-k data vs the exact backward-Euler symbol, the
+    # continuum kernel symbol, and the matched local expansion (W''(1) = 0);
+    # Newton runs to roundoff so its stopping error does not blur the symbol
     n, eps, dt, steps = 256, 0.1, 2e-4, 50
+    cfg = SolverConfig(n=n, dt=dt, eps=eps, t_end=steps * dt, newton_tol=1e-15)
     h = 1.0 / n
     kg = kernel_on_grid(kern, eps, n)
     khat = np.fft.rfft(kg).real * h
@@ -148,11 +151,11 @@ def test_dispersion_matches_symbols(kern):
     for k in (1, 2, 3):
         f = _cosine(n, 1e-6, k)
         lam = (2.0 / h**2) * (1.0 - np.cos(2.0 * np.pi * k * h))
-        g_exact = (1.0 + dt * lam * khat[k]) / (1.0 + dt * lam)
+        g_exact = 1.0 / (1.0 + dt * lam * (1.0 - khat[k]))
         amps = [np.abs(np.fft.rfft(f.values))[k]]
         cur = f
         for _ in range(steps):
-            cur = step_nonlocal(cur, dt, eps, kern)
+            cur = step_nonlocal(cur, cfg, kern)
             amps.append(np.abs(np.fft.rfft(cur.values))[k])
         g_meas = float(np.exp(np.mean(np.diff(np.log(amps)))))
         assert abs(g_meas - g_exact) / abs(1.0 - g_exact) < 1e-5
@@ -170,12 +173,7 @@ def test_simulate_record_contract(kern, cubic, tmp_path):
     cfg = SolverConfig(n=n, dt=1e-4, eps=0.1, t_end=0.01)
     rec = simulate_nonlocal(f0, cfg, kern, cubic, output_times=[0.0, 0.005, 0.01])
     assert rec.flavor == "nonlocal"
-    assert rec.extras["kernel"] == {
-        "name": "bump",
-        "k0": kern.k0,
-        "eps": 0.1,
-        "scheme": "semi-implicit",
-    }
+    assert rec.extras["kernel"] == {"name": "bump", "k0": kern.k0, "eps": 0.1}
     energies = [r.e_eps for r in rec.reports]
     assert all(b <= a + 1e-8 * abs(energies[0]) for a, b in zip(energies, energies[1:]))
     masses = [float(np.mean(s.values)) for s in rec.snapshots]
@@ -185,39 +183,33 @@ def test_simulate_record_contract(kern, cubic, tmp_path):
     header = path.read_text().splitlines()[0]
     assert header == "t,min,max,mass,e_eps,e_star,slope_eps,slope_star,speed"
     with pytest.raises(ValueError):
-        simulate_nonlocal(f0, cfg, kern, cubic, scheme="rk4")
-    with pytest.raises(ValueError):
         simulate_nonlocal(f0, SolverConfig(n=n, dt=1e-4, eps=0.0, t_end=0.01), kern, cubic)
 
 
-def test_implicit_scheme_converges_to_semi_implicit(kern, cubic):
-    # both steppers discretize the same flow, so their gap shrinks ~ O(dt)
+def test_simulate_converges_at_first_order_in_dt(kern, cubic):
+    # backward Euler: successive differences of the final state halve with dt
     n = 128
     f0 = _cosine(n, 0.3)
-    gaps = {}
-    for dt in (1e-4, 2e-5):
-        cfg = SolverConfig(n=n, dt=dt, eps=0.1, t_end=0.01)
-        semi = simulate_nonlocal(f0, cfg, kern, cubic, output_times=[0.0, 0.01])
-        impl = simulate_nonlocal(f0, cfg, kern, cubic, output_times=[0.0, 0.01], scheme="implicit")
-        gaps[dt] = float(
-            np.max(np.abs(semi.snapshots[-1].values - impl.snapshots[-1].values))
-        )
-        assert abs(float(np.mean(impl.snapshots[-1].values)) - 1.0) < 1e-12
-    assert gaps[1e-4] < 5e-3
-    assert 3.5 < gaps[1e-4] / gaps[2e-5] < 6.5
+    finals = []
+    for dt in (1e-4, 5e-5, 2.5e-5):
+        cfg = SolverConfig(n=n, dt=dt, eps=0.1, t_end=0.01, newton_tol=1e-13)
+        rec = simulate_nonlocal(f0, cfg, kern, cubic, output_times=[0.0, 0.01])
+        assert not any(ev["type"] == "dt-halve" for ev in rec.events)
+        finals.append(rec.snapshots[-1].values)
+    diffs = [float(np.max(np.abs(a - b))) for a, b in zip(finals, finals[1:])]
+    assert diffs[0] < 1e-4
+    assert 1.6 < diffs[0] / diffs[1] < 2.4
 
 
-def test_cfl_violation_rejects_step(kern):
-    n = 128
-    x = (np.arange(n) + 0.5) / n
-    steep = DensityField.normalized(np.where(np.abs(x - 0.5) < 0.1, 9.0, 0.05))
-    with pytest.raises(StepFailure, match="CFL"):
-        step_nonlocal(steep, 0.5, 0.1, kern)
+def _compare(f0, eps, kern, spec, t_end, dt, n_out):
+    cfg = SolverConfig(n=f0.n, dt=dt, eps=eps, t_end=t_end)
+    record = simulate_nonlocal(f0, cfg, kern, spec, output_times=np.linspace(0.0, t_end, n_out))
+    return compare_local_nonlocal(record, cfg, kern, spec)
 
 
 def test_compare_constant_data_gap_zero(kern, cubic):
     f = DensityField(np.ones(128))
-    rep = compare_local_nonlocal(f, 0.1, kern, cubic, t_end=0.01, dt=1e-3, n_out=3)
+    rep = _compare(f, 0.1, kern, cubic, t_end=0.01, dt=1e-3, n_out=3)
     assert rep.gaps == (0.0, 0.0, 0.0)
     assert abs(rep.eps_eff - 0.1 * np.sqrt(kern.k0)) < 1e-15
 
@@ -225,7 +217,7 @@ def test_compare_constant_data_gap_zero(kern, cubic):
 def test_compare_requires_cubic_potential(kern):
     f = _cosine(128, 0.1)
     with pytest.raises(ValueError):
-        compare_local_nonlocal(f, 0.1, kern, make_potential("quartic-wrinkle"), t_end=0.01)
+        _compare(f, 0.1, kern, make_potential("quartic-wrinkle"), t_end=0.01, dt=1e-3, n_out=2)
 
 
 def test_compare_gap_shrinks_with_eps(kern, cubic):
@@ -233,7 +225,7 @@ def test_compare_gap_shrinks_with_eps(kern, cubic):
     f0 = _cosine(512, 0.05)
     reps = {}
     for eps in (0.1, 0.05):
-        reps[eps] = compare_local_nonlocal(f0, eps, kern, cubic, t_end=0.05, dt=2e-4, n_out=6)
+        reps[eps] = _compare(f0, eps, kern, cubic, t_end=0.05, dt=2e-4, n_out=6)
     g_coarse = reps[0.1].gaps[-1]
     g_fine = reps[0.05].gaps[-1]
     assert 2e-7 < g_coarse < 9e-7

@@ -392,12 +392,15 @@ def test_output_times_are_not_coerced_from_strings_or_bools(wrinkle):
 def test_positivity_modes():
     vals = np.array([0.5, -0.01, 1.0, 0.51])
     events = []
-    out = enforce_positivity(vals.copy(), 0.25, "clip-renormalize", 0.3, events)
+    out = enforce_positivity(vals.copy(), 0.25, 0.3, events)
     assert np.min(out) == 0.0
     assert np.sum(out) * 0.25 == pytest.approx(np.sum(vals) * 0.25, abs=1e-15)
     assert events and events[0]["type"] == "clip"
-    with pytest.raises(StepFailure):
-        enforce_positivity(vals.copy(), 0.25, "reject-halve", 0.3, [])
+    # nonnegative data pass untouched; data with no positive mass cannot be clipped
+    nonneg = np.abs(vals)
+    assert enforce_positivity(nonneg, 0.25, 0.3, events) is nonneg and len(events) == 1
+    with pytest.raises(StepFailure, match="clipping removed all mass"):
+        enforce_positivity(np.array([-0.1, 0.0, -0.2, -0.3]), 0.25, 0.3, [])
 
 
 def test_trajectory_record_validation_and_csv(tmp_path, wrinkle):
