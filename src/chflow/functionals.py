@@ -2,9 +2,10 @@
 
 Two energy levels coexist: the regularized functional with a gradient
 penalty and a nonconvex well, and its relaxation built from the convex
-envelope.  The auxiliary field `g_field` ties the two together through
-the discrete identity  Dx(g) ~ f * Dx(chemical potential),  which the
-dissipation audit relies on.
+envelope.  The auxiliary field `g_field` is the pressure form of the
+regularized flow, f_t = Dxx(g), through the discrete identity
+Dx(g) ~ f * Dx(chemical potential); no flow or audit in the package reads
+it yet, and the tests check that identity under refinement.
 """
 
 from __future__ import annotations

@@ -1,18 +1,28 @@
-"""Minimizing-movement scheme in the transport metric, particle form.
+"""Minimizing-movement scheme in the transport metric, on particle gaps.
 
-Each outer step solves  argmin  (1/m) sum dist(X_i, X_i^prev)^2 + 2 tau E(X)
-over monotone equal-mass particle positions; in 1D the transport term is
-exactly the squared metric for non-crossing particles, so no inner OT
-solve is needed.  Densities are rebuilt on the grid with a cubic B-spline
-whose width is an integer number of cells, which deposits the mass of
-every particle exactly (translates of the spline sum to one).
+Between ordered equal-mass particle configurations on the line the transport
+term of a movement step is exactly the squared metric, so no inner OT solve
+is needed, and the energy is a function of the gaps g_i = X_{i+1} - X_i, gap
+i carrying mass 1/m at density rho_i = 1/(m g_i), the last one wrapping
+across the period (Gosse & Toscani, SISC 28, 2006; Matthes & Osberger, M2AN
+48, 2014).  Each outer step solves
+
+    argmin_d  1/2 |d|^2 + tau m E(anchor + d),
+    E = sum_i g_i W(rho_i) + eps^2 sum_i (rho_{i+1} - rho_i)^2 / (g_i + g_{i+1}),
+
+over displacements d that keep every gap positive, which is the set of
+ordered configurations spanning less than one period.  This is m/2 times the
+mean-square form (1/m)|d|^2 + 2 tau E, so `inner_tol` bounds ||grad||_inf,
+the per-particle force imbalance in displacement units.
 
 The inner minimization is a damped Newton iteration on the positive part
-H+ of the particle Hessian.  H+ is a diagonal plus the energy Hessian in the
-cell values seen through the deposit stencil, so each Newton system is
-solved in cell space: one cyclic band system of n unknowns, factorised
-through `solvers.factorize` like every other implicit step
-(`_newton_direction`).
+H+ = I + tau m G^T B+ G of the Hessian, with G the cyclic gap difference and
+B+ the curvature of E in the gaps, W'' clipped at zero and each eps term's
+2 x 2 block in (g_i, g_{i+1}) replaced by its positive part.  H+ is a cyclic
+band of half-width 2, factorised through `solvers.factorize` like every
+other implicit step (`_newton_direction`).  Output densities are the exact
+cell averages of the piecewise-constant particle density
+(`wasserstein1d.to_density`).
 """
 
 from __future__ import annotations
@@ -22,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import chemical_potential_values, energy_eps_values, energy_report, laplacian
+from .functionals import dx_forward, energy_report, pad_periodic
 from .potential import PotentialSpec
 from .solvers import TrajectoryRecord, factorize, past_horizon, real_number, whole_number
-from .wasserstein1d import DensityField, to_quantiles
+from .wasserstein1d import DensityField, QuantileRepr, to_density, to_quantiles
 
 __all__ = [
     "JkoConfig",
@@ -76,213 +86,173 @@ class JkoConfig:
             raise ValueError("inner_tol must be positive and inner_max at least 10")
 
 
-def _bspline(t):
-    """Cubic B-spline on [-2, 2], unit integral, translates sum to 1."""
-    a = np.abs(t)
-    inner = (4.0 - 6.0 * a * a + 3.0 * a**3) / 6.0
-    outer = (2.0 - a) ** 3 / 6.0
-    return np.where(a < 1.0, inner, np.where(a < 2.0, outer, 0.0))
-
-
-def _bspline_d(t):
-    a = np.abs(t)
-    s = np.sign(t)
-    inner = s * a * (9.0 * a - 12.0) / 6.0
-    outer = -s * (2.0 - a) ** 2 / 2.0
-    return np.where(a < 1.0, inner, np.where(a < 2.0, outer, 0.0))
-
-
-def _bspline_d2(t):
-    a = np.abs(t)
-    return np.where(a < 1.0, 3.0 * a - 2.0, np.where(a < 2.0, 2.0 - a, 0.0))
-
-
-def _bandwidth_cells(cfg, n):
-    """The reconstruction bandwidth, twice the particle spacing 1/m, in cells (at least 1)."""
-    return max(1, int(round(2.0 / cfg.m * n)))
-
-
 def particles_from_density(f: DensityField, m: int) -> np.ndarray:
     """Equal-mass particle positions at mid-level quantiles."""
     return to_quantiles(f, m).positions.copy()
 
 
-def _deposit(positions, n, p_cells):
-    """Deposited cell values plus the stencil (cells idx, scaled offsets t) behind them.
-
-    A particle at x covers the 4p cells base-2p+1 .. base+2p, base being the
-    cell whose centre sits just below x; the support |t| < 2 of the spline
-    excludes every other cell.  `bincount` adds in flattened order, one
-    particle after another.
-    """
-    x = np.asarray(positions, dtype=float) % 1.0
-    base = np.floor(x * n - 0.5).astype(int)
-    offsets = np.arange(-2 * p_cells + 1, 2 * p_cells + 1)
-    idx = base[:, None] + offsets[None, :]
-    centers = (idx + 0.5) / n
-    t = (centers - x[:, None]) * (n / p_cells)
-    idx %= n
-    weights = _bspline(t) * (n / p_cells) / x.size
-    vals = np.bincount(idx.ravel(), weights.ravel(), minlength=n)
-    return vals, idx, t
+def density_from_particles(positions, n: int) -> DensityField:
+    """Cell averages on n cells of the density putting mass 1/m in every gap; mass is exact."""
+    return to_density(QuantileRepr(positions), n)
 
 
-def density_from_particles(positions, n: int, p_cells: int) -> np.ndarray:
-    """Deposit m equal-mass particles onto n cells; mass is exact."""
-    return _deposit(positions, n, p_cells)[0]
-
-
-def _signed_wrap(delta):
-    return (delta + 0.5) % 1.0 - 0.5
+def _lag(v):
+    """v[j-1] with periodic wrap."""
+    return pad_periodic(v)[:-2]
 
 
 class _Objective:
-    """Value and gradient of the movement functional at fixed anchor."""
+    """The movement functional on the displacement d from the anchor.
 
-    def __init__(self, anchor, tau_eff, eps, spec, n, p_cells):
-        self.anchor = anchor
-        self.tau_eff = tau_eff
+    The iterate is d, not X = anchor + d: with X as the iterate a 1-ulp change
+    of X moves the gradient by about 1.5e-8, and Newton stalls above the
+    tolerances it must reach.
+    """
+
+    def __init__(self, anchor, tau_eff, eps, spec):
+        self.gaps = dx_forward(anchor, 1.0)
+        self.gaps[-1] += 1.0
+        self.tau_m = tau_eff * anchor.size
         self.eps = eps
         self.spec = spec
-        self.n = n
-        self.p_cells = p_cells
-        self.h = 1.0 / n
 
-    def __call__(self, x):
-        value, grad, _ = self.evaluate(x)
-        return value, grad
+    def evaluate(self, d):
+        """Value, gradient and the gap state (E, rho, g_i + g_{i+1}, jump slope) behind them.
 
-    def evaluate(self, x):
-        """Value, gradient, and the deposit state the Newton direction is built from."""
-        m = x.size
-        h, eps, n = self.h, self.eps, self.n
-        delta = _signed_wrap(x - self.anchor)
-        vals, idx, t = _deposit(x, n, self.p_cells)
-        energy = energy_eps_values(vals, h, eps, self.spec)
-        value = float(np.mean(delta * delta)) + 2.0 * self.tau_eff * energy
+        The value is inf, and the rest None, where some gap is not positive.
+        """
+        g = self.gaps + dx_forward(d, 1.0)
+        if not np.all(g > 0.0):
+            return np.inf, None, None
+        m, eps2 = d.size, self.eps**2
+        rho = 1.0 / (m * g)
+        rho_next = pad_periodic(rho)[2:]
+        span = g + pad_periodic(g)[2:]
+        slope = (rho_next - rho) / span
+        w, w1 = self.spec.eval_W(rho), self.spec.eval_W1(rho)
+        energy = float(np.sum(g * w) + eps2 * np.sum((rho_next - rho) * slope))
+        # dE/dg_i: minus the pressure rho W' - W of gap i, plus the derivatives of
+        # eps term i (in its first gap) and of eps term i-1 (in its second gap)
+        de_dg = w - rho * w1 + eps2 * slope * (2.0 * m * rho * rho - slope)
+        de_dg -= _lag(eps2 * slope * (2.0 * m * rho_next * rho_next + slope))
+        grad = d + self.tau_m * (_lag(de_dg) - de_dg)
+        return 0.5 * float(d @ d) + self.tau_m * energy, grad, (energy, rho, span, slope)
 
-        # dE/df_j = h * (W'(f_j) - eps^2 (Lf)_j), then chain through the kernel
-        p = chemical_potential_values(vals, h, eps, self.spec)
-        kernel_d = _bspline_d(t) * (n / self.p_cells) ** 2 / m
-        de_dx = -h * np.sum(p[idx] * kernel_d, axis=1)
-        grad = 2.0 * delta / m + 2.0 * self.tau_eff * de_dx
-        return value, grad, (vals, idx, t, p, kernel_d)
+
+def _hessian_bands(state, objective, positive=True):
+    """The five bands (row o + 2 holds entry (j, j + o)) of I + tau m G^T B G.
+
+    B is the curvature of E in the gaps: m rho^3 W''(rho) on the diagonal, and
+    per eps term, with jump = rho_{i+1} - rho_i and span = g_i + g_{i+1}, the
+    block (2 eps^2/span) v v^T + 2 eps^2 (jump/span) diag(-2 m^2 rho_i^3,
+    2 m^2 rho_{i+1}^3) in (g_i, g_{i+1}), v = (m rho_i^2, -m rho_{i+1}^2) -
+    jump/span.  With `positive`, W'' is clipped at zero and each block replaced
+    by its positive part (b (A - min(lo, 0) I) with lo, hi its eigenvalues and
+    b = (max(hi, 0) - max(lo, 0)) / (hi - lo)).
+    """
+    _, rho, span, slope = state
+    m, eps2 = rho.size, objective.eps**2
+    rho_next = pad_periodic(rho)[2:]
+    w2 = objective.spec.eval_W2(rho)
+    b0 = m * rho**3 * (np.maximum(w2, 0.0) if positive else w2)
+    va, vb = m * rho * rho - slope, -m * rho_next * rho_next - slope
+    c = 2.0 * eps2 / span
+    aa = c * va * va - 4.0 * eps2 * slope * m * m * rho**3
+    bb = c * vb * vb + 4.0 * eps2 * slope * m * m * rho_next**3
+    ab = c * va * vb
+    if positive:
+        mean, rad = 0.5 * (aa + bb), np.hypot(0.5 * (aa - bb), ab)
+        lo, hi = mean - rad, mean + rad
+        mixed = (lo < 0.0) & (hi > 0.0)
+        weight = np.where(lo >= 0.0, 1.0, np.where(mixed, hi, 0.0) / np.where(mixed, hi - lo, 1.0))
+        shift = np.minimum(lo, 0.0)
+        aa, bb, ab = weight * (aa - shift), weight * (bb - shift), weight * ab
+    b0 = b0 + aa + _lag(bb)
+    # (G^T B G)[j, j + 1] and [j, j + 2], with B[i, i + 1] = ab_i
+    up1 = ab + _lag(ab) - b0
+    bands = objective.tau_m * np.stack([_lag(_lag(-ab)), _lag(up1), b0 + _lag(b0) - 2.0 * _lag(ab), up1, -ab])
+    bands[2] += 1.0
+    return bands
 
 
 def _newton_direction(state, grad, objective):
-    """Solve H+ s = -grad in cell space through the one LU (`factorize`).
-
-    H+ = Dg + 2 tau J^T A J, with Dg = 2/m + 2 tau max(D2, 0) diagonal
-    (D2_i = h sum_j mu_j d2f_j/dx_i^2), J = df/dx the deposit stencil and
-    A = h max(W'', 0) + (eps^2/h) D^T D the cyclic tridiagonal energy Hessian
-    in the cell values (D the forward difference).  By the push-through
-    identity u = J s solves (I + 2 tau K A) u = J Dg^-1 r with K = J Dg^-1 J^T
-    and r = -grad, and then s = Dg^-1 (r - 2 tau J^T A u).  Particle i's
-    column of J covers the 4p consecutive cells idx[i], so K is a cyclic band
-    of half-width 4p - 1 and K A one of half-width 4p.
-    """
-    vals, idx, t, p, kernel_d = state
-    m, n, h, q = grad.size, vals.size, objective.h, idx.shape[1]
-    two_tau = 2.0 * objective.tau_eff
-    d2 = h * np.sum(p[idx] * _bspline_d2(t), axis=1) * (n / objective.p_cells) ** 3 / m
-    dg = 2.0 / m + two_tau * np.maximum(d2, 0.0)
-    w2 = h * np.maximum(objective.spec.eval_W2(vals), 0.0)
-    off = objective.eps**2 / h
-    # row o + q + 1 holds K[a, (a + o) mod n]; the rows |o| >= q stay zero for A's off-diagonals
-    offset = np.arange(q)[None, :] - np.arange(q)[:, None]
-    rows = (offset + q + 1)[None] * n + idx[:, :, None]
-    pairs = kernel_d[:, :, None] * kernel_d[:, None, :] / dg[:, None, None]
-    k_bands = np.bincount(rows.ravel(), pairs.ravel(), minlength=(2 * q + 3) * n).reshape(2 * q + 3, n)
-    # (K A)[a, a + o] = K[a, a + o] A[a + o, a + o] - (eps^2/h) (K[a, a + o - 1] + K[a, a + o + 1])
-    cols = (np.arange(n)[None, :] + np.arange(-q, q + 1)[:, None]) % n
-    system = two_tau * (k_bands[1:-1] * (w2 + 2.0 * off)[cols] - off * (k_bands[:-2] + k_bands[2:]))
-    system[q] += 1.0
-    scaled = -grad / dg  # Dg^-1 r
-    u = factorize(system).solve(np.bincount(idx.ravel(), (-kernel_d * scaled[:, None]).ravel(), minlength=n))
-    au = w2 * u - objective.eps**2 * h * laplacian(u, h)
-    return scaled + two_tau * np.sum(kernel_d * au[idx], axis=1) / dg
+    """Solve H+ s = -grad through the one LU (`factorize`)."""
+    return factorize(_hessian_bands(state, objective)).solve(-grad)
 
 
-def _ordered(x):
-    """Particles in order and within one period: the set on which the transport term is the squared metric."""
-    return bool(np.all(x[1:] >= x[:-1])) and x[-1] - x[0] < 1.0
-
-
-def _minimize(x0, objective, tol_scaled, max_iter):
-    """Damped Newton on H+ from an ordered anchor; returns a new array and the info.
+def _minimize(objective, tol, max_iter):
+    """Damped Newton on H+ from the anchor (d = 0); returns the displacement and the info.
 
     Each iteration solves H+ s = -grad and backtracks from the full step,
-    halving until the Armijo condition holds at an ordered configuration
-    (`_ordered`), so every accepted iterate is ordered and spans less than
-    one period.  Convergence is declared on (m/2) * ||grad||_inf, the
-    per-particle force imbalance in displacement units.  At the roundoff
-    floor the Newton slope need not be negative, and Armijo can then accept
-    a tiny rise above the stay-put value; the anchor is returned instead,
-    with grad_scaled = inf.
+    halving until the Armijo condition holds at a trial with every gap
+    positive, so every accepted iterate is ordered and spans less than one
+    period.  Convergence is declared on ||grad||_inf.  At the roundoff floor
+    the Newton slope need not be negative, and Armijo can then accept a tiny
+    rise above the stay-put value; the anchor is returned instead, with
+    grad_scaled = inf.
     """
-    anchor = np.asarray(x0, dtype=float)
-    m = anchor.size
-    x = anchor
-    value, grad, state = objective.evaluate(x)
-    anchor_value = value
+    m = objective.gaps.size
+    d = np.zeros(m)
+    value, grad, state = objective.evaluate(d)
+    anchor_value, anchor_state = value, state
     iterations = halvings = 0
-    while 0.5 * m * float(np.max(np.abs(grad))) > tol_scaled and iterations < max_iter:
+    while float(np.max(np.abs(grad))) > tol and iterations < max_iter:
         step = _newton_direction(state, grad, objective)
         slope = float(grad @ step)
         for k in range(_MAX_HALVINGS):
-            trial = x + 0.5**k * step
-            if _ordered(trial):
-                trial_value, trial_grad, trial_state = objective.evaluate(trial)
-                if trial_value <= value + _ARMIJO * 0.5**k * slope:
-                    break
+            trial = d + 0.5**k * step
+            trial_value, trial_grad, trial_state = objective.evaluate(trial)
+            if trial_value <= value + _ARMIJO * 0.5**k * slope:
+                break
             halvings += 1
         else:
             break  # no decrease left to find at this precision
         if trial_value >= value and np.max(np.abs(trial_grad)) >= np.max(np.abs(grad)):
             break  # at the roundoff floor: the step lowers neither the objective nor the gradient
-        x, value, grad, state = trial, trial_value, trial_grad, trial_state
+        d, value, grad, state = trial, trial_value, trial_grad, trial_state
         iterations += 1
     if value > anchor_value:
         # staying put is always admissible
-        x, value = anchor, anchor_value
+        d, value, state = np.zeros(m), anchor_value, anchor_state
         grad_scaled = float("inf")
     else:
-        grad_scaled = 0.5 * m * float(np.max(np.abs(grad)))
+        grad_scaled = float(np.max(np.abs(grad)))
     info = {
-        "converged": grad_scaled <= tol_scaled,
+        "converged": grad_scaled <= tol,
         "iterations": iterations,
         "line_search_halvings": halvings,
         "objective": float(value),
+        "energy": state[0],
         "grad_scaled": grad_scaled,
     }
-    return (x.copy() if x is anchor else x), info
+    return d, info
 
 
-def jko_step_positions(prev_positions, cfg: JkoConfig, eps: float, spec: PotentialSpec, n: int, s: float | None = None):
+def jko_step_positions(prev_positions, cfg: JkoConfig, eps: float, spec: PotentialSpec, s: float | None = None):
     """One movement step in particle coordinates; returns (positions, info).
 
     `s` (0 < s <= tau, default tau) is the weight of the energy, which the
     De Giorgi interpolant varies.  Starting the search at the previous
     positions guarantees the returned objective never exceeds the stay-put
-    value, which is what the energy ledger of the outer scheme relies on.
+    value, which is what the energy ledger of the outer scheme relies on;
+    info["energy"] is the gap energy E of the returned positions.
     """
     tau_eff = cfg.tau if s is None else s
     if not 0.0 < tau_eff <= cfg.tau * (1.0 + 1e-12):
         raise ValueError("s must lie in (0, tau]")
-    tau_eff = min(tau_eff, cfg.tau)
     anchor = np.asarray(prev_positions, dtype=float)
-    if not _ordered(anchor):
-        raise ValueError("particle positions must be non-decreasing and span less than one period")
-    p_cells = _bandwidth_cells(cfg, n)
-    objective = _Objective(anchor, tau_eff, eps, spec, n, p_cells)
-    x, info = _minimize(anchor, objective, cfg.inner_tol, cfg.inner_max)
+    objective = _Objective(anchor, min(tau_eff, cfg.tau), eps, spec)
+    if not np.all(objective.gaps > 0.0):
+        raise ValueError("particle positions must be strictly increasing and span less than one period")
+    d, info = _minimize(objective, cfg.inner_tol, cfg.inner_max)
+    x = anchor + d
     if not info["converged"]:
         raise JkoConvergenceFailure(
             f"inner solve stopped at {info['grad_scaled']:.3e} after {info['iterations']} iterations",
             positions=x,
             grad_norm=info["grad_scaled"],
         )
-    info["d2_increment"] = float(np.sqrt(np.mean(_signed_wrap(x - anchor) ** 2)))
+    info["d2_increment"] = float(np.sqrt(np.mean(d * d)))
     return x, info
 
 
@@ -293,9 +263,8 @@ def jko_step(f: DensityField, cfg: JkoConfig, eps: float, spec: PotentialSpec) -
 
 def de_giorgi_interpolant(f_prev: DensityField, s: float, cfg: JkoConfig, eps: float, spec: PotentialSpec) -> DensityField:
     """Variational interpolant at intermediate weight 0 < s <= tau."""
-    positions = particles_from_density(f_prev, cfg.m)
-    x, _ = jko_step_positions(positions, cfg, eps, spec, f_prev.n, s=s)
-    return DensityField.normalized(density_from_particles(x, f_prev.n, _bandwidth_cells(cfg, f_prev.n)))
+    x, _ = jko_step_positions(particles_from_density(f_prev, cfg.m), cfg, eps, spec, s=s)
+    return density_from_particles(x, f_prev.n)
 
 
 def jko_step_count(tau: float, t_end: float) -> int:
@@ -317,25 +286,28 @@ def simulate_jko(f0: DensityField, cfg: JkoConfig, eps: float, spec: PotentialSp
     Re-quantizing the density between steps would contaminate the
     telescoped transport cost, so particles flow through the whole run
     and densities are reconstructed only for snapshots and reports.
+    `extras["energies"]` holds the gap energy E of every step, which the
+    ledger telescopes; the snapshot reports hold the grid energies.
     """
     n_steps = jko_step_count(cfg.tau, t_end)
     n = f0.n
-    p_cells = _bandwidth_cells(cfg, n)
 
     positions = particles_from_density(f0, cfg.m)
-    snapshots = [DensityField.normalized(density_from_particles(positions, n, p_cells))]
+    snapshots = [density_from_particles(positions, n)]
     reports = [energy_report(snapshots[0], eps, spec)]
     times = [0.0]
+    energies = [_Objective(positions, cfg.tau, eps, spec).evaluate(np.zeros(cfg.m))[2][0]]
     increments = [0.0]
     iterations = [0]
     halvings = [0]
 
     for k in range(1, n_steps + 1):
-        positions, info = jko_step_positions(positions, cfg, eps, spec, n)
-        snap = DensityField.normalized(density_from_particles(positions, n, p_cells))
+        positions, info = jko_step_positions(positions, cfg, eps, spec)
+        snap = density_from_particles(positions, n)
         snapshots.append(snap)
         reports.append(energy_report(snap, eps, spec))
         times.append(k * cfg.tau)
+        energies.append(info["energy"])
         increments.append(info["d2_increment"])
         iterations.append(info["iterations"])
         halvings.append(info["line_search_halvings"])
@@ -348,25 +320,26 @@ def simulate_jko(f0: DensityField, cfg: JkoConfig, eps: float, spec: PotentialSp
         flavor="jko",
     )
     increments = np.array(increments)
-    energies = np.array([rep.e_eps for rep in record.reports])
-    # signed defect of E(k) + (1/2 tau) sum d2^2 <= E(0); healthy runs stay <= 0
+    energies = np.array(energies)
+    # signed defect of E(k) + (1/2 tau) sum d2^2 <= E(0); the stay-put guarantee keeps it <= 0
     slack = energies - energies[0] + np.cumsum(increments**2) / (2.0 * cfg.tau)
     record.extras["speeds"] = np.concatenate([[0.0], increments[1:] / cfg.tau])
     record.extras["d2_increments"] = increments
+    record.extras["energies"] = energies
     record.extras["ledger_slack"] = slack
     record.extras["inner_iterations"] = np.array(iterations)
     record.extras["line_search_halvings"] = np.array(halvings)
     record.extras["positions"] = positions
-    record.extras["bandwidth"] = p_cells / n
     return record
 
 
 def write_ledger_csv(record: TrajectoryRecord, path):
-    """Per-step movement ledger: step, d2_increment, energy, slack."""
+    """Per-step movement ledger: step, d2_increment, the gap energy E and the slack."""
     increments = record.extras["d2_increments"]
+    energies = record.extras["energies"]
     slack = record.extras["ledger_slack"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "d2_increment", "energy", "slack"])
-        for k, rep in enumerate(record.reports):
-            writer.writerow([k, repr(float(increments[k])), repr(rep.e_eps), repr(float(slack[k]))])
+        for k in range(len(record.times)):
+            writer.writerow([k, repr(float(increments[k])), repr(float(energies[k])), repr(float(slack[k]))])

@@ -117,24 +117,25 @@ def to_quantiles(f, m):
 
 
 def to_density(q, n):
-    """Deposit quantile particles back onto an n-cell grid.
+    """Exact cell averages on an n-cell grid of the particle density of q.
 
-    Linear (cloud-in-cell) splitting between the two nearest cell centers;
-    mass is conserved exactly and the round trip through ``to_quantiles``
-    costs O(1/m + h) in L1 for Lipschitz densities.
+    The particle density is piecewise constant: mass 1/m between consecutive
+    positions, the last gap wrapping across the period.  Its CDF is piecewise
+    linear through the positions, so the cell masses are differences of that
+    CDF at the cell edges; mass is conserved exactly and the round trip
+    through ``to_quantiles`` costs O(1/m + h) in L1 for Lipschitz densities.
     """
-    return _deposit_linear(q.positions, int(n))
+    return _cell_averages(q.positions, int(n))
 
 
-def _deposit_linear(positions, n):
-    x = np.mod(np.asarray(positions, dtype=float), 1.0) * n - 0.5
-    left = np.floor(x).astype(int)
-    wr = x - left
-    counts = np.bincount(np.mod(left, n), weights=1.0 - wr, minlength=n)
-    counts += np.bincount(np.mod(left + 1, n), weights=wr, minlength=n)
-    values = counts * n / positions.size
-    values /= values.mean()
-    return DensityField(values)
+def _cell_averages(positions, n):
+    x = np.asarray(positions, dtype=float)
+    nodes = np.append(x, x[0] + 1.0)
+    offset = np.arange(n + 1) / n - x[0]
+    periods = np.floor(offset)
+    cdf = periods + np.interp(x[0] + (offset - periods), nodes, np.arange(x.size + 1) / x.size)
+    values = np.diff(cdf) * n
+    return DensityField(values / values.mean())
 
 
 class _CoverQuantiles:
@@ -234,8 +235,8 @@ def w2_periodic(mu, nu):
 def geodesic(mu, nu, t):
     """Displacement interpolation between two densities at time t in [0, 1].
 
-    The interpolant is deposited from 4n quantile particles onto the n cells
-    of the finer grid, n = max(mu.n, nu.n).
+    The interpolant is the particle density (`to_density`) of 4n quantile
+    particles, averaged over the n cells of the finer grid, n = max(mu.n, nu.n).
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("interpolation time must lie in [0, 1]")
@@ -245,7 +246,7 @@ def geodesic(mu, nu, t):
     psi_a, psi_b = _CoverQuantiles(mu), _CoverQuantiles(nu)
     xa = psi_a(levels - 0.5 * theta)
     xb = psi_b(levels + 0.5 * theta)
-    return _deposit_linear((1.0 - t) * xa + t * xb, n)
+    return _cell_averages((1.0 - t) * xa + t * xb, n)
 
 
 def metric_speed(traj, k):

@@ -4,9 +4,10 @@ These deliberately avoid the library's code paths: quantiles come from
 np.interp on the piecewise-linear CDF, and the circle distance is minimized
 by exhaustive assignment (all cyclic shifts of sorted particles, optionally
 cross-checked by the Hungarian algorithm over every permutation).  The
-particle deposit is the masked B-spline with an np.add.at scatter, the
-movement Hessian is assembled densely from an n x m deposit Jacobian, the
-movement step is the L-BFGS-B search the Newton solve replaced, the guarded
+particle density's cell averages sum gap-cell overlaps one pair at a time,
+the gap movement functional and its positive-part Hessian are written term
+by term in loops and assembled densely, the movement step is an L-BFGS-B
+search on that functional, the guarded
 potentials evaluate through Polynomial.__call__, the stepping
 matrices are chains of scipy.sparse sums and products, the periodic
 convolution is a direct sum of shifted copies, and the implicit step's
@@ -86,117 +87,104 @@ def vacuum_field(rng, n):
     return v / v.mean()
 
 
-def bspline_masked(t):
-    """Cubic B-spline on [-2, 2] by boolean masks, one branch at a time."""
-    a = np.abs(t)
-    out = np.zeros_like(a)
-    inner = a < 1.0
-    outer = (a >= 1.0) & (a < 2.0)
-    ai = a[inner]
-    out[inner] = (4.0 - 6.0 * ai * ai + 3.0 * ai**3) / 6.0
-    ao = a[outer]
-    out[outer] = (2.0 - ao) ** 3 / 6.0
-    return out
+def particle_cell_averages(positions, n):
+    """Cell averages of the density putting mass 1/m on every gap between
+    consecutive positions (the last one wrapping), by summing the overlap of
+    every gap with every cell, one pair at a time."""
+    x = [float(v) for v in positions]
+    m = len(x)
+    ends = x[1:] + [x[0] + 1.0]
+    values = np.zeros(n)
+    for i in range(m):
+        lo, hi = x[i], ends[i]
+        for j in range(n):
+            for lift in (-2, -1, 0, 1, 2):
+                left, right = j / n + lift, (j + 1) / n + lift
+                overlap = min(hi, right) - max(lo, left)
+                if overlap > 0.0:
+                    values[j] += overlap / (hi - lo) / m * n
+    return values
 
 
-def bspline_d_masked(t):
-    a = np.abs(t)
-    s = np.sign(t)
-    out = np.zeros_like(a)
-    inner = a < 1.0
-    outer = (a >= 1.0) & (a < 2.0)
-    out[inner] = s[inner] * a[inner] * (9.0 * a[inner] - 12.0) / 6.0
-    out[outer] = -s[outer] * (2.0 - a[outer]) ** 2 / 2.0
-    return out
+def _gap_state(d, anchor, spec):
+    m = len(d)
+    gaps = [(anchor[(i + 1) % m] - anchor[i]) + (d[(i + 1) % m] - d[i]) for i in range(m)]
+    gaps[-1] += 1.0
+    gaps = np.array(gaps)
+    rho = 1.0 / (m * gaps)
+    return gaps, rho, spec.eval_W(rho), spec.eval_W1(rho), spec.eval_W2(rho)
 
 
-def deposit_masked(positions, n, p_cells):
-    """Particle deposit over 4p+2 cells per particle, scattered with np.add.at."""
-    x = np.asarray(positions, dtype=float) % 1.0
-    base = np.floor(x * n - 0.5).astype(int)
-    offsets = np.arange(-2 * p_cells, 2 * p_cells + 2)
-    idx = base[:, None] + offsets[None, :]
-    t = ((idx + 0.5) / n - x[:, None]) * (n / p_cells)
-    idx %= n
-    weights = bspline_masked(t) * (n / p_cells) / x.size
-    vals = np.zeros(n)
-    np.add.at(vals, idx, weights)
-    return vals, idx, t
+def gap_objective(d, anchor, tau_eff, eps, spec):
+    """Value and gradient of 1/2 |d|^2 + tau m E(anchor + d), E the gap energy
+    sum g W(1/(m g)) + eps^2 sum (rho_{i+1} - rho_i)^2 / (g_i + g_{i+1}),
+    term by term; the value is inf where a gap is not positive."""
+    m = len(d)
+    gaps, rho, w, w1, _ = _gap_state(d, anchor, spec)
+    if np.min(gaps) <= 0.0:
+        return np.inf, np.zeros(m)
+    energy = 0.0
+    de = np.zeros(m)
+    for i in range(m):
+        energy += gaps[i] * w[i]
+        de[i] += w[i] - rho[i] * w1[i]
+        k = (i + 1) % m
+        r, s, span = rho[i], rho[k], gaps[i] + gaps[k]
+        energy += eps * eps * (s - r) ** 2 / span
+        de[i] += eps * eps * (2.0 * (s - r) * m * r * r / span - (s - r) ** 2 / span**2)
+        de[k] += eps * eps * (-2.0 * (s - r) * m * s * s / span - (s - r) ** 2 / span**2)
+    grad = np.array([d[j] + tau_eff * m * (de[j - 1] - de[j]) for j in range(m)])
+    return 0.5 * float(np.dot(d, d)) + tau_eff * m * energy, grad
 
 
-def movement_objective_masked(x, anchor, tau_eff, eps, spec, n, p_cells):
-    """Value and gradient of the movement functional on the masked deposit,
-    with the energy and chemical potential written out with np.roll."""
-    m = x.size
-    h = 1.0 / n
-    delta = (x - anchor + 0.5) % 1.0 - 0.5
-    vals, idx, t = deposit_masked(x, n, p_cells)
-    grad_f = (np.roll(vals, -1) - vals) / h
-    energy = float(np.sum(0.5 * eps * eps * grad_f * grad_f + spec.eval_W(vals)) * h)
-    value = float(np.mean(delta * delta)) + 2.0 * tau_eff * energy
-    lap = (np.roll(vals, -1) - 2.0 * vals + np.roll(vals, 1)) / (h * h)
-    p = spec.eval_W1(vals) - eps * eps * lap
-    kernel_d = bspline_d_masked(t) * (n / p_cells) ** 2 / m
-    de_dx = -h * np.sum(p[idx] * kernel_d, axis=1)
-    return value, 2.0 * delta / m + 2.0 * tau_eff * de_dx
+def gap_positive_hessian(d, anchor, tau_eff, eps, spec):
+    """Dense H+ = I + tau m G^T B+ G of the gap objective, G the cyclic gap
+    difference, B+ the gap curvature with W'' clipped at zero and each eps
+    term's 2 x 2 block (written out from its second partial derivatives)
+    replaced by its positive part through an eigendecomposition."""
+    m = len(d)
+    _, rho, _, _, w2 = _gap_state(d, anchor, spec)
+    gaps = 1.0 / (m * rho)
+    curv = np.zeros((m, m))
+    for i in range(m):
+        curv[i, i] += m * rho[i] ** 3 * max(w2[i], 0.0)
+        k = (i + 1) % m
+        r, s, span = rho[i], rho[k], gaps[i] + gaps[k]
+        jump, da, db = s - r, m * r * r, -m * s * s
+        daa, dbb = -2.0 * m * m * r**3, 2.0 * m * m * s**3
+        aa = 2.0 * da * da / span + 2.0 * jump * daa / span - 4.0 * jump * da / span**2 + 2.0 * jump**2 / span**3
+        bb = 2.0 * db * db / span + 2.0 * jump * dbb / span - 4.0 * jump * db / span**2 + 2.0 * jump**2 / span**3
+        ab = 2.0 * da * db / span - 2.0 * jump * (da + db) / span**2 + 2.0 * jump**2 / span**3
+        lam, vec = np.linalg.eigh(eps * eps * np.array([[aa, ab], [ab, bb]]))
+        block = vec @ np.diag(np.maximum(lam, 0.0)) @ vec.T
+        for p, row in enumerate((i, k)):
+            for q, col in enumerate((i, k)):
+                curv[row, col] += block[p, q]
+    diff = np.zeros((m, m))
+    for i in range(m):
+        diff[i, i] = -1.0
+        diff[i, (i + 1) % m] = 1.0
+    return np.eye(m) + tau_eff * m * (diff.T @ curv @ diff)
 
 
-def bspline_d2_masked(t):
-    a = np.abs(t)
-    out = np.zeros_like(a)
-    inner = a < 1.0
-    outer = (a >= 1.0) & (a < 2.0)
-    out[inner] = 3.0 * a[inner] - 2.0
-    out[outer] = 2.0 - a[outer]
-    return out
+def minimize_lbfgs(objective, m, tol, max_iter, scale):
+    """The movement step on the displacement d by L-BFGS-B from d = 0,
+    returning the stay-put d = 0 when the search ends above it.  L-BFGS-B's
+    first step has unit length in its variable, which would cross particles,
+    so it searches on d / scale."""
 
+    def scaled(y):
+        value, grad = objective(scale * y)
+        return value, scale * grad
 
-def positive_part_hessian(x, tau_eff, eps, spec, n, p_cells):
-    """Dense H+ of the movement functional, and which particles its clipping touches.
-
-    H+ = (2/m) I + 2 tau [J^T (h W''+ + (eps^2/h) D^T D) J + diag(D2+)] with the
-    deposit Jacobian J built as a dense n x m array from nearest-image offsets
-    (needs 4p < n).  A particle counts as clipped when W'' < 0 on a cell it
-    touches or D2 < 0 at it.
-    """
-    m = x.size
-    h = 1.0 / n
-    centres = (np.arange(n) + 0.5) / n
-    t = ((centres[:, None] - np.asarray(x)[None, :] + 0.5) % 1.0 - 0.5) * (n / p_cells)
-    jac = -bspline_d_masked(t) * (n / p_cells) ** 2 / m
-    f = bspline_masked(t).sum(axis=1) * (n / p_cells) / m
-    mu = spec.eval_W1(f) - eps * eps * (np.roll(f, -1) - 2.0 * f + np.roll(f, 1)) / (h * h)
-    d2 = h * (mu[:, None] * bspline_d2_masked(t)).sum(axis=0) * (n / p_cells) ** 3 / m
-    w2 = spec.eval_W2(f)
-    diff = np.roll(np.eye(n), 1, axis=1) - np.eye(n)
-    inner = h * np.diag(np.maximum(w2, 0.0)) + (eps * eps / h) * (diff.T @ diff)
-    hess = (2.0 / m) * np.eye(m) + 2.0 * tau_eff * (jac.T @ inner @ jac + np.diag(np.maximum(d2, 0.0)))
-    touches_clipped = (np.abs(t) < 2.0)[w2 < 0.0].any(axis=0)
-    return hess, touches_clipped | (d2 < 0.0)
-
-
-def minimize_lbfgs(x0, objective, tol_scaled, max_iter):
-    """The movement step by L-BFGS-B, projected and guarded as the Newton solve is."""
-    anchor = np.asarray(x0, dtype=float)
-    m = anchor.size
-    res = minimize(
-        objective,
-        anchor,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": max_iter, "maxcor": 20, "ftol": 0.0, "gtol": 2.0 * tol_scaled / m},
-    )
-    v = np.sort(np.asarray(res.x, dtype=float))
-    floors = np.arange(m) * 1e-10
-    candidate = np.maximum.accumulate(v - floors) + floors
-    span = candidate[-1] - candidate[0]
-    if span > 1.0 - 1e-10:
-        candidate = candidate[0] + (candidate - candidate[0]) * (1.0 - m * 1e-10) / span
-    value, grad = objective(candidate)
-    anchor_value, _ = objective(anchor)
-    if value > anchor_value:
-        return anchor.copy(), {"objective": anchor_value, "grad_scaled": float("inf"), "iterations": int(res.nit)}
-    return candidate, {"objective": value, "grad_scaled": 0.5 * m * float(np.max(np.abs(grad))), "iterations": int(res.nit)}
+    res = minimize(scaled, np.zeros(m), jac=True, method="L-BFGS-B",
+                   options={"maxiter": max_iter, "maxcor": 20, "ftol": 0.0, "gtol": scale * tol})
+    d = scale * res.x
+    value, grad = objective(d)
+    anchor_value, _ = objective(np.zeros(m))
+    if not value <= anchor_value:
+        return np.zeros(m), {"objective": anchor_value, "grad_scaled": float("inf"), "iterations": int(res.nit)}
+    return d, {"objective": value, "grad_scaled": float(np.max(np.abs(grad))), "iterations": int(res.nit)}
 
 
 def guarded_polynomial(poly, lo, hi):
@@ -253,11 +241,6 @@ def flux_jacobian_sparse(m, c, stiffness, h, dt, theta):
 def limit_jacobian_sparse(cond, h, dt):
     """I - dt L diag(cond) as a sparse product."""
     return (sp.identity(cond.size, format="csr") - dt * (_laplacian_matrix(cond.size, h) @ sp.diags(cond))).tocsc()
-
-
-def diffusion_system_sparse(m, h, dt):
-    """I - dt Dx(m Dx .) as a sparse difference."""
-    return (sp.identity(m.size, format="csr") - dt * mobility_matrix(m, h)).tocsc()
 
 
 def convolve_direct(values, kernel_values, h):

@@ -33,7 +33,7 @@ def test_no_module_imports_private_names():
 
 
 # np.roll and np.add.at cost microseconds of Python-level overhead per call;
-# the stencils pad once and slice, the particle deposit uses np.bincount
+# the stencils pad once and slice
 _SLOW_CALLS = {"np.roll", "numpy.roll", "np.add.at", "numpy.add.at"}
 
 

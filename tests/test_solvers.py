@@ -30,7 +30,6 @@ from chflow.solvers import (
 from chflow.wasserstein1d import DensityField, w2_periodic
 from oracles import (
     bands_sparse,
-    diffusion_system_sparse,
     flux_jacobian_sparse,
     limit_jacobian_sparse,
     newton_fresh_jacobian,
@@ -603,10 +602,9 @@ def _with_zeros(data, n, high, low=0.0):
 
 def _assert_tridiagonal_systems(m, q, h, dt):
     # stiffness 0: the outer bands are zeros, and the limit Jacobian (m = 1,
-    # c = q) and the diffusion system (c = 1) are tridiagonal
-    one = np.ones(m.size)
-    _assert_bands_equal(stepping_bands(one, q, 0.0, h, dt), limit_jacobian_sparse(q, h, dt))
-    _assert_bands_equal(stepping_bands(m, one, 0.0, h, dt), diffusion_system_sparse(m, h, dt))
+    # c = q) and the flux Jacobian at zero stiffness are tridiagonal
+    _assert_bands_equal(stepping_bands(np.ones(m.size), q, 0.0, h, dt), limit_jacobian_sparse(q, h, dt))
+    _assert_bands_equal(stepping_bands(m, q, 0.0, h, dt), flux_jacobian_sparse(m, q, 0.0, h, dt, 1.0))
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
