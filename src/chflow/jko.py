@@ -32,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import dx_forward, energy_report, pad_periodic
+from .functionals import dx_centered, dx_forward, energy_report, pad_periodic
 from .potential import PotentialSpec
 from .solvers import TrajectoryRecord, factorize, past_horizon, real_number, whole_number
-from .wasserstein1d import DensityField, QuantileRepr, to_density, to_quantiles
+from .wasserstein1d import DensityField, QuantileRepr, to_density
 
 __all__ = [
     "JkoConfig",
@@ -87,8 +87,24 @@ class JkoConfig:
 
 
 def particles_from_density(f: DensityField, m: int) -> np.ndarray:
-    """Equal-mass particle positions at mid-level quantiles."""
-    return to_quantiles(f, m).positions.copy()
+    """Equal-mass particles at the mid-level quantiles of a piecewise-linear f.
+
+    In cell j the reconstruction is f_j + s_j (x - x_j) / h, the centred slope
+    s_j limited to keep it nonnegative, so every cell keeps its mass.  With a
+    piecewise-constant f the gap densities would step at every cell edge, and
+    the eps term (curvature ~ eps^2 m^4) would smooth the steps at any tau.
+    """
+    v = f.values / np.mean(f.values)
+    slope = np.clip(dx_centered(v, 1.0), -2.0 * v, 2.0 * v)
+    cum = np.concatenate(([0.0], np.cumsum(v)))
+    levels = (np.arange(m) + 0.5) / m
+    cell = np.minimum(np.searchsorted(cum / cum[-1], levels, side="right") - 1, v.size - 1)
+    # across the cell the density is a + b u, u in [0, 1]: solve a u + b u^2 / 2 = r
+    a, b = (v - 0.5 * slope)[cell], slope[cell]
+    r = levels * cum[-1] - cum[cell]
+    root = a + np.sqrt(np.maximum(a * a + 2.0 * b * r, 0.0))
+    u = np.divide(2.0 * r, root, out=np.zeros(m), where=root > 0.0)
+    return (cell + u) / v.size
 
 
 def density_from_particles(positions, n: int) -> DensityField:
@@ -139,45 +155,50 @@ class _Objective:
         return 0.5 * float(d @ d) + self.tau_m * energy, grad, (energy, rho, span, slope)
 
 
-def _hessian_bands(state, objective, positive=True):
-    """The five bands (row o + 2 holds entry (j, j + o)) of I + tau m G^T B G.
+def _curvature(state, objective):
+    """The curvature B of E in the gaps, as (diagonal, aa, bb, ab).
 
-    B is the curvature of E in the gaps: m rho^3 W''(rho) on the diagonal, and
-    per eps term, with jump = rho_{i+1} - rho_i and span = g_i + g_{i+1}, the
-    block (2 eps^2/span) v v^T + 2 eps^2 (jump/span) diag(-2 m^2 rho_i^3,
+    The diagonal is m rho^3 W''(rho).  Eps term i, with jump = rho_{i+1} -
+    rho_i and span = g_i + g_{i+1}, has the block [[aa, ab], [ab, bb]] =
+    (2 eps^2/span) v v^T + 2 eps^2 (jump/span) diag(-2 m^2 rho_i^3,
     2 m^2 rho_{i+1}^3) in (g_i, g_{i+1}), v = (m rho_i^2, -m rho_{i+1}^2) -
-    jump/span.  With `positive`, W'' is clipped at zero and each block replaced
-    by its positive part (b (A - min(lo, 0) I) with lo, hi its eigenvalues and
-    b = (max(hi, 0) - max(lo, 0)) / (hi - lo)).
+    jump/span.
     """
     _, rho, span, slope = state
     m, eps2 = rho.size, objective.eps**2
     rho_next = pad_periodic(rho)[2:]
-    w2 = objective.spec.eval_W2(rho)
-    b0 = m * rho**3 * (np.maximum(w2, 0.0) if positive else w2)
     va, vb = m * rho * rho - slope, -m * rho_next * rho_next - slope
     c = 2.0 * eps2 / span
     aa = c * va * va - 4.0 * eps2 * slope * m * m * rho**3
     bb = c * vb * vb + 4.0 * eps2 * slope * m * m * rho_next**3
-    ab = c * va * vb
-    if positive:
-        mean, rad = 0.5 * (aa + bb), np.hypot(0.5 * (aa - bb), ab)
-        lo, hi = mean - rad, mean + rad
-        mixed = (lo < 0.0) & (hi > 0.0)
-        weight = np.where(lo >= 0.0, 1.0, np.where(mixed, hi, 0.0) / np.where(mixed, hi - lo, 1.0))
-        shift = np.minimum(lo, 0.0)
-        aa, bb, ab = weight * (aa - shift), weight * (bb - shift), weight * ab
-    b0 = b0 + aa + _lag(bb)
+    return m * rho**3 * objective.spec.eval_W2(rho), aa, bb, c * va * vb
+
+
+def _bands(tau_m, diag, aa, bb, ab):
+    """The five bands (row o + 2 holds entry (j, j + o)) of I + tau m G^T B G."""
+    b0 = diag + aa + _lag(bb)
     # (G^T B G)[j, j + 1] and [j, j + 2], with B[i, i + 1] = ab_i
     up1 = ab + _lag(ab) - b0
-    bands = objective.tau_m * np.stack([_lag(_lag(-ab)), _lag(up1), b0 + _lag(b0) - 2.0 * _lag(ab), up1, -ab])
+    bands = tau_m * np.stack([_lag(_lag(-ab)), _lag(up1), b0 + _lag(b0) - 2.0 * _lag(ab), up1, -ab])
     bands[2] += 1.0
     return bands
 
 
 def _newton_direction(state, grad, objective):
-    """Solve H+ s = -grad through the one LU (`factorize`)."""
-    return factorize(_hessian_bands(state, objective)).solve(-grad)
+    """Solve H+ s = -grad through the one LU (`factorize`).
+
+    H+ clips W'' at zero and replaces each eps block by its positive part
+    b (A - min(lo, 0) I), lo and hi its eigenvalues, b = (max(hi, 0) -
+    max(lo, 0)) / (hi - lo).
+    """
+    diag, aa, bb, ab = _curvature(state, objective)
+    mean, rad = 0.5 * (aa + bb), np.hypot(0.5 * (aa - bb), ab)
+    lo, hi = mean - rad, mean + rad
+    mixed = (lo < 0.0) & (hi > 0.0)
+    weight = np.where(lo >= 0.0, 1.0, np.where(mixed, hi, 0.0) / np.where(mixed, hi - lo, 1.0))
+    shift = np.minimum(lo, 0.0)
+    bands = _bands(objective.tau_m, np.maximum(diag, 0.0), weight * (aa - shift), weight * (bb - shift), weight * ab)
+    return factorize(bands).solve(-grad)
 
 
 def _minimize(objective, tol, max_iter):

@@ -5,9 +5,10 @@ np.interp on the piecewise-linear CDF, and the circle distance is minimized
 by exhaustive assignment (all cyclic shifts of sorted particles, optionally
 cross-checked by the Hungarian algorithm over every permutation).  The
 particle density's cell averages sum gap-cell overlaps one pair at a time,
+the piecewise-linear reconstruction's CDF sums whole cells one at a time,
 the gap movement functional and its positive-part Hessian are written term
 by term in loops and assembled densely, the movement step is an L-BFGS-B
-search on that functional, the guarded
+search or a dense Newton iteration on that functional, the guarded
 potentials evaluate through Polynomial.__call__, the stepping
 matrices are chains of scipy.sparse sums and products, the periodic
 convolution is a direct sum of shifted copies, and the implicit step's
@@ -106,6 +107,22 @@ def particle_cell_averages(positions, n):
     return values
 
 
+def piecewise_linear_cdf(values, x):
+    """CDF at x in [0, 1) of the reconstruction that is v_j + s_j (t - 1/2) on
+    cell j (t in [0, 1] across the cell, v normalised to mean 1), with the
+    centred slope s_j = (v_{j+1} - v_{j-1}) / 2 clipped to [-2 v_j, 2 v_j];
+    whole cells summed one at a time, the partial cell integrated in closed form."""
+    v = [float(a) for a in np.asarray(values, dtype=float) / np.mean(values)]
+    n = len(v)
+    out = []
+    for point in x:
+        j = min(int(point * n), n - 1)
+        s = min(max(0.5 * (v[(j + 1) % n] - v[j - 1]), -2.0 * v[j]), 2.0 * v[j])
+        t = point * n - j
+        out.append((sum(v[:j]) + (v[j] - 0.5 * s) * t + 0.5 * s * t * t) / n)
+    return np.array(out)
+
+
 def _gap_state(d, anchor, spec):
     m = len(d)
     gaps = [(anchor[(i + 1) % m] - anchor[i]) + (d[(i + 1) % m] - d[i]) for i in range(m)]
@@ -185,6 +202,26 @@ def minimize_lbfgs(objective, m, tol, max_iter, scale):
     if not value <= anchor_value:
         return np.zeros(m), {"objective": anchor_value, "grad_scaled": float("inf"), "iterations": int(res.nit)}
     return d, {"objective": value, "grad_scaled": float(np.max(np.abs(grad))), "iterations": int(res.nit)}
+
+
+def newton_dense(objective, hessian, m, tol, max_iter):
+    """The movement step on the displacement d by Newton's method from d = 0:
+    each direction solves the dense H+ system with np.linalg.solve, and the
+    step is halved until the objective decreases."""
+    d = np.zeros(m)
+    value, grad = objective(d)
+    for _ in range(max_iter):
+        if np.max(np.abs(grad)) <= tol:
+            break
+        step = np.linalg.solve(hessian(d), -grad)
+        for k in range(60):
+            trial_value, trial_grad = objective(d + 0.5**k * step)
+            if trial_value < value:
+                break
+        else:
+            break
+        d, value, grad = d + 0.5**k * step, trial_value, trial_grad
+    return d, {"objective": value, "grad_scaled": float(np.max(np.abs(grad)))}
 
 
 def guarded_polynomial(poly, lo, hi):

@@ -18,12 +18,21 @@ from chflow.jko import (
     simulate_jko,
     write_ledger_csv,
 )
-from chflow.jko import _hessian_bands, _Objective, _newton_direction
+from chflow.jko import _bands, _curvature, _Objective, _newton_direction
 from chflow.potential import from_polynomial, make_potential
 from chflow.solvers import SolverConfig, simulate_eps
 from chflow.wasserstein1d import DensityField, w2_periodic
 
-from oracles import bands_sparse, gap_objective, gap_positive_hessian, minimize_lbfgs, particle_cell_averages
+from oracles import (
+    bands_sparse,
+    gap_objective,
+    gap_positive_hessian,
+    minimize_lbfgs,
+    newton_dense,
+    particle_cell_averages,
+    piecewise_linear_cdf,
+    vacuum_field,
+)
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +90,16 @@ def test_objective_and_density_match_loop_references(cubic):
         assert _close(grad, grad_ref, 1e-11)
 
 
+def test_particles_sit_at_quantiles_of_the_piecewise_linear_density():
+    # vacuum cells and the cells beside them exercise the slope limiter
+    rng = np.random.default_rng(3)
+    levels = (np.arange(300) + 0.5) / 300
+    for f in (_cosine_field(128, 0.3), DensityField(vacuum_field(rng, 64)), DensityField(vacuum_field(rng, 97))):
+        x = particles_from_density(f, 300)
+        assert np.all(np.diff(x) > 0.0) and 0.0 <= x[0] and x[-1] < 1.0
+        assert np.max(np.abs(piecewise_linear_cdf(f.values, x) - levels)) <= 1e-13
+
+
 def test_uniform_is_fixed_point_of_convex_well():
     quartic = from_polynomial([0.0, 0.0, 0.0, 0.0, 1.0], name="pure-quartic")
     f = DensityField(np.ones(128))
@@ -114,7 +133,7 @@ def test_unclipped_hessian_matches_finite_differences(cubic):
     objective = _Objective(anchor, tau_eff=1e-3, eps=0.08, spec=cubic)
     _, _, state = objective.evaluate(d)
     assert np.min(cubic.eval_W2(state[1])) < 0.0
-    hess = bands_sparse(_hessian_bands(state, objective, positive=False)).toarray()
+    hess = bands_sparse(_bands(objective.tau_m, *_curvature(state, objective))).toarray()
     bump = 1e-7  # the error is the O(bump^2) truncation: 2.5e-9 relative here, 2.5e-7 at 1e-6
     fd = np.zeros_like(hess)
     for i in range(d.size):
@@ -190,11 +209,27 @@ def test_newton_step_matches_lbfgs_oracle(cubic):
         assert np.max(np.abs(x - (positions + d_ref))) <= 1e-6
 
 
+def test_newton_step_matches_dense_newton_oracle_at_workload_size(cubic):
+    # m = 512, the particle count of criterion 4, where L-BFGS-B cannot serve
+    m = 512
+    positions = particles_from_density(_cosine_field(128, 0.3), m)
+    for tau in (2.5e-3, 1.25e-3, 6.25e-4):
+        cfg = JkoConfig(tau=tau, m=m, inner_tol=1e-9)
+        x, info = jko_step_positions(positions, cfg, 0.1, cubic)
+        objective = lambda d: gap_objective(d, positions, tau, 0.1, cubic)  # noqa: E731
+        hessian = lambda d: gap_positive_hessian(d, positions, tau, 0.1, cubic)  # noqa: E731
+        assert objective(x - positions)[0] == pytest.approx(info["objective"], rel=1e-13)
+        d_ref, ref = newton_dense(objective, hessian, m, cfg.inner_tol, 50)
+        assert ref["grad_scaled"] <= cfg.inner_tol
+        assert abs(info["objective"] - ref["objective"]) <= 1e-12
+        assert np.max(np.abs(x - (positions + d_ref))) <= 1e-9
+
+
 def test_newton_reaches_tight_tolerance_on_criterion_4_first_step(cubic):
     # L-BFGS-B is still at |grad| 1.6e-2 after 2000 iterations on the tau = 2.5e-3 step
     n, m = 128, 512
     positions = particles_from_density(_cosine_field(n, 0.3), m)
-    for tau, iterations in ((2.5e-3, 8), (1.25e-3, 7), (6.25e-4, 6)):
+    for tau, iterations in ((2.5e-3, 6), (1.25e-3, 5), (6.25e-4, 4)):
         _, info = jko_step_positions(positions, JkoConfig(tau=tau, m=m, inner_tol=1e-9), 0.1, cubic)
         assert info["converged"] and info["grad_scaled"] <= 1e-9
         assert info["iterations"] == iterations
@@ -257,11 +292,9 @@ def test_de_giorgi_interpolant_family(cubic):
     n, eps = 128, 0.1
     f0 = _cosine_field(n, 0.3)
     cfg = JkoConfig(tau=2e-3, m=256)
-    # s -> 0: transport dominates, nothing moves beyond requantization; the eps
-    # term's curvature at the particle scale grows like eps^2 m^4, so already
-    # s = 1e-9 smooths the cell-to-cell steps quantizing f0 leaves (w2 8e-7)
+    # s -> 0: transport dominates, nothing moves beyond requantization
     baseline = density_from_particles(particles_from_density(f0, cfg.m), n)
-    near_zero = de_giorgi_interpolant(f0, 1e-10, cfg, eps, cubic)
+    near_zero = de_giorgi_interpolant(f0, 1e-9, cfg, eps, cubic)
     assert w2_periodic(baseline, near_zero) < 1e-7
     # s = tau reproduces the full step
     pos = particles_from_density(f0, cfg.m)
@@ -283,7 +316,9 @@ def test_step_rejects_unordered_particles(cubic):
     base = particles_from_density(_cosine_field(128, 0.3), 256)
     crossed = base.copy()
     crossed[[10, 11]] = crossed[[11, 10]]
-    for bad in (crossed, np.concatenate((base[:-1], [base[0] + 1.0]))):
+    # the last particle on the first one's periodic image: a zero wrapping gap
+    full_period = np.concatenate((base[:-1] - base[0], [1.0]))
+    for bad in (crossed, full_period):
         with pytest.raises(ValueError, match="strictly increasing"):
             jko_step_positions(bad, JkoConfig(tau=1e-3, m=256), 0.1, cubic)
 
