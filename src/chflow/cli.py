@@ -12,7 +12,7 @@ import sys
 from dataclasses import asdict
 
 from .diagnostics import dissipation_audit
-from .harness import jsonable, load_config, run_single, run_sweep
+from .harness import MODES, jsonable, load_config, run_single, run_sweep
 from .potential import (
     HypothesisViolation,
     canonical_names,
@@ -127,7 +127,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="run one trajectory and persist artifacts")
-    p_sim.add_argument("--mode", required=True, choices=("eps", "limit", "jko", "nonlocal"))
+    p_sim.add_argument("--mode", required=True, choices=MODES)
     p_sim.add_argument("--config", required=True, help="path to a JSON experiment config")
     p_sim.set_defaults(func=_cmd_simulate)
 

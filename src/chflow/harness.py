@@ -21,7 +21,7 @@ import scipy
 from . import __version__
 from .diagnostics import energy_dissipation_audit, well_preparedness, wrinkling_report
 from .jko import JkoConfig, jko_step_count, simulate_jko, write_ledger_csv
-from .nonlocal_model import compare_local_nonlocal, make_kernel, simulate_nonlocal
+from .nonlocal_model import compare_local_nonlocal, simulate_nonlocal
 from .potential import (
     HypothesisViolation,
     compute_unstable_set,
@@ -34,6 +34,7 @@ from .wasserstein1d import DensityField, w2_periodic
 __all__ = [
     "ExperimentConfig",
     "InitialData",
+    "MODES",
     "SweepReport",
     "SweepRow",
     "collect_versions",
@@ -48,7 +49,7 @@ __all__ = [
     "write_manifest",
 ]
 
-_MODES = ("eps", "limit", "jko", "nonlocal")
+MODES = ("eps", "limit", "jko", "nonlocal")
 _WRINKLE_ETA = 0.05
 _WRINKLE_DELTA = 0.125
 
@@ -372,8 +373,8 @@ def run_single(cfg, mode):
     ledger and a cross-validation table against the regularized solver,
     cubic nonlocal runs add the matched local comparison.
     """
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
     spec, unstable = _potential_of(cfg)
     times = cfg.times()
     f0 = generate_initial(cfg.initial_data.name, cfg.initial_data.params, cfg.solver.n)
@@ -385,7 +386,7 @@ def run_single(cfg, mode):
     if mode == "eps":
         record = simulate_eps(f0, cfg.solver, spec, output_times=times)
     elif mode == "limit":
-        limit_cfg = replace(cfg.solver, eps=0.0)
+        limit_cfg = replace(cfg.solver, eps=0.0, theta_scheme=1.0)
         record = simulate_limit(f0, limit_cfg, spec.envelope, output_times=times)
     elif mode == "jko":
         if cfg.jko is None:
@@ -402,10 +403,9 @@ def run_single(cfg, mode):
                 fh.write(f"{float(t)!r},{w2_periodic(a, b)!r}\n")
         outputs.append(cross_path)
     else:
-        kern = make_kernel()
-        record = simulate_nonlocal(f0, cfg.solver, kern, spec, output_times=times)
+        record = simulate_nonlocal(f0, cfg.solver, spec, output_times=times)
         if getattr(spec, "name", None) == "cubic-motivation":
-            comparison = compare_local_nonlocal(record, cfg.solver, kern, spec)
+            comparison = compare_local_nonlocal(record, cfg.solver, spec)
             cmp_path = out_dir / "comparison.json"
             with open(cmp_path, "w") as fh:
                 json.dump(asdict(comparison), fh, indent=2, sort_keys=True)
@@ -519,7 +519,7 @@ def run_sweep(cfg):
             report={"rows": [tuple(map(float, row)) for row in prep.rows]},
         )
 
-    limit_cfg = replace(cfg.solver, n=n_limit, eps=0.0)
+    limit_cfg = replace(cfg.solver, n=n_limit, eps=0.0, theta_scheme=1.0)
     limit_rec = simulate_limit(f0_limit, limit_cfg, spec.envelope, output_times=times)
     if not limit_rec.completed:
         abort_t = next(ev["t"] for ev in limit_rec.events if ev["type"] == "abort")

@@ -12,8 +12,8 @@ across the period (Gosse & Toscani, SISC 28, 2006; Matthes & Osberger, M2AN
 
 over displacements d that keep every gap positive, which is the set of
 ordered configurations spanning less than one period.  This is m/2 times the
-mean-square form (1/m)|d|^2 + 2 tau E, so `inner_tol` bounds ||grad||_inf,
-the per-particle force imbalance in displacement units.
+mean-square form (1/m)|d|^2 + 2 tau E, so the constant `_INNER_TOL` bounds
+||grad||_inf, the per-particle force imbalance in displacement units.
 
 The inner minimization is a damped Newton iteration on the positive part
 H+ = I + tau m G^T B+ G of the Hessian, with G the cyclic gap difference and
@@ -52,6 +52,8 @@ __all__ = [
 
 _ARMIJO = 1e-4  # sufficient-decrease fraction of the Newton slope
 _MAX_HALVINGS = 40
+_INNER_TOL = 1e-6
+_INNER_MAX = 2000
 
 
 class JkoConvergenceFailure(RuntimeError):
@@ -70,20 +72,14 @@ class JkoConvergenceFailure(RuntimeError):
 class JkoConfig:
     tau: float
     m: int = 256
-    inner_tol: float = 1e-6
-    inner_max: int = 2000
 
     def __post_init__(self):
         object.__setattr__(self, "m", whole_number(self.m, "m"))
-        object.__setattr__(self, "inner_max", whole_number(self.inner_max, "inner_max"))
         object.__setattr__(self, "tau", real_number(self.tau, "tau"))
-        object.__setattr__(self, "inner_tol", real_number(self.inner_tol, "inner_tol"))
         if self.tau <= 0.0:
             raise ValueError("tau must be positive")
         if self.m < 64:
             raise ValueError("need at least 64 particles")
-        if self.inner_tol <= 0.0 or self.inner_max < 10:
-            raise ValueError("inner_tol must be positive and inner_max at least 10")
 
 
 def particles_from_density(f: DensityField, m: int) -> np.ndarray:
@@ -201,23 +197,23 @@ def _newton_direction(state, grad, objective):
     return factorize(bands).solve(-grad)
 
 
-def _minimize(objective, tol, max_iter):
+def _minimize(objective):
     """Damped Newton on H+ from the anchor (d = 0); returns the displacement and the info.
 
     Each iteration solves H+ s = -grad and backtracks from the full step,
     halving until the Armijo condition holds at a trial with every gap
     positive, so every accepted iterate is ordered and spans less than one
-    period.  Convergence is declared on ||grad||_inf.  At the roundoff floor
-    the Newton slope need not be negative, and Armijo can then accept a tiny
-    rise above the stay-put value; the anchor is returned instead, with
-    grad_scaled = inf.
+    period.  It stops at ||grad||_inf <= `_INNER_TOL` or `_INNER_MAX` steps.
+    At the roundoff floor the Newton slope need not be negative, and Armijo
+    can then accept a tiny rise above the stay-put value; the anchor is
+    returned instead, with grad_scaled = inf.
     """
     m = objective.gaps.size
     d = np.zeros(m)
     value, grad, state = objective.evaluate(d)
     anchor_value, anchor_state = value, state
     iterations = halvings = 0
-    while float(np.max(np.abs(grad))) > tol and iterations < max_iter:
+    while float(np.max(np.abs(grad))) > _INNER_TOL and iterations < _INNER_MAX:
         step = _newton_direction(state, grad, objective)
         slope = float(grad @ step)
         for k in range(_MAX_HALVINGS):
@@ -239,7 +235,7 @@ def _minimize(objective, tol, max_iter):
     else:
         grad_scaled = float(np.max(np.abs(grad)))
     info = {
-        "converged": grad_scaled <= tol,
+        "converged": grad_scaled <= _INNER_TOL,
         "iterations": iterations,
         "line_search_halvings": halvings,
         "objective": float(value),
@@ -265,7 +261,7 @@ def jko_step_positions(prev_positions, cfg: JkoConfig, eps: float, spec: Potenti
     objective = _Objective(anchor, min(tau_eff, cfg.tau), eps, spec)
     if not np.all(objective.gaps > 0.0):
         raise ValueError("particle positions must be strictly increasing and span less than one period")
-    d, info = _minimize(objective, cfg.inner_tol, cfg.inner_max)
+    d, info = _minimize(objective)
     x = anchor + d
     if not info["converged"]:
         raise JkoConvergenceFailure(

@@ -9,6 +9,7 @@ local flow does, so one run serves as the record and as the comparison's
 nonlocal side.
 """
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,7 +22,6 @@ __all__ = [
     "KernelSpec",
     "ComparisonReport",
     "make_kernel",
-    "kernel_moments",
     "kernel_on_grid",
     "convolve_periodic",
     "step_nonlocal",
@@ -64,14 +64,10 @@ def make_kernel():
     return KernelSpec(profile=profile, k0=k0, name="bump")
 
 
-def kernel_moments(kern, n_samples=8193):
-    """(mass, k0) of the profile recomputed at a given quadrature resolution."""
-    xs = np.linspace(-0.5, 0.5, int(n_samples))
-    vals = kern.profile(xs)
-    return float(np.trapezoid(vals, xs)), 0.5 * float(np.trapezoid(xs**2 * vals, xs))
+_kernel = functools.cache(make_kernel)  # the model's one kernel, built on first use, not at import
 
 
-def kernel_on_grid(kern, eps, n):
+def kernel_on_grid(eps, n):
     """Periodic samples of K_eps = profile(./eps)/eps, renormalized exactly.
 
     Entry j holds the kernel at signed wrap offset j*h (fft layout); the
@@ -85,7 +81,7 @@ def kernel_on_grid(kern, eps, n):
     h = 1.0 / n
     idx = np.arange(n)
     offsets = np.where(idx <= n // 2, idx, idx - n) * h
-    vals = kern.profile(offsets / eps) / eps
+    vals = _kernel().profile(offsets / eps) / eps
     return vals / (np.sum(vals) * h)
 
 
@@ -94,7 +90,7 @@ def convolve_periodic(values, kernel_values, h):
     return np.fft.irfft(np.fft.rfft(values) * np.fft.rfft(kernel_values), values.size) * h
 
 
-def _advance_nonlocal_implicit(vals, h, dt, k_grid, kern, cfg, t, events):
+def _advance_nonlocal_implicit(vals, h, dt, k_grid, cfg, t, events):
     """One backward-Euler step with the convolution kept exact.
 
     The Jacobian replaces the convolution by its thin-interface surrogate
@@ -106,23 +102,23 @@ def _advance_nonlocal_implicit(vals, h, dt, k_grid, kern, cfg, t, events):
     def mu(v):
         return 0.5 * v * v - convolve_periodic(v, k_grid, h)
 
-    eps2k0 = cfg.eps * cfg.eps * kern.k0
+    eps2k0 = cfg.eps * cfg.eps * _kernel().k0
     return implicit_flux_step(vals, h, dt, 1.0, mu, lambda v: v - 1.0, eps2k0, cfg, t, events)
 
 
-def _kernel_for(f, cfg, kern, caller):
-    """K_eps on f's grid, once cfg is checked to have eps > 0 and f's resolution."""
-    if cfg.eps <= 0.0:
-        raise ValueError(f"{caller} needs eps > 0")
+def _kernel_for(f, cfg, caller):
+    """K_eps on f's grid, once cfg is checked to have eps > 0, theta 1 and f's resolution."""
+    if cfg.eps <= 0.0 or cfg.theta_scheme != 1.0:
+        raise ValueError(f"{caller} needs eps > 0 and backward Euler (theta_scheme = 1)")
     if f.n != cfg.n:
         raise ValueError("field resolution does not match config")
-    return kernel_on_grid(kern, cfg.eps, cfg.n)
+    return kernel_on_grid(cfg.eps, cfg.n)
 
 
-def step_nonlocal(f: DensityField, cfg: SolverConfig, kern) -> DensityField:
+def step_nonlocal(f: DensityField, cfg: SolverConfig) -> DensityField:
     """Advance the aggregation model by one backward-Euler step of size cfg.dt."""
-    k_grid = _kernel_for(f, cfg, kern, "step_nonlocal")
-    return DensityField(_advance_nonlocal_implicit(f.values, f.h, cfg.dt, k_grid, kern, cfg, 0.0, []))
+    k_grid = _kernel_for(f, cfg, "step_nonlocal")
+    return DensityField(_advance_nonlocal_implicit(f.values, f.h, cfg.dt, k_grid, cfg, 0.0, []))
 
 
 def _energy_values(vals, h, k_grid, spec):
@@ -133,25 +129,26 @@ def _energy_values(vals, h, k_grid, spec):
     return seminorm + float(np.sum(spec.eval_W(vals)) * h), seminorm
 
 
-def energy_nonlocal(f: DensityField, eps, kern, spec, split=False):
+def energy_nonlocal(f: DensityField, eps, spec, split=False):
     """Aggregation energy: bulk W plus the mollified interaction seminorm."""
-    k_grid = kernel_on_grid(kern, eps, f.n)
+    k_grid = kernel_on_grid(eps, f.n)
     total, seminorm = _energy_values(f.values, f.h, k_grid, spec)
     return (total, seminorm) if split else total
 
 
-def simulate_nonlocal(f0, cfg, kern, spec, output_times=None):
+def simulate_nonlocal(f0, cfg, spec, output_times=None):
     """Drive the aggregation model by backward Euler with the adaptive-dt trajectory loop.
 
     Reports carry the model energy in e_eps and the relaxed bulk energy in
     e_star; the local slope surrogates do not transfer to this model, so the
     slope columns are recorded as zero.
     """
-    k_grid = _kernel_for(f0, cfg, kern, "simulate_nonlocal")
+    k_grid = _kernel_for(f0, cfg, "simulate_nonlocal")
+    kern = _kernel()
     h = f0.h
 
     def advance(vals, h_, dt, t, events):
-        return _advance_nonlocal_implicit(vals, h_, dt, k_grid, kern, cfg, t, events)
+        return _advance_nonlocal_implicit(vals, h_, dt, k_grid, cfg, t, events)
 
     def energy_of(vals):
         return _energy_values(vals, h, k_grid, spec)[0]
@@ -181,7 +178,7 @@ class ComparisonReport:
     sup_local: float
 
 
-def compare_local_nonlocal(record, cfg, kern, spec):
+def compare_local_nonlocal(record, cfg, spec):
     """d2 gaps between a nonlocal run and the matched local run, at the run's output times.
 
     `record` is the `simulate_nonlocal` run under the SolverConfig `cfg`;
@@ -194,14 +191,15 @@ def compare_local_nonlocal(record, cfg, kern, spec):
     """
     if getattr(spec, "name", None) != "cubic-motivation":
         raise ValueError("the comparison is calibrated for the cubic-motivation potential")
-    eps_eff = cfg.eps * float(np.sqrt(kern.k0))
+    k0 = _kernel().k0
+    eps_eff = cfg.eps * float(np.sqrt(k0))
     local_cfg = replace(cfg, eps=eps_eff, theta_scheme=1.0)
     rec_loc = simulate_eps(record.snapshots[0], local_cfg, spec, output_times=record.times)
     gaps = tuple(w2_periodic(a, b) for a, b in zip(record.snapshots, rec_loc.snapshots))
     return ComparisonReport(
         eps=float(cfg.eps),
         eps_eff=float(eps_eff),
-        k0=float(kern.k0),
+        k0=float(k0),
         times=tuple(float(t) for t in record.times),
         gaps=gaps,
         sup_nonlocal=max(float(np.max(s.values)) for s in record.snapshots),

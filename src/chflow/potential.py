@@ -128,7 +128,7 @@ def _guarded_callables(poly, lo, hi):
     return tuple(partial(_continued, coefs, lo, hi) for coefs in ((c0, c1, c2), (c1, c2), (c2,)))
 
 
-def from_polynomial(coefficients, name="custom", max_density=2.0):
+def from_polynomial(coefficients, name="custom"):
     """Build a :class:`PotentialSpec` from polynomial coefficients.
 
     Parameters
@@ -137,12 +137,12 @@ def from_polynomial(coefficients, name="custom", max_density=2.0):
         Coefficients c0 + c1*x + c2*x^2 + ...  The affine part (c0, c1) is
         dropped to enforce the normalization W(0) = W'(0) = 0; it affects no
         flux and no envelope geometry.
-    max_density : float
-        Largest density value the caller expects to feed in.  The working
-        window [0, max(3*m0, 2*max_density, b + 1)], b the right end of the
-        last unstable band, covers that band with margin; m0 and b come from
-        a provisional window past every critical and inflection point.  The
-        spec carries the envelope of the final window.
+
+    The working window [0, max(3*m0, 4, b + 1)], b the right end of the last
+    unstable band, covers that band with margin and densities up to 2 twice
+    over; m0 and b come from a provisional window [0, 8] or wider, past every
+    critical and inflection point.  The spec carries the envelope of the
+    final window.
     """
     c = np.array(coefficients, dtype=float)
     if c.size < 1:
@@ -152,10 +152,10 @@ def from_polynomial(coefficients, name="custom", max_density=2.0):
     c[1] = 0.0
     poly = Polynomial(c)
 
-    provisional = _spec_from_poly(poly, name, _provisional_window(poly, max_density))
+    provisional = _spec_from_poly(poly, name, _provisional_window(poly))
     uset0 = compute_unstable_set(provisional.envelope, max_intervals=64)
     last_band_end = float(uset0.intervals[-1, 1])
-    domain_max = max(3.0 * uset0.m0, 2.0 * max_density, last_band_end + 1.0)
+    domain_max = max(3.0 * uset0.m0, 4.0, last_band_end + 1.0)
     return _spec_from_poly(poly, name, float(domain_max))
 
 
@@ -165,9 +165,9 @@ def _spec_from_poly(poly, name, domain_max):
                          domain_max=domain_max)
 
 
-def _provisional_window(poly, max_density):
+def _provisional_window(poly):
     """Window guaranteed to reach past the last inflection and critical point."""
-    hi = max(8.0, 2.0 * max_density)
+    hi = 8.0
     for q in (poly.deriv(1), poly.deriv(2) if poly.degree() >= 2 else None):
         if q is None or q.degree() < 1:
             continue
@@ -288,17 +288,16 @@ def _widen_bracket(g, lo, hi, floor, ceil, max_steps=60):
     return lo, hi
 
 
-def compute_convex_envelope(spec, n_samples=2048):
+def compute_convex_envelope(spec):
     """Convex envelope of W on [0, domain_max].
 
-    Samples the graph, takes the lower convex hull, classifies hull edges as
-    graph contact or bridges, and refines every bridge's contact points by
-    bisection.  An edge is a bridge only when the graph rises above its chord
-    by more than 1e-9 of the sampled range of W (1e-39 for a flat W);
-    shallower edges are flat stretches of W itself.
+    Samples the graph at 2048 points, takes the lower convex hull, classifies
+    hull edges as graph contact or bridges, and refines every bridge's
+    contact points by bisection.  An edge is a bridge only when the graph
+    rises above its chord by more than 1e-9 of the sampled range of W (1e-39
+    for a flat W); shallower edges are flat stretches of W itself.
     """
-    n_samples = max(int(n_samples), 64)
-    x = np.linspace(0.0, spec.domain_max, n_samples)
+    x = np.linspace(0.0, spec.domain_max, 2048)
     y = spec.eval_W(x)
     contact_tol = 1e-9 * max(float(y.max() - y.min()), 1e-30)
 
@@ -314,7 +313,7 @@ def compute_convex_envelope(spec, n_samples=2048):
         if float((ys - chord).max()) <= contact_tol:
             continue  # flat stretch of W itself, not a true bridge
         a, b = _refine_bridge(spec, 0.0, spec.domain_max, x[p], x[q], dx,
-                              interior_lo=(p > 0), interior_hi=(q < n_samples - 1))
+                              interior_lo=(p > 0), interior_hi=(q < x.size - 1))
         bridges.append((float(a), float(b)))
 
     segments = []

@@ -218,7 +218,7 @@ def stepping_bands(m, c, stiffness, h, dt_theta):
     return prod
 
 
-def newton(vals, residual_fn, jacobian_fn, tol, max_iter):
+def newton(vals, residual_fn, jacobian_fn, tol):
     """Chord Newton: factorise the Jacobian at the first iterate and reuse the
     LU for every correction, refreshing it at the current iterate only when a
     step fails to halve the residual (Deuflhard 2004, simplified Newton).
@@ -226,7 +226,7 @@ def newton(vals, residual_fn, jacobian_fn, tol, max_iter):
     f is accepted once its residual or its simplified correction lu.solve(r),
     which is also the next chord step, is below tol * (1 + max |f|)
     (Deuflhard 2004; Kelley 2003).  StepFailure is raised when a step taken
-    with a fresh factor does not lower the residual, or after max_iter steps.
+    with a fresh factor does not lower the residual, or after 50 steps.
     """
     f = vals.copy()
     r = residual_fn(f)
@@ -235,7 +235,7 @@ def newton(vals, residual_fn, jacobian_fn, tol, max_iter):
         return f
     lu = factorize(jacobian_fn(f))
     step, fresh = lu.solve(r), True
-    for _ in range(max_iter):
+    for _ in range(50):
         f = f - step
         r = residual_fn(f)
         norm_new = float(np.max(np.abs(r)))
@@ -278,8 +278,8 @@ def implicit_flux_step(vals, h, dt, theta, potential, curvature, stiffness, cfg,
     linearisation mu' = diag(c) - stiffness * Dxx.  The Jacobian lags the
     mobility, I - dt theta M(v) (diag(c(v)) - stiffness L): the derivative of
     m is dropped, the flux in the residual is kept exact.  Newton's tolerance
-    comes from cfg and Newton gets 50 iterations; a negative result is
-    clipped and renormalized (`enforce_positivity`).
+    comes from cfg; a negative result is clipped and renormalized
+    (`enforce_positivity`).
     """
     explicit = (1.0 - theta) * divergence_of_flux(vals, potential(vals), h) if theta < 1.0 else 0.0
 
@@ -289,7 +289,7 @@ def implicit_flux_step(vals, h, dt, theta, potential, curvature, stiffness, cfg,
     def jacobian(v):
         return stepping_bands(mobility_faces(v), curvature(v), stiffness, h, dt * theta)
 
-    out = newton(vals, residual, jacobian, cfg.newton_tol, 50)
+    out = newton(vals, residual, jacobian, cfg.newton_tol)
     return enforce_positivity(out, h, t, events)
 
 
@@ -313,7 +313,7 @@ def _advance_limit(vals, h, dt, cfg, env, t, events):
         # Q**'' = v W**''(v) >= 0 on the admissible range; clamp strays
         return stepping_bands(np.ones_like(v), np.maximum(0.0, v * env.eval_Wss2(v)), 0.0, h, dt)
 
-    out = newton(vals, residual, jacobian, cfg.newton_tol, 50)
+    out = newton(vals, residual, jacobian, cfg.newton_tol)
     return enforce_positivity(out, h, t, events)
 
 
@@ -326,10 +326,15 @@ def step_eps(f: DensityField, cfg: SolverConfig, spec: PotentialSpec) -> Density
     return DensityField(_advance_eps(f.values, f.h, cfg.dt, cfg, spec, 0.0, []))
 
 
+def _check_limit_config(cfg, caller):
+    """ValueError unless cfg is the relaxed flow's one scheme: eps = 0, backward Euler."""
+    if cfg.eps != 0.0 or cfg.theta_scheme != 1.0:
+        raise ValueError(f"{caller} requires eps = 0 and backward Euler (theta_scheme = 1)")
+
+
 def step_limit(f: DensityField, cfg: SolverConfig, env: ConvexEnvelope) -> DensityField:
     """Advance the relaxed flow by one backward-Euler step of size cfg.dt."""
-    if cfg.eps != 0.0:
-        raise ValueError("step_limit requires eps = 0")
+    _check_limit_config(cfg, "step_limit")
     if f.n != cfg.n:
         raise ValueError("field resolution does not match config")
     return DensityField(_advance_limit(f.values, f.h, cfg.dt, cfg, env, 0.0, []))
@@ -341,8 +346,8 @@ def step_limit_values(values, h, dt, cfg, env):
     Used for scheme studies (comparison principle on ordered data of
     unequal mass) where the unit-mass container does not apply.
     """
-    events = []
-    return _advance_limit(np.asarray(values, dtype=float), h, dt, cfg, env, 0.0, events)
+    _check_limit_config(cfg, "step_limit_values")
+    return _advance_limit(np.asarray(values, dtype=float), h, dt, cfg, env, 0.0, [])
 
 
 def past_horizon(t, t_end):
@@ -467,8 +472,7 @@ def simulate_limit(
     the gap column is identically zero; the discrete energy-equality
     residuals are `diagnostics.energy_dissipation_audit(record).residuals`.
     """
-    if cfg.eps != 0.0:
-        raise ValueError("simulate_limit requires eps = 0")
+    _check_limit_config(cfg, "simulate_limit")
     if f0.n != cfg.n:
         raise ValueError("field resolution does not match config")
     h0 = f0.h

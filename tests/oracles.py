@@ -288,6 +288,13 @@ def convolve_direct(values, kernel_values, h):
     return out * h
 
 
+def kernel_moments(kern, n_samples):
+    """(mass, k0) of a kernel profile by the trapezoid rule on n_samples points of [-1/2, 1/2]."""
+    xs = np.linspace(-0.5, 0.5, int(n_samples))
+    vals = kern.profile(xs)
+    return float(np.trapezoid(vals, xs)), 0.5 * float(np.trapezoid(xs**2 * vals, xs))
+
+
 def bands_sparse(bands):
     """CSC matrix with entry (j, (j+o) mod n) from row o + w of the (2w+1, n) bands, from COO."""
     n = bands.shape[1]
@@ -297,17 +304,17 @@ def bands_sparse(bands):
     return sp.csc_matrix((bands.ravel(), (rows, cols)), shape=(n, n))
 
 
-def newton_fresh_jacobian(vals, residual_fn, jacobian_fn, tol, max_iter):
+def newton_fresh_jacobian(vals, residual_fn, jacobian_fn, tol):
     """Full-step Newton with a Jacobian factorised afresh at every iterate,
-    under the library's stopping rule: accept f once its residual or its
-    simplified correction is below tol * (1 + max |f|); StepFailure when a
-    step neither converges nor lowers the residual."""
+    under the library's stopping rule and cap: accept f once its residual or
+    its simplified correction is below tol * (1 + max |f|); StepFailure when
+    a step neither converges nor lowers the residual, or after 50 steps."""
     f = vals.copy()
     r = residual_fn(f)
     norm = float(np.max(np.abs(r)))
     if norm < tol * (1.0 + float(np.max(np.abs(f)))):
         return f
-    for _ in range(max_iter):
+    for _ in range(50):
         lu = spla.splu(bands_sparse(jacobian_fn(f)))
         f = f - lu.solve(r)
         r = residual_fn(f)

@@ -1,14 +1,18 @@
 """The benchmark under perfbench/ reaches chflow by name: its tracer looks up
-the functions of `LAYERS` in each module, and the workloads and single-step
-probes call `m.<module>.<name>` on a namespace of chflow modules.  A rename in
-chflow would fail only there, outside this suite's test paths, so every such
-name is resolved here from the benchmark's source, without importing it."""
+the functions of `LAYERS` in each module and replaces the evaluator fields
+`_SPEC_FIELDS` and `_ENV_FIELDS` on potentials and envelopes, and the
+workloads and single-step probes call `m.<module>.<name>` on a namespace of
+chflow modules.  A rename in chflow would fail only there, outside this
+suite's test paths, so every such name is resolved here from the benchmark's
+source, without importing it."""
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
 import chflow
+from chflow.potential import ConvexEnvelope, PotentialSpec
 
 PERFBENCH = Path(chflow.__file__).resolve().parents[2] / "perfbench"
 
@@ -26,14 +30,19 @@ def _tree(name):
     return ast.parse((PERFBENCH / name).read_text(), filename=name)
 
 
-def _traced_names():
-    """(module, function) for every name `tracing.LAYERS` wraps or counts."""
-    (layers,) = [
+def _tracing_constant(name):
+    """The literal value of the module-level assignment `name = ...` in tracing.py."""
+    (value,) = [
         node.value
         for node in _tree("tracing.py").body
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "LAYERS" for t in node.targets)
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets)
     ]
-    for module, spans, counts in ast.literal_eval(layers).values():
+    return ast.literal_eval(value)
+
+
+def _traced_names():
+    """(module, function) for every name `tracing.LAYERS` wraps or counts."""
+    for module, spans, counts in _tracing_constant("LAYERS").values():
         for name in spans + counts:
             yield module, name
 
@@ -72,3 +81,13 @@ def test_every_name_the_benchmark_uses_resolves_in_chflow():
         if not _resolves(f"chflow.{module}", name):
             missing.append(f"chflow.{use}")
     assert not missing, "names the benchmark uses that chflow no longer has: " + ", ".join(missing)
+
+
+def test_every_field_the_tracer_replaces_is_a_field():
+    # dataclasses.replace on a field the class no longer has fails only in traced runs
+    for constant, cls in (("_SPEC_FIELDS", PotentialSpec), ("_ENV_FIELDS", ConvexEnvelope)):
+        names = _tracing_constant(constant)
+        have = {f.name for f in dataclasses.fields(cls)}
+        assert names, constant
+        missing = [name for name in names if name not in have]
+        assert not missing, f"{constant} names fields {cls.__name__} no longer has: {', '.join(missing)}"

@@ -203,7 +203,6 @@ def test_non_finite_and_fractional_values_rejected_at_load(tmp_path):
         {"solver": dict(solver, n=64.5)},
         {"eps_list": [0.2, nan]},
         {"eps_list": [float("inf"), 0.2]},
-        {"jko": {"tau": 2.5e-3, "inner_tol": nan}},
         {"jko": {"tau": 2.5e-3, "m": 128.5}},
         {"potential": [0.0, 0.0, nan, 1.0]},
         # a NaN center or an infinite width used to give uniform data silently
@@ -239,7 +238,6 @@ def test_config_types_are_not_coerced(tmp_path):
         ("solver", dict(solver, dt="2e-4"), "dt"),
         ("solver", dict(solver, theta_scheme=True), "theta_scheme"),
         ("jko", {"tau": "1e-3"}, "tau"),
-        ("jko", {"tau": 1e-3, "inner_tol": "1e-6"}, "inner_tol"),
         # sections of the wrong JSON type used to fail inside dict() or tuple()
         ("solver", [1, 2], "solver"),
         ("initial_data", "cosine", "initial_data"),
@@ -256,6 +254,10 @@ def test_config_types_are_not_coerced(tmp_path):
     assert experiment_from_dict(_base_doc(tmp_path, eps_list=[1, 0.5])).eps_list == (1.0, 0.5)
     with pytest.raises(ValueError, match="unknown config key"):
         experiment_from_dict(_base_doc(tmp_path, seed=0))
+    # the inner tolerance and cap of the movement scheme are constants now
+    for key, value in (("inner_tol", 1e-6), ("inner_max", 2000)):
+        with pytest.raises(ValueError, match=f"unknown jko key\\(s\\): {key}"):
+            experiment_from_dict(_base_doc(tmp_path, jko={"tau": 1e-3, key: value}))
 
 
 def test_readme_example_config_loads(tmp_path):
@@ -413,6 +415,22 @@ def test_run_sweep_report_and_artifacts(tmp_path):
     assert manifest["failures"] == []
 
 
+def test_theta_half_runs_the_relaxed_flow_by_backward_euler(tmp_path):
+    # theta_scheme reaches the eps runs only; the relaxed flow, which raises
+    # for a theta other than 1, is run with theta 1 as it is with eps 0
+    half = {"n": 96, "dt": 2e-4, "eps": 0.1, "t_end": 0.02, "theta_scheme": 0.5}
+    report = run_sweep(experiment_from_dict(_sweep_doc(tmp_path / "half", solver=half)))
+    full = run_sweep(experiment_from_dict(_sweep_doc(tmp_path / "full")))
+    assert len(report.rows) == 2 and report.failures == ()
+    assert all(np.array_equal(a.values, b.values)
+               for a, b in zip(report.limit_run.snapshots, full.limit_run.snapshots))
+    assert report.rows != full.rows
+    single = dict(half, t_end=0.01)
+    assert run_single(experiment_from_dict(_base_doc(tmp_path, solver=single)), "limit").completed
+    with pytest.raises(ValueError, match="theta_scheme"):
+        run_single(experiment_from_dict(_base_doc(tmp_path, solver=single)), "nonlocal")
+
+
 def test_run_sweep_gate_and_override(tmp_path):
     bad = _sweep_doc(tmp_path, potential="cubic-motivation")
     with pytest.raises(HypothesisViolation):
@@ -480,7 +498,7 @@ def test_each_potential_builds_its_envelope_once(tmp_path, monkeypatch):
 
     import chflow.potential as potential
     from chflow.jko import JkoConfig, simulate_jko
-    from chflow.nonlocal_model import make_kernel, simulate_nonlocal
+    from chflow.nonlocal_model import simulate_nonlocal
     from chflow.solvers import simulate_eps
 
     real = potential.compute_convex_envelope
@@ -508,7 +526,7 @@ def test_each_potential_builds_its_envelope_once(tmp_path, monkeypatch):
     f0 = generate_initial("cosine", {"a": 0.2}, 96)
     cfg = SolverConfig(**solver)
     simulate_eps(f0, cfg, spec, output_times=times)
-    simulate_nonlocal(f0, cfg, make_kernel(), spec, output_times=times)
+    simulate_nonlocal(f0, cfg, spec, output_times=times)
     simulate_jko(f0, JkoConfig(tau=1e-3, m=256), 0.1, spec, 0.004)
     assert calls == []
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chflow import jko
 from chflow.functionals import energy_eps
 from chflow.jko import (
     JkoConfig,
@@ -51,14 +52,10 @@ def test_config_validation():
     for bad in (
         dict(tau=0.0),
         dict(tau=1e-3, m=32),
-        dict(tau=1e-3, inner_tol=0.0),
-        dict(tau=1e-3, inner_max=5),
         dict(tau=nan),
         dict(tau=float("inf")),
-        dict(tau=1e-3, inner_tol=nan),
         dict(tau=1e-3, m=100.5),
         dict(tau=1e-3, m=nan),
-        dict(tau=1e-3, inner_max=nan),
     ):
         with pytest.raises(ValueError):
             JkoConfig(**bad)
@@ -182,12 +179,16 @@ def test_step_stays_ordered_and_below_stay_put_on_random_anchors(cubic, n, ratio
     m = max(64, n * ratio)
     anchor = shift + span * np.sort(np.random.default_rng(seed).random(m))
     # random anchors give rough densities; this tolerance and cap let 16 of the
-    # 42 draws converge and the rest raise, so both outcomes are checked
-    cfg = JkoConfig(tau=tau, m=m, inner_tol=1e-3, inner_max=100)
-    try:
-        x, info = jko_step_positions(anchor, cfg, 0.1, cubic)
-    except JkoConvergenceFailure as err:
-        x, info = err.positions, None
+    # 42 draws converge and the rest raise, so both outcomes are checked, and
+    # keep the run short (at the default 1e-6 and 2000 the draws take minutes)
+    cfg = JkoConfig(tau=tau, m=m)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(jko, "_INNER_TOL", 1e-3)
+        patch.setattr(jko, "_INNER_MAX", 100)
+        try:
+            x, info = jko_step_positions(anchor, cfg, 0.1, cubic)
+        except JkoConvergenceFailure as err:
+            x, info = err.positions, None
     assert np.all(np.diff(x) > 0.0) and x[-1] - x[0] < 1.0
     assert not np.shares_memory(x, anchor)
     if info is not None:
@@ -203,34 +204,36 @@ def test_newton_step_matches_lbfgs_oracle(cubic):
         cfg = JkoConfig(tau=tau, m=m)
         x, info = jko_step_positions(positions, cfg, 0.1, cubic)
         objective = lambda d: gap_objective(d, positions, tau, 0.1, cubic)  # noqa: E731
-        d_ref, ref = minimize_lbfgs(objective, m, cfg.inner_tol, cfg.inner_max, 0.1 * np.min(np.diff(positions)))
-        assert ref["grad_scaled"] <= cfg.inner_tol
+        d_ref, ref = minimize_lbfgs(objective, m, jko._INNER_TOL, jko._INNER_MAX, 0.1 * np.min(np.diff(positions)))
+        assert ref["grad_scaled"] <= jko._INNER_TOL
         assert info["objective"] <= ref["objective"] + 1e-10
         assert np.max(np.abs(x - (positions + d_ref))) <= 1e-6
 
 
-def test_newton_step_matches_dense_newton_oracle_at_workload_size(cubic):
+def test_newton_step_matches_dense_newton_oracle_at_workload_size(cubic, monkeypatch):
     # m = 512, the particle count of criterion 4, where L-BFGS-B cannot serve
+    monkeypatch.setattr(jko, "_INNER_TOL", 1e-9)
     m = 512
     positions = particles_from_density(_cosine_field(128, 0.3), m)
     for tau in (2.5e-3, 1.25e-3, 6.25e-4):
-        cfg = JkoConfig(tau=tau, m=m, inner_tol=1e-9)
+        cfg = JkoConfig(tau=tau, m=m)
         x, info = jko_step_positions(positions, cfg, 0.1, cubic)
         objective = lambda d: gap_objective(d, positions, tau, 0.1, cubic)  # noqa: E731
         hessian = lambda d: gap_positive_hessian(d, positions, tau, 0.1, cubic)  # noqa: E731
         assert objective(x - positions)[0] == pytest.approx(info["objective"], rel=1e-13)
-        d_ref, ref = newton_dense(objective, hessian, m, cfg.inner_tol, 50)
-        assert ref["grad_scaled"] <= cfg.inner_tol
+        d_ref, ref = newton_dense(objective, hessian, m, 1e-9, 50)
+        assert ref["grad_scaled"] <= 1e-9
         assert abs(info["objective"] - ref["objective"]) <= 1e-12
         assert np.max(np.abs(x - (positions + d_ref))) <= 1e-9
 
 
-def test_newton_reaches_tight_tolerance_on_criterion_4_first_step(cubic):
+def test_newton_reaches_tight_tolerance_on_criterion_4_first_step(cubic, monkeypatch):
     # L-BFGS-B is still at |grad| 1.6e-2 after 2000 iterations on the tau = 2.5e-3 step
+    monkeypatch.setattr(jko, "_INNER_TOL", 1e-9)
     n, m = 128, 512
     positions = particles_from_density(_cosine_field(n, 0.3), m)
     for tau, iterations in ((2.5e-3, 6), (1.25e-3, 5), (6.25e-4, 4)):
-        _, info = jko_step_positions(positions, JkoConfig(tau=tau, m=m, inner_tol=1e-9), 0.1, cubic)
+        _, info = jko_step_positions(positions, JkoConfig(tau=tau, m=m), 0.1, cubic)
         assert info["converged"] and info["grad_scaled"] <= 1e-9
         assert info["iterations"] == iterations
 
@@ -261,12 +264,13 @@ def test_matches_direct_solver_under_tau_refinement(cubic):
     assert 1.5 <= errs[0] / errs[1] <= 3.0
 
 
-def test_energy_ledger_never_loosens(cubic):
+def test_energy_ledger_never_loosens(cubic, monkeypatch):
     # best-so-far search makes E(k) + (1/2 tau) sum d2^2 <= E(0) exact,
     # so the reported slack stays nonpositive at any inner tolerance
     f0 = _cosine_field(128, 0.3)
     for tol in (1e-4, 1e-6):
-        rec = simulate_jko(f0, JkoConfig(tau=1e-3, m=256, inner_tol=tol), 0.1, cubic, 8e-3)
+        monkeypatch.setattr(jko, "_INNER_TOL", tol)
+        rec = simulate_jko(f0, JkoConfig(tau=1e-3, m=256), 0.1, cubic, 8e-3)
         assert np.max(rec.extras["ledger_slack"]) <= 1e-12
         energies = [rep.e_eps for rep in rec.reports]
         assert np.all(np.diff(energies) <= 1e-12)
@@ -300,7 +304,7 @@ def test_de_giorgi_interpolant_family(cubic):
     pos = particles_from_density(f0, cfg.m)
     _, full = jko_step_positions(pos, cfg, eps, cubic)
     _, capped = jko_step_positions(pos, cfg, eps, cubic, s=cfg.tau)
-    assert abs(full["objective"] - capped["objective"]) <= 2.0 * cfg.inner_tol
+    assert abs(full["objective"] - capped["objective"]) <= 2.0 * jko._INNER_TOL
     # interpolant energy decreases along s
     energies = [
         energy_eps(de_giorgi_interpolant(f0, s, cfg, eps, cubic), eps, cubic)
@@ -323,11 +327,12 @@ def test_step_rejects_unordered_particles(cubic):
             jko_step_positions(bad, JkoConfig(tau=1e-3, m=256), 0.1, cubic)
 
 
-def test_convergence_failure_carries_best_iterate(cubic):
+def test_convergence_failure_carries_best_iterate(cubic, monkeypatch):
+    monkeypatch.setattr(jko, "_INNER_TOL", 1e-13)
+    monkeypatch.setattr(jko, "_INNER_MAX", 10)
     base = particles_from_density(_cosine_field(128, 0.3), 256)
-    cfg = JkoConfig(tau=4e-3, m=256, inner_tol=1e-13, inner_max=10)
     with pytest.raises(JkoConvergenceFailure) as excinfo:
-        jko_step_positions(base, cfg, 0.1, cubic)
+        jko_step_positions(base, JkoConfig(tau=4e-3, m=256), 0.1, cubic)
     err = excinfo.value
     assert err.positions.shape == base.shape
     assert err.grad_norm > 1e-13

@@ -7,7 +7,6 @@ from chflow.nonlocal_model import (
     compare_local_nonlocal,
     convolve_periodic,
     energy_nonlocal,
-    kernel_moments,
     kernel_on_grid,
     make_kernel,
     simulate_nonlocal,
@@ -16,7 +15,7 @@ from chflow.nonlocal_model import (
 from chflow.potential import make_potential
 from chflow.solvers import SolverConfig
 from chflow.wasserstein1d import DensityField
-from oracles import convolve_direct
+from oracles import convolve_direct, kernel_moments
 
 # Half second moment of the normalized bump profile, frozen from quadrature.
 K0_BUMP = 0.019764204532974783
@@ -54,11 +53,11 @@ def test_kernel_profile_and_moments(kern):
     assert abs(k0_coarse - k0) < 1e-12 * k0
 
 
-def test_kernel_on_grid_contract(kern):
+def test_kernel_on_grid_contract():
     n = 256
     h = 1.0 / n
     for eps in (0.1, 0.25):
-        kg = kernel_on_grid(kern, eps, n)
+        kg = kernel_on_grid(eps, n)
         assert kg.shape == (n,)
         assert abs(float(np.sum(kg)) * h - 1.0) < 1e-12
         # fft layout: index j and n-j sample +x and -x
@@ -68,39 +67,39 @@ def test_kernel_on_grid_contract(kern):
         offs = np.where(idx <= n // 2, idx, idx - n) * h
         assert np.all(kg[np.abs(offs) > 0.5 * eps + h] == 0.0)
     with pytest.raises(ValueError):
-        kernel_on_grid(kern, 0.01, 64)  # eps*n < 4: unresolved
+        kernel_on_grid(0.01, 64)  # eps*n < 4: unresolved
     with pytest.raises(ValueError):
-        kernel_on_grid(kern, 1.5, 256)
+        kernel_on_grid(1.5, 256)
 
 
-def test_convolution_spectral_matches_direct(kern):
+def test_convolution_spectral_matches_direct():
     rng = np.random.default_rng(11)
     n = 64
     h = 1.0 / n
     vals = 1.0 + 0.5 * rng.standard_normal(n)
-    kg = kernel_on_grid(kern, 0.25, n)
+    kg = kernel_on_grid(0.25, n)
     spectral = convolve_periodic(vals, kg, h)
     assert np.max(np.abs(spectral - convolve_direct(vals, kg, h))) < 1e-12
     const = convolve_periodic(np.full(n, 2.5), kg, h)
     assert np.max(np.abs(const - 2.5)) < 1e-13
 
 
-def test_constant_field_stationary_and_energy(kern, cubic):
+def test_constant_field_stationary_and_energy(cubic):
     n = 96
     f = DensityField(np.ones(n))
-    out = step_nonlocal(f, SolverConfig(n=n, dt=1e-3, eps=0.1, t_end=1e-3), kern)
+    out = step_nonlocal(f, SolverConfig(n=n, dt=1e-3, eps=0.1, t_end=1e-3))
     assert np.max(np.abs(out.values - 1.0)) < 1e-13
-    total, seminorm = energy_nonlocal(f, 0.1, kern, cubic, split=True)
+    total, seminorm = energy_nonlocal(f, 0.1, cubic, split=True)
     assert seminorm == 0.0
     assert abs(total - (-1.0 / 3.0)) < 1e-12
 
 
-def test_seminorm_nonnegative_random_fields(kern, cubic):
+def test_seminorm_nonnegative_random_fields(cubic):
     rng = np.random.default_rng(3)
     n = 128
     for _ in range(20):
         f = DensityField.normalized(0.1 + rng.random(n))
-        _, seminorm = energy_nonlocal(f, 0.1, kern, cubic, split=True)
+        _, seminorm = energy_nonlocal(f, 0.1, cubic, split=True)
         assert seminorm >= 0.0
 
 
@@ -112,7 +111,7 @@ def test_seminorm_taylor_matches_dirichlet(kern, cubic):
     h1 = float(np.sum(fwd * fwd) * f.h)
     rels = {}
     for eps in (0.1, 0.05):
-        _, seminorm = energy_nonlocal(f, eps, kern, cubic, split=True)
+        _, seminorm = energy_nonlocal(f, eps, cubic, split=True)
         dirichlet = 0.5 * eps * eps * kern.k0 * h1
         rels[eps] = (seminorm - dirichlet) / dirichlet
     assert abs(rels[0.05]) < 0.01
@@ -120,7 +119,7 @@ def test_seminorm_taylor_matches_dirichlet(kern, cubic):
     assert 3.0 < ratio < 6.0  # second-order shrinkage in eps
 
 
-def test_mass_conservation_and_translation_equivariance(kern):
+def test_mass_conservation_and_translation_equivariance():
     n = 128
     f0 = _cosine(n, 0.3)
     shift = 17
@@ -128,8 +127,8 @@ def test_mass_conservation_and_translation_equivariance(kern):
     rolled = DensityField(np.roll(f0.values, shift))
     cfg = SolverConfig(n=n, dt=2e-4, eps=0.1, t_end=1e-3)
     for _ in range(5):
-        cur = step_nonlocal(cur, cfg, kern)
-        rolled = step_nonlocal(rolled, cfg, kern)
+        cur = step_nonlocal(cur, cfg)
+        rolled = step_nonlocal(rolled, cfg)
     assert abs(float(np.mean(cur.values)) - 1.0) < 1e-12
     assert np.max(np.abs(np.roll(cur.values, shift) - rolled.values)) < 1e-12
 
@@ -141,7 +140,7 @@ def test_dispersion_matches_symbols(kern):
     n, eps, dt, steps = 256, 0.1, 2e-4, 50
     cfg = SolverConfig(n=n, dt=dt, eps=eps, t_end=steps * dt, newton_tol=1e-15)
     h = 1.0 / n
-    kg = kernel_on_grid(kern, eps, n)
+    kg = kernel_on_grid(eps, n)
     khat = np.fft.rfft(kg).real * h
     u = np.linspace(-0.5, 0.5, 20001)
     prof = kern.profile(u)
@@ -155,7 +154,7 @@ def test_dispersion_matches_symbols(kern):
         amps = [np.abs(np.fft.rfft(f.values))[k]]
         cur = f
         for _ in range(steps):
-            cur = step_nonlocal(cur, cfg, kern)
+            cur = step_nonlocal(cur, cfg)
             amps.append(np.abs(np.fft.rfft(cur.values))[k])
         g_meas = float(np.exp(np.mean(np.diff(np.log(amps)))))
         assert abs(g_meas - g_exact) / abs(1.0 - g_exact) < 1e-5
@@ -171,7 +170,7 @@ def test_simulate_record_contract(kern, cubic, tmp_path):
     n = 128
     f0 = _cosine(n, 0.3)
     cfg = SolverConfig(n=n, dt=1e-4, eps=0.1, t_end=0.01)
-    rec = simulate_nonlocal(f0, cfg, kern, cubic, output_times=[0.0, 0.005, 0.01])
+    rec = simulate_nonlocal(f0, cfg, cubic, output_times=[0.0, 0.005, 0.01])
     assert rec.flavor == "nonlocal"
     assert rec.extras["kernel"] == {"name": "bump", "k0": kern.k0, "eps": 0.1}
     energies = [r.e_eps for r in rec.reports]
@@ -183,17 +182,23 @@ def test_simulate_record_contract(kern, cubic, tmp_path):
     header = path.read_text().splitlines()[0]
     assert header == "t,min,max,mass,e_eps,e_star,slope_eps,slope_star,speed"
     with pytest.raises(ValueError):
-        simulate_nonlocal(f0, SolverConfig(n=n, dt=1e-4, eps=0.0, t_end=0.01), kern, cubic)
+        simulate_nonlocal(f0, SolverConfig(n=n, dt=1e-4, eps=0.0, t_end=0.01), cubic)
+    # backward Euler is the model's one scheme; a theta of 0.5 used to be ignored
+    half = SolverConfig(n=n, dt=1e-4, eps=0.1, t_end=0.01, theta_scheme=0.5)
+    with pytest.raises(ValueError, match="theta_scheme"):
+        simulate_nonlocal(f0, half, cubic)
+    with pytest.raises(ValueError, match="theta_scheme"):
+        step_nonlocal(f0, half)
 
 
-def test_simulate_converges_at_first_order_in_dt(kern, cubic):
+def test_simulate_converges_at_first_order_in_dt(cubic):
     # backward Euler: successive differences of the final state halve with dt
     n = 128
     f0 = _cosine(n, 0.3)
     finals = []
     for dt in (1e-4, 5e-5, 2.5e-5):
         cfg = SolverConfig(n=n, dt=dt, eps=0.1, t_end=0.01, newton_tol=1e-13)
-        rec = simulate_nonlocal(f0, cfg, kern, cubic, output_times=[0.0, 0.01])
+        rec = simulate_nonlocal(f0, cfg, cubic, output_times=[0.0, 0.01])
         assert not any(ev["type"] == "dt-halve" for ev in rec.events)
         finals.append(rec.snapshots[-1].values)
     diffs = [float(np.max(np.abs(a - b))) for a, b in zip(finals, finals[1:])]
@@ -201,31 +206,31 @@ def test_simulate_converges_at_first_order_in_dt(kern, cubic):
     assert 1.6 < diffs[0] / diffs[1] < 2.4
 
 
-def _compare(f0, eps, kern, spec, t_end, dt, n_out):
+def _compare(f0, eps, spec, t_end, dt, n_out):
     cfg = SolverConfig(n=f0.n, dt=dt, eps=eps, t_end=t_end)
-    record = simulate_nonlocal(f0, cfg, kern, spec, output_times=np.linspace(0.0, t_end, n_out))
-    return compare_local_nonlocal(record, cfg, kern, spec)
+    record = simulate_nonlocal(f0, cfg, spec, output_times=np.linspace(0.0, t_end, n_out))
+    return compare_local_nonlocal(record, cfg, spec)
 
 
 def test_compare_constant_data_gap_zero(kern, cubic):
     f = DensityField(np.ones(128))
-    rep = _compare(f, 0.1, kern, cubic, t_end=0.01, dt=1e-3, n_out=3)
+    rep = _compare(f, 0.1, cubic, t_end=0.01, dt=1e-3, n_out=3)
     assert rep.gaps == (0.0, 0.0, 0.0)
     assert abs(rep.eps_eff - 0.1 * np.sqrt(kern.k0)) < 1e-15
 
 
-def test_compare_requires_cubic_potential(kern):
+def test_compare_requires_cubic_potential():
     f = _cosine(128, 0.1)
     with pytest.raises(ValueError):
-        _compare(f, 0.1, kern, make_potential("quartic-wrinkle"), t_end=0.01, dt=1e-3, n_out=2)
+        _compare(f, 0.1, make_potential("quartic-wrinkle"), t_end=0.01, dt=1e-3, n_out=2)
 
 
-def test_compare_gap_shrinks_with_eps(kern, cubic):
+def test_compare_gap_shrinks_with_eps(cubic):
     # matched eps_eff^2 = eps^2 k0: trajectory gap decreases as eps decreases
     f0 = _cosine(512, 0.05)
     reps = {}
     for eps in (0.1, 0.05):
-        reps[eps] = _compare(f0, eps, kern, cubic, t_end=0.05, dt=2e-4, n_out=6)
+        reps[eps] = _compare(f0, eps, cubic, t_end=0.05, dt=2e-4, n_out=6)
     g_coarse = reps[0.1].gaps[-1]
     g_fine = reps[0.05].gaps[-1]
     assert 2e-7 < g_coarse < 9e-7

@@ -181,8 +181,8 @@ def test_too_many_bands_raises():
     for r in rng:
         w2 = w2 * np.polynomial.Polynomial([-r, 1.0])
     w = w2.integ(2)
-    spec = from_polynomial(w.coef, name="wiggly", max_density=3.0)
-    env = compute_convex_envelope(spec, n_samples=4096)
+    spec = from_polynomial(w.coef, name="wiggly")
+    env = spec.envelope
     uset = compute_unstable_set(env, max_intervals=8)
     assert uset.count == 2
     with pytest.raises(HypothesisViolation):

@@ -49,7 +49,7 @@ def spinodal():
 @pytest.fixture(scope="module")
 def quadratic_env():
     # strictly convex well: the envelope is the well itself
-    return compute_convex_envelope(from_polynomial([0.0, 0.0, 0.5], name="quadratic"))
+    return from_polynomial([0.0, 0.0, 0.5], name="quadratic").envelope
 
 
 def _cosine(n, a, k=1):
@@ -246,6 +246,16 @@ def test_limit_constant_and_plateau_stationary():
     assert np.max(np.abs(out.values - f.values)) < 1e-14
 
 
+def _limit_step_pair(lo, hi, h, dt, cfg, env):
+    """Both arrays advanced by dt, in two half steps each wherever Newton fails, as
+    `run_trajectory` halves dt."""
+    try:
+        return step_limit_values(lo, h, dt, cfg, env), step_limit_values(hi, h, dt, cfg, env)
+    except StepFailure:
+        lo, hi = _limit_step_pair(lo, hi, h, 0.5 * dt, cfg, env)
+        return _limit_step_pair(lo, hi, h, 0.5 * dt, cfg, env)
+
+
 def test_limit_comparison_principle(quadratic_env):
     rng = np.random.default_rng(5)
     n = 128
@@ -258,6 +268,19 @@ def test_limit_comparison_principle(quadratic_env):
             lo = step_limit_values(lo, h, cfg.dt, cfg, quadratic_env)
             hi = step_limit_values(hi, h, cfg.dt, cfg, quadratic_env)
         assert np.all(hi >= lo - 1e-12)
+    # W** with a bridge: for a quadratic well the pressure form Dxx Q**'(v) and the
+    # mobility form Dx(face v Dx W**'(v)) are the same algebra, here they are not,
+    # and a mobility-form step breaks the order on 20 of these 80 draws
+    n = 64
+    h = 1.0 / n
+    cfg = SolverConfig(n=n, dt=1e-4, eps=0.0, t_end=1.0)
+    for name in ("cubic-motivation", "quartic-wrinkle"):
+        env = make_potential(name).envelope
+        for _ in range(40):
+            lo = 3.0 * rng.random(n)
+            hi = lo + 0.5 * rng.random(n)
+            lo, hi = _limit_step_pair(lo, hi, h, cfg.dt, cfg, env)
+            assert np.all(hi >= lo - 1e-12), name
 
 
 def _count_factorisations(monkeypatch):
@@ -365,6 +388,15 @@ def test_step_flavor_guards(wrinkle, quadratic_env):
         step_eps(f, SolverConfig(n=64, dt=1e-3, eps=0.0, t_end=1.0), wrinkle)
     with pytest.raises(ValueError):
         step_limit(f, SolverConfig(n=64, dt=1e-3, eps=0.1, t_end=1.0), quadratic_env)
+    # the relaxed flow steps by backward Euler only; a theta of 0.5 used to be ignored
+    half = SolverConfig(n=64, dt=1e-3, eps=0.0, t_end=1.0, theta_scheme=0.5)
+    for run in (
+        lambda: step_limit(f, half, quadratic_env),
+        lambda: step_limit_values(f.values, f.h, half.dt, half, quadratic_env),
+        lambda: simulate_limit(f, half, quadratic_env),
+    ):
+        with pytest.raises(ValueError, match="theta_scheme"):
+            run()
     with pytest.raises(ValueError):
         step_eps(DensityField(np.ones(32)), SolverConfig(n=64, dt=1e-3, eps=0.1, t_end=1.0), wrinkle)
 
@@ -487,7 +519,7 @@ def test_newton_fails_when_the_step_raises_the_residual():
         return -np.ones((1, v.size))  # the one band of -I, wrong sign: the step walks away from the root
 
     with pytest.raises(StepFailure, match="did not lower the residual"):
-        newton(np.ones(8), lambda v: v - 2.0, jacobian, 1e-10, 50)
+        newton(np.ones(8), lambda v: v - 2.0, jacobian, 1e-10)
     assert len(calls) == 1
 
 
