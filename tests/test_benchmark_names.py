@@ -80,14 +80,8 @@ def test_every_name_the_benchmark_uses_resolves_in_chflow():
         module, _, name = use.partition(".")
         if not _resolves(f"chflow.{module}", name):
             missing.append(f"chflow.{use}")
-    assert not missing, "names the benchmark uses that chflow no longer has: " + ", ".join(missing)
-
-
-def test_every_field_the_tracer_replaces_is_a_field():
-    # dataclasses.replace on a field the class no longer has fails only in traced runs
+    # the tracer's dataclasses.replace of these fields fails on one the class no longer has
     for constant, cls in (("_SPEC_FIELDS", PotentialSpec), ("_ENV_FIELDS", ConvexEnvelope)):
-        names = _tracing_constant(constant)
         have = {f.name for f in dataclasses.fields(cls)}
-        assert names, constant
-        missing = [name for name in names if name not in have]
-        assert not missing, f"{constant} names fields {cls.__name__} no longer has: {', '.join(missing)}"
+        missing += [f"{cls.__name__}.{name}" for name in _tracing_constant(constant) if name not in have]
+    assert not missing, "names the benchmark uses that chflow no longer has: " + ", ".join(missing)
