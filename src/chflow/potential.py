@@ -110,8 +110,13 @@ def _horner(coef, x):
 
 def _continued(coefs, lo, hi, x):
     """p(t) + p'(t) d + p''(t) d^2 / 2 at t = x clipped to [lo, hi], d = x - t,
-    for the coefficient tuples `coefs` of p, p', p'' (or of p', p'', or of p'')."""
+    for the coefficient tuples `coefs` of p, p', p'' (or of p', p'', or of p'').
+
+    When every x lies in the window, d = 0 and the continuation terms are
+    exact zeros, so p(x) alone is returned, bit for bit the same value."""
     x = np.asarray(x, dtype=float)
+    if x.size and lo <= x.min() and x.max() <= hi:
+        return _horner(coefs[0], x)
     t = np.clip(x, lo, hi)
     d = x - t
     out = _horner(coefs[0], t)

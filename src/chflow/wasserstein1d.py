@@ -5,12 +5,15 @@ unit mass has a generalized inverse CDF; matching the quantiles of two
 densities at levels offset by a scalar theta enumerates every monotone
 transport map on the circle, and the squared distance is the minimum over
 theta of the mean squared displacement measured on the universal cover.  For
-the quadratic (strictly convex) cost that mean is a convex function of theta
-(Delon, Salomon & Sobolevski, SIAM J. Appl. Math. 70, 2010; Rabin, Delon &
-Gousseau, J. Math. Imaging Vis. 41, 2011), so one bounded scalar search finds
-the global minimum.  Cell averages make both quantile functions piecewise
-linear, so the mean is integrated exactly and the distance carries no
-level-sampling error.
+the quadratic cost that mean is convex in theta (Delon, Salomon & Sobolevski,
+SIAM J. Appl. Math. 70, 2010), and its derivative is twice the Lebesgue mean
+of the displacement.  The optimal map is the gradient of a periodic
+potential, so its displacement has mean zero (Cordero-Erausquin, C. R. Acad.
+Sci. Paris 329, 1999; McCann, GAFA 11, 2001): the optimal offset is the root
+of one nondecreasing scalar function, found by bracketing.  Cell averages
+make both quantile functions piecewise linear, so the mean squared
+displacement and the mean displacement are both integrated exactly and the
+distance carries no level-sampling error.
 
 Conventions: cells are uniform with width h = 1/n, values are cell averages,
 the CDF is piecewise linear through the cell edges, and flat stretches
@@ -22,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq
 
 
 @dataclass(frozen=True)
@@ -174,49 +177,55 @@ def _offset_cost(psi_a, psi_b, theta):
     return float(0.5 * np.dot(width, d2[: width.size] + d2[width.size :]))
 
 
-def _kink_offsets(cum_a, cum_b, theta, radius):
-    """Offsets within radius of theta at which an edge of mu meets an edge of nu.
+def _mean_displacement(psi_a, psi_b, theta):
+    """Lebesgue mean g(theta) of the displacement B(F_mu(x) + theta) - x, integrated exactly.
 
-    The cost is smooth between these offsets, cum_b[j] - cum_a[i] modulo 1,
-    and may have its minimum at one of them.  Swapping mu and nu negates every
-    offset exactly, so both argument orders evaluate the same kinks.
+    A and B are the cover quantile functions of mu and nu; g is half the
+    derivative of the offset cost.  The integrand is linear between the cell
+    edges of mu and the points A((cum_nu - theta) mod 1), where F_mu + theta
+    crosses an edge of nu's CDF, so the midpoint rule is exact on every piece
+    and never evaluates a jump across vacuum.
     """
-    found = []
-    for lift in (-1.0, 0.0, 1.0):
-        lo = np.searchsorted(cum_b, cum_a + (theta - radius - lift), side="left")
-        hi = np.searchsorted(cum_b, cum_a + (theta + radius - lift), side="right")
-        counts = hi - lo
-        i = np.repeat(np.arange(cum_a.size), counts)
-        j = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts) + lo[i]
-        found.append((cum_b[j] - cum_a[i]) + lift)
-    kinks = np.unique(np.concatenate(found))
-    return kinks[(np.abs(kinks - theta) <= radius) & (np.abs(kinks) <= 1.0)]
+    grid = np.arange(psi_a.f.n + 1) * psi_a.f.h
+    edges = np.sort(np.concatenate([grid, psi_a(np.mod(psi_b.cum[:-1] - theta, 1.0))]))
+    width = np.diff(edges)
+    level = np.interp(edges[:-1] + 0.5 * width, grid, psi_a.cum)
+    return float(np.dot(width, psi_b(level + theta))) - 0.5
 
 
 def _optimal_offset(mu, nu):
-    """Level offset minimizing the convex cost over [-1, 1], and that cost.
+    """Level offset minimizing the offset cost, and that cost.
 
-    The bounded Brent search stops within 2 (sqrt(eps) |theta| + xatol / 3)
-    of the minimum, not within xatol; where the minimum sits on a kink that
-    offset error shows in the cost, so the kinks inside that radius are
-    evaluated too and the smallest cost kept.
+    The optimal map on the circle is the gradient of a periodic potential, so
+    its displacement has Lebesgue mean zero (Cordero-Erausquin 1999; McCann
+    2001): the offset is the root of the nondecreasing g = C'/2 of
+    `_mean_displacement`.  Because g(theta +- 1) = g(theta) +- 1, the bracket
+    grown geometrically from the secant guess -g(0) never needs to pass
+    [-1, 1], where g is known from g(0).  A jump of g (a vacuum edge of mu
+    meeting one of nu) is a kink of C and is found by bracketing like any
+    root.
     """
     psi_a, psi_b = _CoverQuantiles(mu), _CoverQuantiles(nu)
-    xatol = 1e-12
-    res = minimize_scalar(
-        lambda th: _offset_cost(psi_a, psi_b, th),
-        bounds=(-1.0, 1.0),
-        method="bounded",
-        options={"xatol": xatol},
-    )
-    theta, cost = float(res.x), float(res.fun)
-    radius = 2.0 * (np.sqrt(2.2e-16) * abs(theta) + xatol / 3.0)
-    for kink in _kink_offsets(psi_a.cum, psi_b.cum, theta, radius):
-        kink_cost = _offset_cost(psi_a, psi_b, float(kink))
-        if kink_cost < cost:
-            theta, cost = float(kink), kink_cost
-    # the search stops near, not at, theta = 0; identical densities must give 0.0
+    g0 = _mean_displacement(psi_a, psi_b, 0.0)
+    if g0 == 0.0:
+        return 0.0, _offset_cost(psi_a, psi_b, 0.0)
+    known = {0.0: g0, 1.0: g0 + 1.0, -1.0: g0 - 1.0}
+
+    def g(theta):
+        if theta not in known:
+            known[theta] = _mean_displacement(psi_a, psi_b, theta)
+        return known[theta]
+
+    near, step = 0.0, -g0
+    while True:
+        far = float(np.clip(step, -1.0, 1.0))
+        if np.sign(g(far)) != np.sign(g0):
+            break
+        near, step = far, 2.0 * step
+    theta = brentq(g, min(near, far), max(near, far), xtol=1e-15, rtol=8.9e-16)
+    # a root a rounding error from 0 must not cost more than 0; identical densities give exactly 0.0
     cost0 = _offset_cost(psi_a, psi_b, 0.0)
+    cost = _offset_cost(psi_a, psi_b, theta) if theta != 0.0 else cost0
     if cost0 <= cost:
         return 0.0, cost0
     return theta, cost

@@ -13,16 +13,19 @@ potentials evaluate through Polynomial.__call__, the stepping
 matrices are chains of scipy.sparse sums and products, the periodic
 convolution is a direct sum of shifted copies, and the implicit step's
 Newton iteration factorises a fresh Jacobian, assembled from COO, at
-every iterate.
+every iterate.  The transport offset oracle shares the library's exact
+offset cost but finds its minimum by a bounded Brent search plus a scan of
+the kinks near it, not by the root of the mean displacement.
 """
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.optimize import linear_sum_assignment, minimize
+from scipy.optimize import linear_sum_assignment, minimize, minimize_scalar
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from chflow.solvers import StepFailure
+from chflow.wasserstein1d import _CoverQuantiles, _offset_cost
 
 
 def inverse_cdf(values, levels):
@@ -86,6 +89,40 @@ def vacuum_field(rng, n):
     center = rng.uniform(0.0, 1.0)
     v = np.maximum(0.0, np.cos(2 * np.pi * (x - center))) ** 2
     return v / v.mean()
+
+
+def _kink_offsets(cum_a, cum_b, theta, radius):
+    """Offsets within radius of theta at which an edge of mu meets an edge of nu."""
+    found = []
+    for lift in (-1.0, 0.0, 1.0):
+        lo = np.searchsorted(cum_b, cum_a + (theta - radius - lift), side="left")
+        hi = np.searchsorted(cum_b, cum_a + (theta + radius - lift), side="right")
+        counts = hi - lo
+        i = np.repeat(np.arange(cum_a.size), counts)
+        j = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts) + lo[i]
+        found.append((cum_b[j] - cum_a[i]) + lift)
+    kinks = np.unique(np.concatenate(found))
+    return kinks[(np.abs(kinks - theta) <= radius) & (np.abs(kinks) <= 1.0)]
+
+
+def optimal_offset_brent(mu, nu):
+    """(offset, cost) by a bounded Brent search of the convex offset cost over
+    [-1, 1], then every kink within the search's stopping radius, then theta = 0."""
+    psi_a, psi_b = _CoverQuantiles(mu), _CoverQuantiles(nu)
+    xatol = 1e-12
+    res = minimize_scalar(
+        lambda th: _offset_cost(psi_a, psi_b, th), bounds=(-1.0, 1.0), method="bounded", options={"xatol": xatol}
+    )
+    theta, cost = float(res.x), float(res.fun)
+    radius = 2.0 * (np.sqrt(2.2e-16) * abs(theta) + xatol / 3.0)
+    for kink in _kink_offsets(psi_a.cum, psi_b.cum, theta, radius):
+        kink_cost = _offset_cost(psi_a, psi_b, float(kink))
+        if kink_cost < cost:
+            theta, cost = float(kink), kink_cost
+    cost0 = _offset_cost(psi_a, psi_b, 0.0)
+    if cost0 <= cost:
+        return 0.0, cost0
+    return theta, cost
 
 
 def particle_cell_averages(positions, n):

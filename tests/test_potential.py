@@ -223,6 +223,24 @@ def test_guarded_callables_equal_polynomial_evaluation(u):
             assert np.array_equal(got(u), want(u))
 
 
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    coefficients=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=6),
+    lo=st.floats(-1.0, 1.0),
+    width=st.floats(0.1, 3.0),
+    u=arrays(np.float64, st.integers(1, 30), elements=st.floats(-0.5, 1.5)),
+)
+def test_in_window_evaluation_equals_continued_formula(coefficients, lo, width, u):
+    # inside the window the continuation terms vanish, so skipping them changes no bit;
+    # points outside the window, all inside it, and a scalar on its edge
+    hi = lo + width
+    poly = Polynomial(coefficients)
+    x = lo + u * width
+    for points in (x, np.clip(x, lo, hi), hi):
+        for got, want in zip(_guarded_callables(poly, lo, hi), guarded_polynomial(poly, lo, hi)):
+            assert np.array_equal(got(points), want(points))
+
+
 def _every_evaluation(spec):
     env = spec.envelope
     return (spec.eval_W, spec.eval_W1, spec.eval_W2, env.eval_Wss, env.eval_Wss1, env.eval_Wss2, env.eval_Qss1)

@@ -15,9 +15,12 @@ from chflow.wasserstein1d import (
     to_quantiles,
     w2_periodic,
 )
+from chflow.wasserstein1d import _CoverQuantiles, _mean_displacement, _offset_cost, _optimal_offset
+import chflow.wasserstein1d as wasserstein1d
 
 from oracles import (
     bump_field,
+    optimal_offset_brent,
     smooth_positive_field,
     vacuum_field,
     w2_circle_cyclic,
@@ -161,9 +164,8 @@ def test_cyclic_oracle_agrees_with_hungarian():
 
 
 def test_offset_objective_unimodal():
-    # the offset objective has a single basin, so a bounded scalar search finds it
+    # the offset objective has a single basin, so the zero of its derivative is the global minimum
     rng = np.random.default_rng(31)
-    from chflow.wasserstein1d import _CoverQuantiles, _offset_cost
 
     for _ in range(5):
         fa = _field(smooth_positive_field(rng, 40))
@@ -182,9 +184,8 @@ def test_offset_objective_unimodal():
 
 
 def test_offset_cost_convex_and_minimized():
-    # the exact offset cost is convex, so the bounded search reaches its minimum
+    # the exact offset cost is convex, so the root of the mean displacement reaches its minimum
     rng = np.random.default_rng(31)
-    from chflow.wasserstein1d import _CoverQuantiles, _offset_cost
 
     makers = (smooth_positive_field, bump_field, vacuum_field)
     for k in range(6):
@@ -195,6 +196,57 @@ def test_offset_cost_convex_and_minimized():
         costs = np.array([_offset_cost(psi_a, psi_b, t) for t in thetas])
         assert np.min(costs[:-2] - 2.0 * costs[1:-1] + costs[2:]) >= -1e-14
         assert w2_periodic(fa, fb) ** 2 <= costs.min() * (1.0 + 1e-12)
+
+
+def test_offset_cost_derivative_is_twice_mean_displacement():
+    # C'(theta) = 2 g(theta): central differences of the exact cost against the exact mean
+    rng = np.random.default_rng(37)
+    makers = (smooth_positive_field, bump_field, vacuum_field)
+    for k in range(6):
+        fa = _field(makers[k % 3](rng, 40 + 8 * k))
+        fb = _field(makers[(k + 1) % 3](rng, 64 - 4 * k))
+        psi_a, psi_b = _CoverQuantiles(fa), _CoverQuantiles(fb)
+        for theta in rng.uniform(-0.9, 0.9, size=5):
+            step = 1e-6
+            slope = (_offset_cost(psi_a, psi_b, theta + step) - _offset_cost(psi_a, psi_b, theta - step)) / (2 * step)
+            assert slope == pytest.approx(2.0 * _mean_displacement(psi_a, psi_b, theta), abs=1e-8)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(_cells, _cells)
+# the minimum offset is a kink of the cost (an edge of one density meets one of the other)
+@example([1.0, 0.0, 0.0, 0.0], [1.0, 2.0, 4.0, 2.0, 0.0, 3.0, 0.0, 0.0, 0.0, 2.75, 0.5])
+def test_offset_root_never_above_brent_minimum(a, b):
+    fa, fb = _field(a), _field(b)
+    _, cost = _optimal_offset(fa, fb)
+    _, reference = optimal_offset_brent(fa, fb)
+    assert cost <= reference * (1.0 + 1e-12) + 1e-30
+
+
+def test_w2_call_makes_few_quantile_lookups(monkeypatch):
+    # the root search needs a handful of exact evaluations; a scan of offsets would need hundreds
+    lookups = []
+    original = wasserstein1d.quantiles_at
+
+    def counted(*args, **kw):
+        lookups.append(1)
+        return original(*args, **kw)
+
+    monkeypatch.setattr(wasserstein1d, "quantiles_at", counted)
+    x160, x320, x640 = ((np.arange(n) + 0.5) / n for n in (160, 320, 640))
+    pairs = (
+        # criterion 5's initial data on the grids of two sweep runs
+        (_field(1.0 + 0.1 * np.cos(2 * np.pi * x320)), _field(1.0 + 0.1 * np.cos(2 * np.pi * x160))),
+        # the n = 640 pair of the benchmark's single-call W2 probe
+        (
+            _field(1.0 + 0.1 * np.cos(2 * np.pi * x640)),
+            _field(1.0 + 0.15 * np.cos(4 * np.pi * x640) + 0.1 * np.sin(2 * np.pi * x640)),
+        ),
+    )
+    for mu, nu in pairs:
+        lookups.clear()
+        assert w2_periodic(mu, nu) > 0.0
+        assert len(lookups) <= 16
 
 
 def test_geodesic_endpoints_and_speed_linearity():
