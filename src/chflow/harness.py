@@ -371,7 +371,7 @@ def run_single(cfg, mode):
     Writes trajectory.csv, final_state.csv, audit.json, wrinkle.json, and a
     manifest under output_dir/single-<mode>; jko runs add the movement
     ledger and a cross-validation table against the regularized solver,
-    cubic nonlocal runs add the matched local comparison.
+    nonlocal runs add the matched local comparison.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -404,13 +404,12 @@ def run_single(cfg, mode):
         outputs.append(cross_path)
     else:
         record = simulate_nonlocal(f0, cfg.solver, spec, output_times=times)
-        if getattr(spec, "name", None) == "cubic-motivation":
-            comparison = compare_local_nonlocal(record, cfg.solver, spec)
-            cmp_path = out_dir / "comparison.json"
-            with open(cmp_path, "w") as fh:
-                json.dump(asdict(comparison), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            outputs.append(cmp_path)
+        comparison = compare_local_nonlocal(record, cfg.solver, spec)
+        cmp_path = out_dir / "comparison.json"
+        with open(cmp_path, "w") as fh:
+            json.dump(asdict(comparison), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        outputs.append(cmp_path)
 
     traj_path = out_dir / "trajectory.csv"
     record.write_csv(traj_path)
@@ -463,17 +462,17 @@ class SweepReport:
 
 
 def _sweep_worker(payload):
-    """One regularized run and its gap columns; exceptions become row failures."""
-    cfg, spec, unstable, eps, times, limit_vals, limit_slopes, limit_energies = payload
+    """One regularized run and its gap columns; exceptions become row failures.
+
+    f0 and its t = 0 distance d2_start to the reference come from the well-preparedness gate."""
+    cfg, spec, unstable, eps, f0, d2_start, times, limit_vals, limit_slopes, limit_energies = payload
     try:
-        n_eps = _grid_for(eps, cfg.solver.n)
-        f0 = generate_initial(cfg.initial_data.name, cfg.initial_data.params, n_eps)
-        run_cfg = replace(cfg.solver, n=n_eps, eps=eps)
+        run_cfg = replace(cfg.solver, n=f0.n, eps=eps)
         record = simulate_eps(f0, run_cfg, spec, output_times=times)
         if not record.completed or len(record.snapshots) != len(limit_vals):
             raise RuntimeError("regularized run aborted before reaching t_end")
-        limit_snaps = [DensityField(v) for v in limit_vals]
-        d2 = np.array([w2_periodic(a, b) for a, b in zip(record.snapshots, limit_snaps)])
+        later = zip(record.snapshots[1:], limit_vals[1:])
+        d2 = np.array([d2_start] + [w2_periodic(a, DensityField(b)) for a, b in later])
         slopes = np.array([rep.slope_eps for rep in record.reports])
         energies = np.array([rep.e_eps for rep in record.reports])
         t_arr = np.asarray(times, dtype=float)
@@ -529,7 +528,8 @@ def run_sweep(cfg):
     limit_energies = tuple(rep.e_star for rep in limit_rec.reports)
 
     payloads = [
-        (cfg, spec, unstable, eps, times, limit_vals, limit_slopes, limit_energies) for eps in cfg.eps_list
+        (cfg, spec, unstable, eps, f0, row[1], times, limit_vals, limit_slopes, limit_energies)
+        for (eps, f0), row in zip(family, prep.rows)
     ]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=min(cfg.workers, len(payloads))) as pool:

@@ -1,12 +1,12 @@
 """Kernel-aggregation model: non-local velocity, its energy, local comparison.
 
 The model replaces the local interfacial term with a mollified attraction,
-∂tν = -∂x(ν(∂x(K_eps*ν) - ν ∂xν)); expanding K_eps*ν - ν = eps²k0 νxx + ...
-recovers the regularized local flow with effective interface parameter
-eps_eff² = eps² k0, which is what compare_local_nonlocal measures.  The
-model steps by backward Euler through `solvers.implicit_flux_step`, as the
-local flow does, so one run serves as the record and as the comparison's
-nonlocal side.
+∂tν = ∂x(ν ∂x(W'(ν) + ν - K_eps*ν)), W the run's PotentialSpec; expanding
+K_eps*ν - ν = eps²k0 νxx + ..., whatever W is, recovers the regularized
+local flow with eps_eff² = eps² k0, which is what compare_local_nonlocal
+measures.  The model steps by backward Euler through
+`solvers.implicit_flux_step`, as the local flow does, so one run serves as
+the record and as the comparison's nonlocal side.
 """
 
 import functools
@@ -85,55 +85,53 @@ def kernel_on_grid(eps, n):
     return vals / (np.sum(vals) * h)
 
 
-def convolve_periodic(values, kernel_values, h):
-    """Circular convolution h * sum_m k[m] f[j-m], by FFT."""
-    return np.fft.irfft(np.fft.rfft(values) * np.fft.rfft(kernel_values), values.size) * h
+def convolve_periodic(values, kernel_hat, h):
+    """Circular convolution h * sum_m k[m] f[j-m], by FFT; kernel_hat is np.fft.rfft(k)."""
+    return np.fft.irfft(np.fft.rfft(values) * kernel_hat, values.size) * h
 
 
-def _advance_nonlocal_implicit(vals, h, dt, k_grid, cfg, t, events):
-    """One backward-Euler step with the convolution kept exact.
+def _advance_nonlocal_implicit(vals, h, dt, k_hat, cfg, spec, t, events):
+    """One backward-Euler step of mu = W' + v - K_eps*v, the first variation of `_energy_values`.
 
     The Jacobian replaces the convolution by its thin-interface surrogate
-    I + eps^2 k0 Dxx so the linear solves stay banded; the residual uses the
-    exact kernel, so the fixed point is the true backward-Euler state and the
-    surrogate only affects the iteration count.
+    I + eps^2 k0 Dxx, so c = W'' and the linear solves stay banded; the
+    residual uses the exact kernel, so the fixed point is the true
+    backward-Euler state and the surrogate only affects the iteration count.
     """
 
     def mu(v):
-        return 0.5 * v * v - convolve_periodic(v, k_grid, h)
+        return spec.eval_W1(v) + v - convolve_periodic(v, k_hat, h)
 
     eps2k0 = cfg.eps * cfg.eps * _kernel().k0
-    return implicit_flux_step(vals, h, dt, 1.0, mu, lambda v: v - 1.0, eps2k0, cfg, t, events)
+    return implicit_flux_step(vals, h, dt, 1.0, mu, spec.eval_W2, eps2k0, cfg, t, events)
 
 
 def _kernel_for(f, cfg, caller):
-    """K_eps on f's grid, once cfg is checked to have eps > 0, theta 1 and f's resolution."""
+    """Transform of K_eps on f's grid, once cfg is checked to have eps > 0, theta 1 and f's resolution."""
     if cfg.eps <= 0.0 or cfg.theta_scheme != 1.0:
         raise ValueError(f"{caller} needs eps > 0 and backward Euler (theta_scheme = 1)")
     if f.n != cfg.n:
         raise ValueError("field resolution does not match config")
-    return kernel_on_grid(cfg.eps, cfg.n)
+    return np.fft.rfft(kernel_on_grid(cfg.eps, cfg.n))
 
 
-def step_nonlocal(f: DensityField, cfg: SolverConfig) -> DensityField:
-    """Advance the aggregation model by one backward-Euler step of size cfg.dt."""
-    k_grid = _kernel_for(f, cfg, "step_nonlocal")
-    return DensityField(_advance_nonlocal_implicit(f.values, f.h, cfg.dt, k_grid, cfg, 0.0, []))
+def step_nonlocal(f: DensityField, cfg: SolverConfig, spec) -> DensityField:
+    """Advance the aggregation model with bulk potential spec by one backward-Euler step of size cfg.dt."""
+    k_hat = _kernel_for(f, cfg, "step_nonlocal")
+    return DensityField(_advance_nonlocal_implicit(f.values, f.h, cfg.dt, k_hat, cfg, spec, 0.0, []))
 
 
-def _energy_values(vals, h, k_grid, spec):
+def _energy_values(vals, h, k_hat, spec):
     """(bulk + seminorm, seminorm) of a raw cell array."""
     # (1/4) double integral of K_eps(x-y)(f(x)-f(y))² via the unit-mass identity
-    conv = convolve_periodic(vals, k_grid, h)
+    conv = convolve_periodic(vals, k_hat, h)
     seminorm = 0.5 * h * float(np.sum(vals * vals) - np.sum(vals * conv))
     return seminorm + float(np.sum(spec.eval_W(vals)) * h), seminorm
 
 
-def energy_nonlocal(f: DensityField, eps, spec, split=False):
-    """Aggregation energy: bulk W plus the mollified interaction seminorm."""
-    k_grid = kernel_on_grid(eps, f.n)
-    total, seminorm = _energy_values(f.values, f.h, k_grid, spec)
-    return (total, seminorm) if split else total
+def energy_nonlocal(f: DensityField, eps, spec):
+    """Aggregation energy as (bulk W plus the mollified interaction seminorm, seminorm)."""
+    return _energy_values(f.values, f.h, np.fft.rfft(kernel_on_grid(eps, f.n)), spec)
 
 
 def simulate_nonlocal(f0, cfg, spec, output_times=None):
@@ -143,15 +141,15 @@ def simulate_nonlocal(f0, cfg, spec, output_times=None):
     e_star; the local slope surrogates do not transfer to this model, so the
     slope columns are recorded as zero.
     """
-    k_grid = _kernel_for(f0, cfg, "simulate_nonlocal")
+    k_hat = _kernel_for(f0, cfg, "simulate_nonlocal")
     kern = _kernel()
     h = f0.h
 
     def advance(vals, h_, dt, t, events):
-        return _advance_nonlocal_implicit(vals, h_, dt, k_grid, cfg, t, events)
+        return _advance_nonlocal_implicit(vals, h_, dt, k_hat, cfg, spec, t, events)
 
     def energy_of(vals):
-        return _energy_values(vals, h, k_grid, spec)[0]
+        return _energy_values(vals, h, k_hat, spec)[0]
 
     def make_report(snap):
         e_model = energy_of(snap.values)
@@ -181,16 +179,14 @@ class ComparisonReport:
 def compare_local_nonlocal(record, cfg, spec):
     """d2 gaps between a nonlocal run and the matched local run, at the run's output times.
 
-    `record` is the `simulate_nonlocal` run under the SolverConfig `cfg`;
-    the local flow starts from its first snapshot with eps_eff =
-    eps*sqrt(k0) and is stepped by backward Euler under cfg's dt and Newton
-    tolerance, like the nonlocal run, so the time discretizations cancel and
-    the gaps measure the distance between the models themselves.  No rate is
-    asserted, only the trend across eps values is meaningful, so the report
-    carries raw gaps.
+    `record` is the `simulate_nonlocal` run under the SolverConfig `cfg`
+    and potential `spec`; the local flow starts from its first snapshot
+    with eps_eff = eps*sqrt(k0) and is stepped by backward Euler under cfg's
+    dt and Newton tolerance, like the nonlocal run, so the time
+    discretizations cancel and the gaps measure the distance between the
+    models themselves.  No rate is asserted, only the trend across eps values
+    is meaningful, so the report carries raw gaps.
     """
-    if getattr(spec, "name", None) != "cubic-motivation":
-        raise ValueError("the comparison is calibrated for the cubic-motivation potential")
     k0 = _kernel().k0
     eps_eff = cfg.eps * float(np.sqrt(k0))
     local_cfg = replace(cfg, eps=eps_eff, theta_scheme=1.0)

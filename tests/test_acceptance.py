@@ -306,7 +306,7 @@ def test_criterion_10_nonlocal_consistency():
         cfg = SolverConfig(n=n, dt=2e-4, eps=eps, t_end=0.05)
         record = simulate_nonlocal(f0, cfg, spec, output_times=np.linspace(0.0, 0.05, 6))
         gap[eps] = compare_local_nonlocal(record, cfg, spec).gaps[-1]
-    _, semi = energy_nonlocal(f0, 0.05, spec, split=True)
+    _, semi = energy_nonlocal(f0, 0.05, spec)
     coeffs = np.fft.rfft(f0.values) / n
     weights = np.full(coeffs.size, 2.0)
     weights[0] = 1.0

@@ -7,9 +7,9 @@ from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "artifact_diff.py"
 
-# every CLI mode and the sweep in a few steps; the cubic potential makes the
-# nonlocal run write comparison.json, and this cosine family is not well
-# prepared at these eps, so the sweep is told to run anyway
+# every CLI mode and the sweep in a few steps, so every artifact kind is
+# written (the nonlocal run adds comparison.json); this cosine family is not
+# well prepared at these eps, so the sweep is told to run anyway
 SMALL_CONFIG = {
     "potential": "cubic-motivation",
     "solver": {"n": 32, "dt": 1e-3, "eps": 0.25, "t_end": 0.004},
