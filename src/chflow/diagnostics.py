@@ -130,10 +130,12 @@ def wrinkling_report(f, sigma, eta, delta):
     k_max = min(int(np.ceil(delta / h - 1e-12)) - 1, n - 1)
     violations = []
     seg_max = d.copy()
+    # entry j of twice[k:k + n] is entry (j + k) mod n, for every offset k < n
+    d2, v2, ok2 = (np.concatenate((a, a)) for a in (d, v, slope_ok))
     for k in range(1, k_max + 1):
-        seg_max = np.maximum(seg_max, np.roll(d, -k))
-        osc_pair = np.abs(np.roll(v, -k) - v)
-        bad = slope_ok & np.roll(slope_ok, -k) & (osc_pair >= eta) & (seg_max >= eta)
+        seg_max = np.maximum(seg_max, d2[k:k + n])
+        osc_pair = np.abs(v2[k:k + n] - v)
+        bad = slope_ok & ok2[k:k + n] & (osc_pair >= eta) & (seg_max >= eta)
         for j in np.nonzero(bad)[0]:
             violations.append(
                 (float(x[j]), float(x[j] + k * h), float(osc_pair[j]), float(seg_max[j]))

@@ -90,7 +90,7 @@ def convolve_periodic(values, kernel_hat, h):
     return np.fft.irfft(np.fft.rfft(values) * kernel_hat, values.size) * h
 
 
-def _advance_nonlocal_implicit(vals, h, dt, k_hat, cfg, spec, t, events):
+def _advance_nonlocal_implicit(vals, h, dt, k_hat, cfg, spec, t, events, held=None):
     """One backward-Euler step of mu = W' + v - K_eps*v, the first variation of `_energy_values`.
 
     The Jacobian replaces the convolution by its thin-interface surrogate
@@ -103,7 +103,7 @@ def _advance_nonlocal_implicit(vals, h, dt, k_hat, cfg, spec, t, events):
         return spec.eval_W1(v) + v - convolve_periodic(v, k_hat, h)
 
     eps2k0 = cfg.eps * cfg.eps * _kernel().k0
-    return implicit_flux_step(vals, h, dt, 1.0, mu, spec.eval_W2, eps2k0, cfg, t, events)
+    return implicit_flux_step(vals, h, dt, 1.0, mu, spec.eval_W2, eps2k0, cfg, t, events, held)
 
 
 def _kernel_for(f, cfg, caller):
@@ -144,9 +144,10 @@ def simulate_nonlocal(f0, cfg, spec, output_times=None):
     k_hat = _kernel_for(f0, cfg, "simulate_nonlocal")
     kern = _kernel()
     h = f0.h
+    held = {}
 
     def advance(vals, h_, dt, t, events):
-        return _advance_nonlocal_implicit(vals, h_, dt, k_hat, cfg, spec, t, events)
+        return _advance_nonlocal_implicit(vals, h_, dt, k_hat, cfg, spec, t, events, held)
 
     def energy_of(vals):
         return _energy_values(vals, h, k_hat, spec)[0]

@@ -222,8 +222,9 @@ def eval_q1(spec, y):
 
 def _lower_hull_indices(x, y):
     """Indices of the lower convex hull of the graph points, left to right."""
+    x, y = x.tolist(), y.tolist()  # Python floats: same arithmetic, no numpy scalar per access
     keep = [0]
-    for i in range(1, x.size):
+    for i in range(1, len(x)):
         while len(keep) >= 2:
             a, b = keep[-2], keep[-1]
             # pop b unless (a, b, i) makes a strict upward turn

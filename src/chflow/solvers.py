@@ -7,10 +7,12 @@ through one lagged-mobility implicit flux step; the limit stepper is a
 backward Euler step of a monotone system, which keeps the minimum
 principle and dissipates the relaxed energy unconditionally.  Every flow
 clips a Newton result with a negative cell and restores its mass
-(`enforce_positivity`).  Newton is a chord iteration: one LU per step,
-refreshed only when a step fails to halve the residual.  It stops on a
-small residual or a small simplified correction, so dt is halved only
-when a step truly fails, never at the roundoff floor.  Every implicit
+(`enforce_positivity`).  Newton is a chord iteration: each run holds one
+LU per step size across its steps, refreshed only when a step fails to
+halve the residual, so a smooth run factorises a handful of times.  It
+takes at least one correction and stops on a small residual or a small
+simplified correction, so dt is halved only when a step truly fails,
+never at the roundoff floor.  Every implicit
 step linearises to one stepping matrix, I - dt theta Dx(m Dx (diag(c) -
 s Dxx)), whose cyclic bands `stepping_bands` builds; `factorize` scatters
 those bands into LAPACK band storage in a folded cell order (plan cached
@@ -218,23 +220,39 @@ def stepping_bands(m, c, stiffness, h, dt_theta):
     return prod
 
 
-def newton(vals, residual_fn, jacobian_fn, tol):
-    """Chord Newton: factorise the Jacobian at the first iterate and reuse the
-    LU for every correction, refreshing it at the current iterate only when a
-    step fails to halve the residual (Deuflhard 2004, simplified Newton).
+def newton(vals, residual_fn, jacobian_fn, tol, held=None, dt=None):
+    """Chord Newton: one LU serves every correction, refreshed at the current
+    iterate only when a step fails to halve the residual (Deuflhard 2004,
+    simplified Newton).
 
-    f is accepted once its residual or its simplified correction lu.solve(r),
-    which is also the next chord step, is below tol * (1 + max |f|)
-    (Deuflhard 2004; Kelley 2003).  StepFailure is raised when a step taken
-    with a fresh factor does not lower the residual, or after 50 steps.
+    `held` is a run's dict of at most one factor, keyed on the step size it
+    was made at: a factor held at this `dt` starts the iteration, any other
+    call factorises the Jacobian at vals, and every factor made here replaces
+    the held one (Hairer & Wanner, Solving ODEs II, IV.8).  A held factor is
+    not fresh.  Without `held` every call factorises afresh.
+
+    f takes at least one correction and is accepted once its residual or its
+    simplified correction lu.solve(r), which is also the next chord step, is
+    below tol * (1 + max |f|) (Deuflhard 2004; Kelley 2003).  StepFailure is
+    raised when a step taken with a fresh factor does not lower the residual,
+    or after 50 steps.
     """
+
+    def refactor(v):
+        lu = factorize(jacobian_fn(v))
+        if held is not None:
+            held.clear()
+            held[dt] = lu
+        return lu
+
     f = vals.copy()
     r = residual_fn(f)
     norm = float(np.max(np.abs(r)))
-    if norm < tol * (1.0 + float(np.max(np.abs(f)))):
-        return f
-    lu = factorize(jacobian_fn(f))
-    step, fresh = lu.solve(r), True
+    lu = held.get(dt) if held is not None else None
+    fresh = lu is None
+    if fresh:
+        lu = refactor(f)
+    step = lu.solve(r)
     for _ in range(50):
         f = f - step
         r = residual_fn(f)
@@ -249,7 +267,7 @@ def newton(vals, residual_fn, jacobian_fn, tol):
         if not contracted:
             if fresh and not norm_new < norm:
                 raise StepFailure(f"Newton step did not lower the residual {norm:.3e}")
-            lu = factorize(jacobian_fn(f))
+            lu = refactor(f)
             step = lu.solve(r)
         fresh = not contracted
         norm = norm_new
@@ -271,15 +289,15 @@ def enforce_positivity(vals, h, t, events):
     return clipped
 
 
-def implicit_flux_step(vals, h, dt, theta, potential, curvature, stiffness, cfg, t, events):
+def implicit_flux_step(vals, h, dt, theta, potential, curvature, stiffness, cfg, t, events, held=None):
     """One theta-weighted implicit step of v_t = Dx(m(v) Dx mu(v)).
 
     `potential(v)` is mu and `curvature(v)` the diagonal c of its
     linearisation mu' = diag(c) - stiffness * Dxx.  The Jacobian lags the
     mobility, I - dt theta M(v) (diag(c(v)) - stiffness L): the derivative of
     m is dropped, the flux in the residual is kept exact.  Newton's tolerance
-    comes from cfg; a negative result is clipped and renormalized
-    (`enforce_positivity`).
+    comes from cfg and `held` is the run's chord factor (`newton`); a negative
+    result is clipped and renormalized (`enforce_positivity`).
     """
     explicit = (1.0 - theta) * divergence_of_flux(vals, potential(vals), h) if theta < 1.0 else 0.0
 
@@ -289,21 +307,21 @@ def implicit_flux_step(vals, h, dt, theta, potential, curvature, stiffness, cfg,
     def jacobian(v):
         return stepping_bands(mobility_faces(v), curvature(v), stiffness, h, dt * theta)
 
-    out = newton(vals, residual, jacobian, cfg.newton_tol)
+    out = newton(vals, residual, jacobian, cfg.newton_tol, held, dt)
     return enforce_positivity(out, h, t, events)
 
 
-def _advance_eps(vals, h, dt, cfg, spec, t, events):
+def _advance_eps(vals, h, dt, cfg, spec, t, events, held=None):
     """One implicit step of the regularized flow: mu = W' - eps^2 Dxx, c = W''."""
 
     def mu(v):
         return chemical_potential_values(v, h, cfg.eps, spec)
 
     eps2 = cfg.eps * cfg.eps
-    return implicit_flux_step(vals, h, dt, cfg.theta_scheme, mu, spec.eval_W2, eps2, cfg, t, events)
+    return implicit_flux_step(vals, h, dt, cfg.theta_scheme, mu, spec.eval_W2, eps2, cfg, t, events, held)
 
 
-def _advance_limit(vals, h, dt, cfg, env, t, events):
+def _advance_limit(vals, h, dt, cfg, env, t, events, held=None):
     """One backward-Euler step of the relaxed flow (monotone system)."""
 
     def residual(v):
@@ -313,7 +331,7 @@ def _advance_limit(vals, h, dt, cfg, env, t, events):
         # Q**'' = v W**''(v) >= 0 on the admissible range; clamp strays
         return stepping_bands(np.ones_like(v), np.maximum(0.0, v * env.eval_Wss2(v)), 0.0, h, dt)
 
-    out = newton(vals, residual, jacobian, cfg.newton_tol)
+    out = newton(vals, residual, jacobian, cfg.newton_tol, held, dt)
     return enforce_positivity(out, h, t, events)
 
 
@@ -445,9 +463,10 @@ def simulate_eps(
         raise ValueError("simulate_eps needs eps > 0")
     if f0.n != cfg.n:
         raise ValueError("field resolution does not match config")
+    held = {}
 
     def advance(v, h, dt, t, events):
-        return _advance_eps(v, h, dt, cfg, spec, t, events)
+        return _advance_eps(v, h, dt, cfg, spec, t, events, held)
 
     def make_report(snap):
         return energy_report(snap, cfg.eps, spec)
@@ -476,9 +495,10 @@ def simulate_limit(
     if f0.n != cfg.n:
         raise ValueError("field resolution does not match config")
     h0 = f0.h
+    held = {}
 
     def advance(v, h, dt, t, events):
-        return _advance_limit(v, h, dt, cfg, env, t, events)
+        return _advance_limit(v, h, dt, cfg, env, t, events, held)
 
     def make_report(snap):
         e_star = energy_star(snap, env)

@@ -341,16 +341,15 @@ def bands_sparse(bands):
     return sp.csc_matrix((bands.ravel(), (rows, cols)), shape=(n, n))
 
 
-def newton_fresh_jacobian(vals, residual_fn, jacobian_fn, tol):
+def newton_fresh_jacobian(vals, residual_fn, jacobian_fn, tol, held=None, dt=None):
     """Full-step Newton with a Jacobian factorised afresh at every iterate,
-    under the library's stopping rule and cap: accept f once its residual or
-    its simplified correction is below tol * (1 + max |f|); StepFailure when
-    a step neither converges nor lowers the residual, or after 50 steps."""
+    under the library's stopping rule and cap: take at least one step, accept
+    f once its residual or its simplified correction is below
+    tol * (1 + max |f|); StepFailure when a step neither converges nor lowers
+    the residual, or after 50 steps.  A run's held factor is ignored."""
     f = vals.copy()
     r = residual_fn(f)
     norm = float(np.max(np.abs(r)))
-    if norm < tol * (1.0 + float(np.max(np.abs(f)))):
-        return f
     for _ in range(50):
         lu = spla.splu(bands_sparse(jacobian_fn(f)))
         f = f - lu.solve(r)
