@@ -67,6 +67,13 @@ def jsonable(obj):
     return obj
 
 
+def _write_json(path, obj):
+    """obj as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _reject_unknown(mapping, allowed, where):
     unknown = sorted(set(mapping) - set(allowed))
     if unknown:
@@ -323,9 +330,7 @@ def write_manifest(out_dir, cfg, outputs, extra=None):
     if extra:
         manifest.update(extra)
     path = out_dir / "manifest.json"
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, manifest)
     return path
 
 
@@ -406,9 +411,7 @@ def run_single(cfg, mode):
         record = simulate_nonlocal(f0, cfg.solver, spec, output_times=times)
         comparison = compare_local_nonlocal(record, cfg.solver, spec)
         cmp_path = out_dir / "comparison.json"
-        with open(cmp_path, "w") as fh:
-            json.dump(asdict(comparison), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(cmp_path, asdict(comparison))
         outputs.append(cmp_path)
 
     traj_path = out_dir / "trajectory.csv"
@@ -425,15 +428,11 @@ def run_single(cfg, mode):
         if len(record.snapshots) >= 2
         else {"error": "run aborted before the second snapshot"}
     )
-    with open(audit_path, "w") as fh:
-        json.dump(audit_payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(audit_path, audit_payload)
     outputs.append(audit_path)
 
     wrinkle_path = out_dir / "wrinkle.json"
-    with open(wrinkle_path, "w") as fh:
-        json.dump(_wrinkle_rows(record, unstable), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(wrinkle_path, _wrinkle_rows(record, unstable))
     outputs.append(wrinkle_path)
 
     write_manifest(out_dir, cfg, outputs, extra={"mode": mode})

@@ -34,7 +34,7 @@ import numpy as np
 
 from .functionals import dx_centered, dx_forward, energy_report, pad_periodic
 from .potential import PotentialSpec
-from .solvers import TrajectoryRecord, factorize, past_horizon, real_number, whole_number
+from .solvers import TrajectoryRecord, factorize, past_horizon, real_number, run_trajectory, whole_number
 from .wasserstein1d import DensityField, QuantileRepr, to_density
 
 __all__ = [
@@ -298,55 +298,50 @@ def jko_step_count(tau: float, t_end: float) -> int:
 
 
 def simulate_jko(f0: DensityField, cfg: JkoConfig, eps: float, spec: PotentialSpec, t_end: float) -> TrajectoryRecord:
-    """Chain outer steps to t_end, carrying particles across steps.
+    """Chain outer steps to t_end through `solvers.run_trajectory`, snapshotting every tau.
 
-    Re-quantizing the density between steps would contaminate the
-    telescoped transport cost, so particles flow through the whole run
-    and densities are reconstructed only for snapshots and reports.
-    `extras["energies"]` holds the gap energy E of every step, which the
-    ledger telescopes; the snapshot reports hold the grid energies.
+    Re-quantizing the density would contaminate the telescoped transport
+    cost, so the loop's state is the particles with their step's info, and
+    densities are reconstructed only for snapshots and reports (grid
+    energies).  The loop checks the gap energy E, `info["energy"]`, that
+    the ledger telescopes and `extras["energies"]` holds.  Steps never
+    halve, because the ledger telescopes equal steps: a rejected step
+    raises, and the stay-put guarantee keeps that from happening.
     """
     n_steps = jko_step_count(cfg.tau, t_end)
-    n = f0.n
-
     positions = particles_from_density(f0, cfg.m)
-    snapshots = [density_from_particles(positions, n)]
-    reports = [energy_report(snapshots[0], eps, spec)]
-    times = [0.0]
-    energies = [_Objective(positions, cfg.tau, eps, spec).evaluate(np.zeros(cfg.m))[2][0]]
-    increments = [0.0]
-    iterations = [0]
-    halvings = [0]
+    energy = _Objective(positions, cfg.tau, eps, spec).evaluate(np.zeros(cfg.m))[2][0]
+    steps = [(positions, {"energy": energy, "d2_increment": 0.0, "iterations": 0, "line_search_halvings": 0})]
 
-    for k in range(1, n_steps + 1):
-        positions, info = jko_step_positions(positions, cfg, eps, spec)
-        snap = density_from_particles(positions, n)
-        snapshots.append(snap)
-        reports.append(energy_report(snap, eps, spec))
-        times.append(k * cfg.tau)
-        energies.append(info["energy"])
-        increments.append(info["d2_increment"])
-        iterations.append(info["iterations"])
-        halvings.append(info["line_search_halvings"])
+    def advance(state, dt, t, events):
+        if abs(dt - cfg.tau) > 1e-9 * cfg.tau:
+            raise RuntimeError(f"step at t = {t!r} rejected; the ledger telescopes steps of tau = {cfg.tau!r}")
+        steps.append(jko_step_positions(state[0], cfg, eps, spec))
+        return steps[-1]
 
-    record = TrajectoryRecord(
-        times=np.array(times),
-        snapshots=snapshots,
-        reports=reports,
-        events=[],
-        flavor="jko",
-    )
-    increments = np.array(increments)
-    energies = np.array(energies)
+    def field(state):
+        return density_from_particles(state[0], f0.n)
+
+    def make_report(snap):
+        return energy_report(snap, eps, spec)
+
+    def energy_of(state):
+        return state[1]["energy"]
+
+    times = np.arange(n_steps + 1) * cfg.tau
+    record = run_trajectory(steps[0], cfg.tau, times, advance, field, make_report, energy_of, "jko")
+    infos = [info for _, info in steps]
+    increments = np.array([info["d2_increment"] for info in infos])
+    energies = np.array([info["energy"] for info in infos])
     # signed defect of E(k) + (1/2 tau) sum d2^2 <= E(0); the stay-put guarantee keeps it <= 0
     slack = energies - energies[0] + np.cumsum(increments**2) / (2.0 * cfg.tau)
     record.extras["speeds"] = np.concatenate([[0.0], increments[1:] / cfg.tau])
     record.extras["d2_increments"] = increments
     record.extras["energies"] = energies
     record.extras["ledger_slack"] = slack
-    record.extras["inner_iterations"] = np.array(iterations)
-    record.extras["line_search_halvings"] = np.array(halvings)
-    record.extras["positions"] = positions
+    record.extras["inner_iterations"] = np.array([info["iterations"] for info in infos])
+    record.extras["line_search_halvings"] = np.array([info["line_search_halvings"] for info in infos])
+    record.extras["positions"] = steps[-1][0]
     return record
 
 

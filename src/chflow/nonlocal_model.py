@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .functionals import EnergyReport, energy_star
-from .solvers import SolverConfig, implicit_flux_step, run_trajectory, simulate_eps
+from .solvers import SolverConfig, check_output_times, implicit_flux_step, run_trajectory, simulate_eps
 from .wasserstein1d import DensityField, w2_periodic
 
 __all__ = [
@@ -142,12 +142,13 @@ def simulate_nonlocal(f0, cfg, spec, output_times=None):
     slope columns are recorded as zero.
     """
     k_hat = _kernel_for(f0, cfg, "simulate_nonlocal")
+    times = check_output_times(cfg, output_times)
     kern = _kernel()
     h = f0.h
     held = {}
 
-    def advance(vals, h_, dt, t, events):
-        return _advance_nonlocal_implicit(vals, h_, dt, k_hat, cfg, spec, t, events, held)
+    def advance(vals, dt, t, events):
+        return _advance_nonlocal_implicit(vals, h, dt, k_hat, cfg, spec, t, events, held)
 
     def energy_of(vals):
         return _energy_values(vals, h, k_hat, spec)[0]
@@ -159,7 +160,7 @@ def simulate_nonlocal(f0, cfg, spec, output_times=None):
             e_eps=e_model, e_star=e_bulk, slope_eps=0.0, slope_star=0.0, gap=e_model - e_bulk
         )
 
-    record = run_trajectory(f0, cfg, advance, make_report, energy_of, "nonlocal", output_times)
+    record = run_trajectory(f0.values, cfg.dt, times, advance, DensityField, make_report, energy_of, "nonlocal")
     record.extras["kernel"] = {"name": kern.name, "k0": kern.k0, "eps": cfg.eps}
     return record
 

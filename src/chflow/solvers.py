@@ -16,7 +16,9 @@ never at the roundoff floor.  Every implicit
 step linearises to one stepping matrix, I - dt theta Dx(m Dx (diag(c) -
 s Dxx)), whose cyclic bands `stepping_bands` builds; `factorize` scatters
 those bands into LAPACK band storage in a folded cell order (plan cached
-per size) and factors them.
+per size) and factors them.  All four flows, JKO too, step an opaque
+state (cells, or particles) through one adaptive-dt loop, `run_trajectory`;
+JKO never halves tau, because its energy ledger telescopes equal steps.
 """
 
 from __future__ import annotations
@@ -389,24 +391,26 @@ def check_output_times(cfg, output_times):
     return times
 
 
-def run_trajectory(f0, cfg, advance, make_report, energy_of, flavor, output_times):
+def run_trajectory(state, dt, times, advance, field, make_report, energy_of, flavor):
     """Adaptive-dt loop shared by every flow: snapshots, reports, events.
 
-    `advance(vals, h, dt, t, events)` takes one step or raises StepFailure.
-    The events it appends reach the record only if the step is accepted.
+    `state` is opaque: cell values, or JKO's particles with their step info.
+    `advance(state, dt, t, events)` takes one step or raises StepFailure,
+    and so halves dt, as does an `energy_of(state)` rise beyond 1e-8 of its
+    start; the events it appends reach the record only if the step is
+    accepted.  `field(state)` is the snapshot, `times` come checked
+    (`check_output_times`).  JKO's advance raises on a halved step instead,
+    because its energy ledger telescopes equal steps.
     """
-    times = check_output_times(cfg, output_times)
-    vals = f0.values.copy()
-    h = f0.h
     events = []
-    snapshots = [DensityField(vals.copy())]
+    snapshots = [field(state)]
     reports = [make_report(snapshots[0])]
     recorded = [0.0]
 
-    e_prev = energy_of(vals)
+    e_prev = energy_of(state)
     slack = 1e-8 * abs(e_prev)
-    dt_cur = cfg.dt
-    dt_min = cfg.dt * 2.0**-40
+    dt_cur = dt
+    dt_min = dt * 2.0**-40
     grown_after = 0
     aborted = False
 
@@ -416,8 +420,8 @@ def run_trajectory(f0, cfg, advance, make_report, energy_of, flavor, output_time
             dt_eff = min(dt_cur, t_out - t)
             attempt = []
             try:
-                new_vals = advance(vals, h, dt_eff, t, attempt)
-                e_new = energy_of(new_vals)
+                new_state = advance(state, dt_eff, t, attempt)
+                e_new = energy_of(new_state)
                 if e_new > e_prev + slack:
                     raise StepFailure(f"energy increased by {e_new - e_prev:.3e}")
             except StepFailure as exc:
@@ -429,16 +433,16 @@ def run_trajectory(f0, cfg, advance, make_report, energy_of, flavor, output_time
                     aborted = True
                 continue
             events += attempt
-            vals, e_prev = new_vals, e_new
+            state, e_prev = new_state, e_new
             t += dt_eff
             grown_after += 1
-            if dt_cur < cfg.dt and grown_after >= 10:
-                dt_cur = min(cfg.dt, 2.0 * dt_cur)
+            if dt_cur < dt and grown_after >= 10:
+                dt_cur = min(dt, 2.0 * dt_cur)
                 grown_after = 0
                 events.append({"type": "dt-grow", "t": t, "dt": dt_cur})
         if aborted:
             break
-        snap = DensityField(vals.copy())
+        snap = field(state)
         snapshots.append(snap)
         reports.append(make_report(snap))
         recorded.append(float(t_out))
@@ -463,20 +467,19 @@ def simulate_eps(
         raise ValueError("simulate_eps needs eps > 0")
     if f0.n != cfg.n:
         raise ValueError("field resolution does not match config")
+    times = check_output_times(cfg, output_times)
     held = {}
 
-    def advance(v, h, dt, t, events):
-        return _advance_eps(v, h, dt, cfg, spec, t, events, held)
+    def advance(v, dt, t, events):
+        return _advance_eps(v, f0.h, dt, cfg, spec, t, events, held)
 
     def make_report(snap):
         return energy_report(snap, cfg.eps, spec)
 
-    h0 = f0.h
-
     def energy_of(v):
-        return energy_eps_values(v, h0, cfg.eps, spec)
+        return energy_eps_values(v, f0.h, cfg.eps, spec)
 
-    return run_trajectory(f0, cfg, advance, make_report, energy_of, "eps", output_times)
+    return run_trajectory(f0.values, cfg.dt, times, advance, DensityField, make_report, energy_of, "eps")
 
 
 def simulate_limit(
@@ -494,11 +497,11 @@ def simulate_limit(
     _check_limit_config(cfg, "simulate_limit")
     if f0.n != cfg.n:
         raise ValueError("field resolution does not match config")
-    h0 = f0.h
+    times = check_output_times(cfg, output_times)
     held = {}
 
-    def advance(v, h, dt, t, events):
-        return _advance_limit(v, h, dt, cfg, env, t, events, held)
+    def advance(v, dt, t, events):
+        return _advance_limit(v, f0.h, dt, cfg, env, t, events, held)
 
     def make_report(snap):
         e_star = energy_star(snap, env)
@@ -506,6 +509,6 @@ def simulate_limit(
         return EnergyReport(e_eps=e_star, e_star=e_star, slope_eps=s_star, slope_star=s_star, gap=0.0)
 
     def energy_of(v):
-        return energy_star_values(v, h0, env)
+        return energy_star_values(v, f0.h, env)
 
-    return run_trajectory(f0, cfg, advance, make_report, energy_of, "limit", output_times)
+    return run_trajectory(f0.values, cfg.dt, times, advance, DensityField, make_report, energy_of, "limit")

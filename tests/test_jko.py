@@ -350,6 +350,19 @@ def test_record_keeps_inner_work_per_step(cubic):
     assert (iterations[1], halvings[1]) == (first["iterations"], first["line_search_halvings"])
 
 
+def test_rejected_step_raises_instead_of_halving_tau(cubic, monkeypatch):
+    # the ledger telescopes steps of size tau, so a step whose energy rises stops the run
+    step = jko.jko_step_positions
+
+    def rising(*args, **kwargs):
+        x, info = step(*args, **kwargs)
+        return x, {**info, "energy": info["energy"] + 1.0}
+
+    monkeypatch.setattr(jko, "jko_step_positions", rising)
+    with pytest.raises(RuntimeError, match="rejected"):
+        simulate_jko(_cosine_field(128, 0.3), JkoConfig(tau=1e-3, m=256), 0.1, cubic, 4e-3)
+
+
 def test_simulate_requires_multiple_of_tau(cubic):
     f0 = _cosine_field(128, 0.2)
     with pytest.raises(ValueError):

@@ -2,7 +2,8 @@
 and never another module's private names, the hot stencil modules use no
 per-call-heavy numpy helpers, no module touches scipy.sparse, every LU
 goes through the one factorisation seam, jko imports nothing from scipy,
-only potential builds convex envelopes, and every config field is read."""
+only the trajectory loop builds records, only potential builds convex
+envelopes, and every config field is read."""
 
 import ast
 from pathlib import Path
@@ -148,6 +149,19 @@ def test_every_lu_goes_through_factorize():
     # every allowed place really uses its name: the LU is LAPACK's, and factorize keeps its callers
     used = {(name, stem, owner) for stem, name, owner, _ in uses}
     assert {(name, *place) for name, places in _LU_SEAM.items() for place in places} <= used
+
+
+# every flow (eps, limit, nonlocal, JKO) steps through the one adaptive loop,
+# so no module builds a record from a stepping loop of its own
+def test_only_run_trajectory_builds_records():
+    places = {
+        (path.stem, top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None)
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and _dotted(node.func).rpartition(".")[2] == "TrajectoryRecord"
+    }
+    assert places == {("solvers", "run_trajectory")}
 
 
 def test_only_potential_builds_envelopes():

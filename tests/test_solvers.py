@@ -516,7 +516,8 @@ def test_dispersion_run_at_roundoff_floor_never_halves(wrinkle):
 
 
 def _scripted_run(script):
-    """run_trajectory over [0, 0.5] on a toy flow whose first steps follow `script`.
+    """run_trajectory over [0, 0.5] on a toy flow, its state a bare cell array,
+    whose first steps follow `script`.
 
     "clip" appends a clip event and keeps the state, "fail" appends one and
     raises StepFailure, "rise" appends one and raises the energy (the first
@@ -524,7 +525,7 @@ def _scripted_run(script):
     """
     calls = []
 
-    def advance(vals, h, dt, t, events):
+    def advance(vals, dt, t, events):
         kind = script[len(calls)] if len(calls) < len(script) else "keep"
         calls.append(kind)
         if kind == "keep":
@@ -534,9 +535,9 @@ def _scripted_run(script):
             raise StepFailure("scripted failure")
         return vals + (1.0 if kind == "rise" else 0.0)
 
-    cfg = SolverConfig(n=16, dt=0.25, eps=0.1, t_end=0.5)
+    times = np.array([0.0, 0.5])
     return solvers.run_trajectory(
-        DensityField(np.ones(16)), cfg, advance, lambda snap: None, lambda v: float(v[0]), "eps", [0.0, 0.5]
+        np.ones(16), 0.25, times, advance, DensityField, lambda snap: None, lambda v: float(v[0]), "eps"
     )
 
 
