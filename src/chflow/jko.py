@@ -308,6 +308,8 @@ def simulate_jko(f0: DensityField, cfg: JkoConfig, eps: float, spec: PotentialSp
     halve, because the ledger telescopes equal steps: a rejected step
     raises, and the stay-put guarantee keeps that from happening.
     """
+    if eps <= 0.0:
+        raise ValueError("simulate_jko needs eps > 0")
     n_steps = jko_step_count(cfg.tau, t_end)
     positions = particles_from_density(f0, cfg.m)
     energy = _Objective(positions, cfg.tau, eps, spec).evaluate(np.zeros(cfg.m))[2][0]

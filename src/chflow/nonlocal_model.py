@@ -5,7 +5,7 @@ The model replaces the local interfacial term with a mollified attraction,
 K_eps*ν - ν = eps²k0 νxx + ..., whatever W is, recovers the regularized
 local flow with eps_eff² = eps² k0, which is what compare_local_nonlocal
 measures.  The model steps by backward Euler through
-`solvers.implicit_flux_step`, as the local flow does, so one run serves as
+`solvers.implicit_stepper`, as the local flow does, so one run serves as
 the record and as the comparison's nonlocal side.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .functionals import EnergyReport, energy_star
-from .solvers import SolverConfig, check_output_times, implicit_flux_step, run_trajectory, simulate_eps
+from .solvers import SolverConfig, check_output_times, implicit_stepper, run_trajectory, simulate_eps
 from .wasserstein1d import DensityField, w2_periodic
 
 __all__ = [
@@ -90,35 +90,31 @@ def convolve_periodic(values, kernel_hat, h):
     return np.fft.irfft(np.fft.rfft(values) * kernel_hat, values.size) * h
 
 
-def _advance_nonlocal_implicit(vals, h, dt, k_hat, cfg, spec, t, events, held=None):
-    """One backward-Euler step of mu = W' + v - K_eps*v, the first variation of `_energy_values`.
+def _nonlocal_stepper(cfg, spec, h, caller):
+    """Backward-Euler stepper of mu = W' + v - K_eps*v, the first variation of
+    `_energy_values`, and the transform of K_eps, once cfg has eps > 0 and theta 1.
 
     The Jacobian replaces the convolution by its thin-interface surrogate
     I + eps^2 k0 Dxx, so c = W'' and the linear solves stay banded; the
     residual uses the exact kernel, so the fixed point is the true
     backward-Euler state and the surrogate only affects the iteration count.
     """
+    if cfg.eps <= 0.0 or cfg.theta_scheme != 1.0:
+        raise ValueError(f"{caller} needs eps > 0 and backward Euler (theta_scheme = 1)")
+    k_hat = np.fft.rfft(kernel_on_grid(cfg.eps, cfg.n))
 
     def mu(v):
         return spec.eval_W1(v) + v - convolve_periodic(v, k_hat, h)
 
-    eps2k0 = cfg.eps * cfg.eps * _kernel().k0
-    return implicit_flux_step(vals, h, dt, 1.0, mu, spec.eval_W2, eps2k0, cfg, t, events, held)
-
-
-def _kernel_for(f, cfg, caller):
-    """Transform of K_eps on f's grid, once cfg is checked to have eps > 0, theta 1 and f's resolution."""
-    if cfg.eps <= 0.0 or cfg.theta_scheme != 1.0:
-        raise ValueError(f"{caller} needs eps > 0 and backward Euler (theta_scheme = 1)")
-    if f.n != cfg.n:
-        raise ValueError("field resolution does not match config")
-    return np.fft.rfft(kernel_on_grid(cfg.eps, cfg.n))
+    return implicit_stepper(h, cfg.newton_tol, mu, spec.eval_W2, cfg.eps * cfg.eps * _kernel().k0), k_hat
 
 
 def step_nonlocal(f: DensityField, cfg: SolverConfig, spec) -> DensityField:
     """Advance the aggregation model with bulk potential spec by one backward-Euler step of size cfg.dt."""
-    k_hat = _kernel_for(f, cfg, "step_nonlocal")
-    return DensityField(_advance_nonlocal_implicit(f.values, f.h, cfg.dt, k_hat, cfg, spec, 0.0, []))
+    advance, _ = _nonlocal_stepper(cfg, spec, f.h, "step_nonlocal")
+    if f.n != cfg.n:
+        raise ValueError("field resolution does not match config")
+    return DensityField(advance(f.values, cfg.dt, 0.0, []))
 
 
 def _energy_values(vals, h, k_hat, spec):
@@ -141,17 +137,14 @@ def simulate_nonlocal(f0, cfg, spec, output_times=None):
     e_star; the local slope surrogates do not transfer to this model, so the
     slope columns are recorded as zero.
     """
-    k_hat = _kernel_for(f0, cfg, "simulate_nonlocal")
+    advance, k_hat = _nonlocal_stepper(cfg, spec, f0.h, "simulate_nonlocal")
+    if f0.n != cfg.n:
+        raise ValueError("field resolution does not match config")
     times = check_output_times(cfg, output_times)
     kern = _kernel()
-    h = f0.h
-    held = {}
-
-    def advance(vals, dt, t, events):
-        return _advance_nonlocal_implicit(vals, h, dt, k_hat, cfg, spec, t, events, held)
 
     def energy_of(vals):
-        return _energy_values(vals, h, k_hat, spec)[0]
+        return _energy_values(vals, f0.h, k_hat, spec)[0]
 
     def make_report(snap):
         e_model = energy_of(snap.values)

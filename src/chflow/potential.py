@@ -210,10 +210,15 @@ def make_potential(name):
     return from_polynomial(_CANONICAL[key], name=key)
 
 
+def _pressure_primitive(w, w1, y):
+    """y w1(y) - w(y): Q' of a potential w with derivative w1."""
+    y = np.asarray(y, dtype=float)
+    return y * w1(y) - w(y)
+
+
 def eval_q1(spec, y):
     """Pressure primitive Q'(y) = y W'(y) - W(y)."""
-    y = np.asarray(y, dtype=float)
-    return y * spec.eval_W1(y) - spec.eval_W(y)
+    return _pressure_primitive(spec.eval_W, spec.eval_W1, y)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +350,7 @@ def compute_convex_envelope(spec):
     wss, wss1, wss2 = (partial(_envelope_piece, starts, is_bridge, slopes, intercepts, order, graph[order])
                        for order in range(3))
     return ConvexEnvelope(breakpoints=breakpoints, eval_Wss=wss, eval_Wss1=wss1,
-                          eval_Qss1=partial(_envelope_q1, wss, wss1), eval_Wss2=wss2,
+                          eval_Qss1=partial(_pressure_primitive, wss, wss1), eval_Wss2=wss2,
                           segments=segments)
 
 
@@ -361,12 +366,6 @@ def _envelope_piece(starts, is_bridge, slopes, intercepts, order, on_graph, z):
         on_bridge = 0.0
     out = np.where(is_bridge[idx], on_bridge, on_graph(z))
     return out if out.shape else float(out)
-
-
-def _envelope_q1(wss, wss1, z):
-    """Q**'(z) = z W**'(z) - W**(z)."""
-    z = np.asarray(z, dtype=float)
-    return z * wss1(z) - wss(z)
 
 
 def compute_unstable_set(envelope, max_intervals=8):

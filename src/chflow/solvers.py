@@ -2,14 +2,15 @@
 
 Both flows are conservative: the update is a difference of face fluxes,
 so the discrete mass telescopes exactly no matter how inaccurate the
-Newton solve is.  The regularized flow and the nonlocal model step
-through one lagged-mobility implicit flux step; the limit stepper is a
-backward Euler step of a monotone system, which keeps the minimum
+Newton solve is.  The regularized flow, the limit flow and the nonlocal
+model step through one lagged-mobility implicit flux step,
+`implicit_stepper`; the limit flow is its backward Euler step with unit
+face mobility and mu = Q**', a monotone system, which keeps the minimum
 principle and dissipates the relaxed energy unconditionally.  Every flow
 clips a Newton result with a negative cell and restores its mass
-(`enforce_positivity`).  Newton is a chord iteration: each run holds one
-LU per step size across its steps, refreshed only when a step fails to
-halve the residual, so a smooth run factorises a handful of times.  It
+(`enforce_positivity`).  Newton is a chord iteration: each run's stepper
+holds one LU per step size across its steps, refreshed only when a step
+fails to halve the residual, so a smooth run factorises a handful of times.  It
 takes at least one correction and stops on a small residual or a small
 simplified correction, so dt is halved only when a step truly fails,
 never at the roundoff floor.  Every implicit
@@ -39,7 +40,6 @@ from .functionals import (
     energy_report,
     energy_star,
     energy_star_values,
-    laplacian,
     pad_periodic,
     slope_star,
 )
@@ -54,7 +54,7 @@ __all__ = [
     "divergence_of_flux",
     "enforce_positivity",
     "factorize",
-    "implicit_flux_step",
+    "implicit_stepper",
     "mobility_faces",
     "newton",
     "past_horizon",
@@ -196,9 +196,8 @@ def mobility_faces(v):
     return np.maximum(0.0, 0.5 * (v + pad_periodic(v)[2:]))
 
 
-def divergence_of_flux(v, p, h):
-    """Conservative update: difference of face fluxes m * Dx(p)."""
-    m = mobility_faces(v)
+def divergence_of_flux(m, p, h):
+    """Conservative update: difference of face fluxes m * Dx(p), m at faces j+1/2."""
     flux = m * (pad_periodic(p)[2:] - p) / h
     return (flux - pad_periodic(flux)[:-2]) / h
 
@@ -291,73 +290,72 @@ def enforce_positivity(vals, h, t, events):
     return clipped
 
 
-def implicit_flux_step(vals, h, dt, theta, potential, curvature, stiffness, cfg, t, events, held=None):
-    """One theta-weighted implicit step of v_t = Dx(m(v) Dx mu(v)).
+def implicit_stepper(h, tol, potential, curvature, stiffness, theta=1.0, mobility=mobility_faces):
+    """advance(vals, dt, t, events): one theta-weighted implicit step of
+    v_t = Dx(m(v) Dx mu(v)), m = mobility(v) at faces, for one run.
 
     `potential(v)` is mu and `curvature(v)` the diagonal c of its
     linearisation mu' = diag(c) - stiffness * Dxx.  The Jacobian lags the
     mobility, I - dt theta M(v) (diag(c(v)) - stiffness L): the derivative of
-    m is dropped, the flux in the residual is kept exact.  Newton's tolerance
-    comes from cfg and `held` is the run's chord factor (`newton`); a negative
-    result is clipped and renormalized (`enforce_positivity`).
+    m is dropped, the flux in the residual is kept exact.  The stepper holds
+    its run's chord factor (`newton`), so a fresh stepper starts without one;
+    a negative result is clipped and renormalized (`enforce_positivity`).
     """
-    explicit = (1.0 - theta) * divergence_of_flux(vals, potential(vals), h) if theta < 1.0 else 0.0
+    held = {}
 
-    def residual(v):
-        return v - vals - dt * (theta * divergence_of_flux(v, potential(v), h) + explicit)
+    def advance(vals, dt, t, events):
+        explicit = (1.0 - theta) * divergence_of_flux(mobility(vals), potential(vals), h) if theta < 1.0 else 0.0
 
-    def jacobian(v):
-        return stepping_bands(mobility_faces(v), curvature(v), stiffness, h, dt * theta)
+        def residual(v):
+            return v - vals - dt * (theta * divergence_of_flux(mobility(v), potential(v), h) + explicit)
 
-    out = newton(vals, residual, jacobian, cfg.newton_tol, held, dt)
-    return enforce_positivity(out, h, t, events)
+        def jacobian(v):
+            return stepping_bands(mobility(v), curvature(v), stiffness, h, dt * theta)
+
+        out = newton(vals, residual, jacobian, tol, held, dt)
+        return enforce_positivity(out, h, t, events)
+
+    return advance
 
 
-def _advance_eps(vals, h, dt, cfg, spec, t, events, held=None):
-    """One implicit step of the regularized flow: mu = W' - eps^2 Dxx, c = W''."""
+def _eps_stepper(cfg, spec, h, caller):
+    """Stepper of the regularized flow, mu = W' - eps^2 Dxx, c = W'', once cfg has eps > 0."""
+    if cfg.eps <= 0.0:
+        raise ValueError(f"{caller} needs eps > 0")
 
     def mu(v):
         return chemical_potential_values(v, h, cfg.eps, spec)
 
-    eps2 = cfg.eps * cfg.eps
-    return implicit_flux_step(vals, h, dt, cfg.theta_scheme, mu, spec.eval_W2, eps2, cfg, t, events, held)
+    return implicit_stepper(h, cfg.newton_tol, mu, spec.eval_W2, cfg.eps * cfg.eps, cfg.theta_scheme)
 
 
-def _advance_limit(vals, h, dt, cfg, env, t, events, held=None):
-    """One backward-Euler step of the relaxed flow (monotone system)."""
+def _limit_stepper(cfg, env, h, caller):
+    """Backward-Euler stepper of the relaxed flow, v_t = Dxx Q**'(v): unit face
+    mobility, mu = Q**', c = Q**'' = v W**'' (>= 0 on the admissible range,
+    strays clamped), once cfg is its one scheme, eps = 0 and theta 1."""
+    if cfg.eps != 0.0 or cfg.theta_scheme != 1.0:
+        raise ValueError(f"{caller} requires eps = 0 and backward Euler (theta_scheme = 1)")
 
-    def residual(v):
-        return v - vals - dt * laplacian(env.eval_Qss1(v), h)
+    def curvature(v):
+        return np.maximum(0.0, v * env.eval_Wss2(v))
 
-    def jacobian(v):
-        # Q**'' = v W**''(v) >= 0 on the admissible range; clamp strays
-        return stepping_bands(np.ones_like(v), np.maximum(0.0, v * env.eval_Wss2(v)), 0.0, h, dt)
-
-    out = newton(vals, residual, jacobian, cfg.newton_tol, held, dt)
-    return enforce_positivity(out, h, t, events)
+    return implicit_stepper(h, cfg.newton_tol, env.eval_Qss1, curvature, 0.0, mobility=np.ones_like)
 
 
 def step_eps(f: DensityField, cfg: SolverConfig, spec: PotentialSpec) -> DensityField:
     """Advance the regularized flow by one step of size cfg.dt."""
-    if cfg.eps <= 0.0:
-        raise ValueError("step_eps needs eps > 0")
+    advance = _eps_stepper(cfg, spec, f.h, "step_eps")
     if f.n != cfg.n:
         raise ValueError("field resolution does not match config")
-    return DensityField(_advance_eps(f.values, f.h, cfg.dt, cfg, spec, 0.0, []))
-
-
-def _check_limit_config(cfg, caller):
-    """ValueError unless cfg is the relaxed flow's one scheme: eps = 0, backward Euler."""
-    if cfg.eps != 0.0 or cfg.theta_scheme != 1.0:
-        raise ValueError(f"{caller} requires eps = 0 and backward Euler (theta_scheme = 1)")
+    return DensityField(advance(f.values, cfg.dt, 0.0, []))
 
 
 def step_limit(f: DensityField, cfg: SolverConfig, env: ConvexEnvelope) -> DensityField:
     """Advance the relaxed flow by one backward-Euler step of size cfg.dt."""
-    _check_limit_config(cfg, "step_limit")
+    advance = _limit_stepper(cfg, env, f.h, "step_limit")
     if f.n != cfg.n:
         raise ValueError("field resolution does not match config")
-    return DensityField(_advance_limit(f.values, f.h, cfg.dt, cfg, env, 0.0, []))
+    return DensityField(advance(f.values, cfg.dt, 0.0, []))
 
 
 def step_limit_values(values, h, dt, cfg, env):
@@ -366,8 +364,7 @@ def step_limit_values(values, h, dt, cfg, env):
     Used for scheme studies (comparison principle on ordered data of
     unequal mass) where the unit-mass container does not apply.
     """
-    _check_limit_config(cfg, "step_limit_values")
-    return _advance_limit(np.asarray(values, dtype=float), h, dt, cfg, env, 0.0, [])
+    return _limit_stepper(cfg, env, h, "step_limit_values")(np.asarray(values, dtype=float), dt, 0.0, [])
 
 
 def past_horizon(t, t_end):
@@ -463,15 +460,10 @@ def simulate_eps(
     The step is halved whenever Newton fails or the energy rises beyond
     1e-8 of its starting size, and regrows after ten clean steps.
     """
-    if cfg.eps <= 0.0:
-        raise ValueError("simulate_eps needs eps > 0")
+    advance = _eps_stepper(cfg, spec, f0.h, "simulate_eps")
     if f0.n != cfg.n:
         raise ValueError("field resolution does not match config")
     times = check_output_times(cfg, output_times)
-    held = {}
-
-    def advance(v, dt, t, events):
-        return _advance_eps(v, f0.h, dt, cfg, spec, t, events, held)
 
     def make_report(snap):
         return energy_report(snap, cfg.eps, spec)
@@ -494,14 +486,10 @@ def simulate_limit(
     the gap column is identically zero; the discrete energy-equality
     residuals are `diagnostics.energy_dissipation_audit(record).residuals`.
     """
-    _check_limit_config(cfg, "simulate_limit")
+    advance = _limit_stepper(cfg, env, f0.h, "simulate_limit")
     if f0.n != cfg.n:
         raise ValueError("field resolution does not match config")
     times = check_output_times(cfg, output_times)
-    held = {}
-
-    def advance(v, dt, t, events):
-        return _advance_limit(v, f0.h, dt, cfg, env, t, events, held)
 
     def make_report(snap):
         e_star = energy_star(snap, env)

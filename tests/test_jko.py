@@ -363,6 +363,18 @@ def test_rejected_step_raises_instead_of_halving_tau(cubic, monkeypatch):
         simulate_jko(_cosine_field(128, 0.3), JkoConfig(tau=1e-3, m=256), 0.1, cubic, 4e-3)
 
 
+def test_simulate_needs_positive_eps_before_placing_particles(cubic, monkeypatch):
+    # the gap energy and the reports are the eps flow's; at eps = 0 the run
+    # stops before any work, not at its first report
+    def placed(*args):
+        raise AssertionError("particles placed")
+
+    monkeypatch.setattr(jko, "particles_from_density", placed)
+    for eps in (0.0, -0.1):
+        with pytest.raises(ValueError, match="simulate_jko needs eps > 0"):
+            simulate_jko(_cosine_field(64, 0.2), JkoConfig(tau=1e-3, m=256), eps, cubic, 4e-3)
+
+
 def test_simulate_requires_multiple_of_tau(cubic):
     f0 = _cosine_field(128, 0.2)
     with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 """Module boundaries: every chflow module imports only modules of a lower layer
 and never another module's private names, the hot stencil modules use no
 per-call-heavy numpy helpers, no module touches scipy.sparse, every LU
-goes through the one factorisation seam, jko imports nothing from scipy,
+goes through the one factorisation seam and every implicit step's Newton
+iteration through the one implicit stepper, jko imports nothing from scipy,
 only the trajectory loop builds records, only potential builds convex
 envelopes, and every config field is read."""
 
@@ -100,14 +101,16 @@ def test_no_module_uses_scipy_sparse():
 
 
 # the one LU seam: LAPACK's band LU (dgbtrf) and its solve (dgbtrs) are called only
-# inside solvers.factorize, SuperLU (splu) nowhere, and factorize only by the Newton
-# iteration (every implicit step of every flow) and the JKO Newton direction, so a
-# swap of the LU touches one function and a wrapper on factorize sees every factorisation
+# inside solvers.factorize, SuperLU (splu) nowhere, factorize only by the Newton
+# iteration and the JKO Newton direction, and the Newton iteration only by the one
+# implicit stepper (every implicit step of every flow), so a swap of the LU touches
+# one function and a wrapper on factorize or newton sees every factorisation or Newton solve
 _LU_SEAM = {
     "dgbtrf": {("solvers", "factorize")},
     "dgbtrs": {("solvers", "factorize")},
     "splu": set(),
     "factorize": {("solvers", "newton"), ("jko", "_newton_direction")},
+    "newton": {("solvers", "implicit_stepper")},
 }
 
 

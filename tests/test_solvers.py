@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from chflow import solvers
 from chflow.diagnostics import energy_dissipation_audit
+from chflow.functionals import laplacian
 from chflow.potential import compute_convex_envelope, from_polynomial, make_potential
 from chflow.solvers import (
     SolverConfig,
@@ -373,6 +374,37 @@ def test_newton_holds_one_factor_per_step_size():
     assert solve(held, 5e-4) == 1
 
 
+def test_each_run_and_each_single_step_factorises_afresh(spinodal, monkeypatch):
+    # the chord factor belongs to its run's stepper: a second run with the same
+    # config, or a second single step, starts without the first one's factor
+    counts = _count_factorisations(monkeypatch)
+    newton_ = solvers.newton
+    made = []  # factorisations made by each Newton call
+
+    def tracking_newton(*args):
+        before = counts[-1]
+        out = newton_(*args)
+        made.append(counts[-1] - before)
+        return out
+
+    monkeypatch.setattr(solvers, "newton", tracking_newton)
+    # dyadic times: every step is exactly dt, so a factor left over from the
+    # first run would fit the second run's first step
+    f0 = _cosine(64, 0.1)
+    cfg = SolverConfig(n=64, dt=2.0**-12, eps=0.05, t_end=2.0**-9)
+    runs = []
+    for _ in range(2):
+        made.clear()
+        assert simulate_eps(f0, cfg, spinodal, output_times=[0.0, 2.0**-10, 2.0**-9]).events == []
+        runs.append(list(made))
+    assert len(runs[0]) > 1 and runs[0][0] >= 1
+    assert runs[1] == runs[0]
+    counts.append(0)
+    step_eps(f0, cfg, spinodal)
+    step_eps(f0, cfg, spinodal)
+    assert counts[-1] == 2
+
+
 def test_newton_takes_a_step_from_a_small_residual(spinodal):
     # near equilibrium the first residual, O(dt a), falls below newton_tol;
     # the mode still decays at the backward-Euler rate of the linearised flow,
@@ -704,7 +736,12 @@ def test_flux_stencils_equal_roll_formulas(vp, h):
     m = np.maximum(0.0, 0.5 * (v + np.roll(v, -1)))
     flux = m * (np.roll(p, -1) - p) / h
     assert np.array_equal(mobility_faces(v), m)
-    assert np.array_equal(divergence_of_flux(v, p, h), (flux - np.roll(flux, 1)) / h)
+    assert np.array_equal(divergence_of_flux(mobility_faces(v), p, h), (flux - np.roll(flux, 1)) / h)
+    # unit mobility, the limit flow's residual, is the three-point Laplacian up to
+    # a few ulps of 4 max|p|/h^2, the largest either can be (max|p| floored at the
+    # smallest normal: subnormal fluxes round in absolute terms)
+    unit = np.spacing(4.0 * max(float(np.max(np.abs(p))), np.finfo(float).tiny) / h**2)
+    assert np.max(np.abs(divergence_of_flux(np.ones(p.size), p, h) - laplacian(p, h))) <= 8.0 * unit
 
 
 def _assert_bands_equal(bands, want):
