@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .functionals import EnergyReport, energy_star
-from .solvers import SolverConfig, check_output_times, implicit_stepper, run_trajectory, simulate_eps
+from .solvers import SolverConfig, check_output_times, implicit_stepper, once_per_array, run_trajectory, simulate_eps
 from .wasserstein1d import DensityField, w2_periodic
 
 __all__ = [
@@ -92,21 +92,28 @@ def convolve_periodic(values, kernel_hat, h):
 
 def _nonlocal_stepper(cfg, spec, h, caller):
     """Backward-Euler stepper of mu = W' + v - K_eps*v, the first variation of
-    `_energy_values`, and the transform of K_eps, once cfg has eps > 0 and theta 1.
+    the model energy, and that energy of a raw cell array, once cfg has eps > 0
+    and theta 1.
 
     The Jacobian replaces the convolution by its thin-interface surrogate
     I + eps^2 k0 Dxx, so c = W'' and the linear solves stay banded; the
     residual uses the exact kernel, so the fixed point is the true
     backward-Euler state and the surrogate only affects the iteration count.
+    Both take K_eps*v `once_per_array`, so the energy check of an accepted
+    step reuses the convolution its last residual took of that array.
     """
     if cfg.eps <= 0.0 or cfg.theta_scheme != 1.0:
         raise ValueError(f"{caller} needs eps > 0 and backward Euler (theta_scheme = 1)")
     k_hat = np.fft.rfft(kernel_on_grid(cfg.eps, cfg.n))
+    conv = once_per_array(lambda v: convolve_periodic(v, k_hat, h))
 
     def mu(v):
-        return spec.eval_W1(v) + v - convolve_periodic(v, k_hat, h)
+        return spec.eval_W1(v) + v - conv(v)
 
-    return implicit_stepper(h, cfg.newton_tol, mu, spec.eval_W2, cfg.eps * cfg.eps * _kernel().k0), k_hat
+    def energy_of(vals):
+        return _energy_values(vals, h, conv(vals), spec)[0]
+
+    return implicit_stepper(h, cfg.newton_tol, mu, spec.eval_W2, cfg.eps * cfg.eps * _kernel().k0), energy_of
 
 
 def step_nonlocal(f: DensityField, cfg: SolverConfig, spec) -> DensityField:
@@ -117,17 +124,17 @@ def step_nonlocal(f: DensityField, cfg: SolverConfig, spec) -> DensityField:
     return DensityField(advance(f.values, cfg.dt, 0.0, []))
 
 
-def _energy_values(vals, h, k_hat, spec):
-    """(bulk + seminorm, seminorm) of a raw cell array."""
+def _energy_values(vals, h, conv, spec):
+    """(bulk + seminorm, seminorm) of a raw cell array and its convolution K_eps*vals."""
     # (1/4) double integral of K_eps(x-y)(f(x)-f(y))² via the unit-mass identity
-    conv = convolve_periodic(vals, k_hat, h)
     seminorm = 0.5 * h * float(np.sum(vals * vals) - np.sum(vals * conv))
     return seminorm + float(np.sum(spec.eval_W(vals)) * h), seminorm
 
 
 def energy_nonlocal(f: DensityField, eps, spec):
     """Aggregation energy as (bulk W plus the mollified interaction seminorm, seminorm)."""
-    return _energy_values(f.values, f.h, np.fft.rfft(kernel_on_grid(eps, f.n)), spec)
+    k_hat = np.fft.rfft(kernel_on_grid(eps, f.n))
+    return _energy_values(f.values, f.h, convolve_periodic(f.values, k_hat, f.h), spec)
 
 
 def simulate_nonlocal(f0, cfg, spec, output_times=None):
@@ -137,14 +144,11 @@ def simulate_nonlocal(f0, cfg, spec, output_times=None):
     e_star; the local slope surrogates do not transfer to this model, so the
     slope columns are recorded as zero.
     """
-    advance, k_hat = _nonlocal_stepper(cfg, spec, f0.h, "simulate_nonlocal")
+    advance, energy_of = _nonlocal_stepper(cfg, spec, f0.h, "simulate_nonlocal")
     if f0.n != cfg.n:
         raise ValueError("field resolution does not match config")
     times = check_output_times(cfg, output_times)
     kern = _kernel()
-
-    def energy_of(vals):
-        return _energy_values(vals, f0.h, k_hat, spec)[0]
 
     def make_report(snap):
         e_model = energy_of(snap.values)

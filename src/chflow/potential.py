@@ -102,8 +102,8 @@ class UnstableSet:
 
 def _horner(coef, x):
     """numpy's polyval without Polynomial.__call__'s domain mapping."""
-    c0 = coef[-1] + x * 0
-    for i in range(2, len(coef) + 1):
+    c0 = coef[-2] + coef[-1] * x if len(coef) > 1 else coef[-1] + x * 0
+    for i in range(3, len(coef) + 1):
         c0 = coef[-i] + c0 * x
     return c0
 

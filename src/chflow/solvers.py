@@ -57,6 +57,7 @@ __all__ = [
     "implicit_stepper",
     "mobility_faces",
     "newton",
+    "once_per_array",
     "past_horizon",
     "real_number",
     "run_trajectory",
@@ -193,13 +194,13 @@ def factorize(bands):
 
 def mobility_faces(v):
     """Face value at j+1/2, clamped so degenerate cells cannot push mass."""
-    return np.maximum(0.0, 0.5 * (v + pad_periodic(v)[2:]))
+    return np.maximum(0.0, 0.5 * (v + np.concatenate((v[1:], v[:1]))))
 
 
 def divergence_of_flux(m, p, h):
     """Conservative update: difference of face fluxes m * Dx(p), m at faces j+1/2."""
-    flux = m * (pad_periodic(p)[2:] - p) / h
-    return (flux - pad_periodic(flux)[:-2]) / h
+    flux = m * (np.concatenate((p[1:], p[:1])) - p) / h
+    return (flux - np.concatenate((flux[-1:], flux[:-1]))) / h
 
 
 def stepping_bands(m, c, stiffness, h, dt_theta):
@@ -246,9 +247,9 @@ def newton(vals, residual_fn, jacobian_fn, tol, held=None, dt=None):
             held[dt] = lu
         return lu
 
-    f = vals.copy()
+    f = vals
     r = residual_fn(f)
-    norm = float(np.max(np.abs(r)))
+    norm = float(np.abs(r).max())
     lu = held.get(dt) if held is not None else None
     fresh = lu is None
     if fresh:
@@ -257,12 +258,12 @@ def newton(vals, residual_fn, jacobian_fn, tol, held=None, dt=None):
     for _ in range(50):
         f = f - step
         r = residual_fn(f)
-        norm_new = float(np.max(np.abs(r)))
-        scale = tol * (1.0 + float(np.max(np.abs(f))))
+        norm_new = float(np.abs(r).max())
+        scale = tol * (1.0 + float(np.abs(f).max()))
         if norm_new < scale:
             return f
         step = lu.solve(r)
-        if float(np.max(np.abs(step))) < scale:
+        if float(np.abs(step).max()) < scale:
             return f
         contracted = norm_new < 0.5 * norm
         if not contracted:
@@ -277,7 +278,7 @@ def newton(vals, residual_fn, jacobian_fn, tol, held=None, dt=None):
 
 def enforce_positivity(vals, h, t, events):
     """Clip a negative step to zero and rescale it to its mass, with a clip event."""
-    low = float(np.min(vals))
+    low = float(vals.min())
     if low >= 0.0:
         return vals
     clipped = np.maximum(vals, 0.0)
@@ -290,6 +291,20 @@ def enforce_positivity(vals, h, t, events):
     return clipped
 
 
+def once_per_array(fn):
+    """fn, evaluated afresh only when handed another array object than last
+    time.  The key is identity, not value: an array once handed in must never
+    be mutated afterwards, and an equal copy is simply evaluated again."""
+    last = [None, None]
+
+    def cached(v):
+        if v is not last[0]:
+            last[:] = v, fn(v)
+        return last[1]
+
+    return cached
+
+
 def implicit_stepper(h, tol, potential, curvature, stiffness, theta=1.0, mobility=mobility_faces):
     """advance(vals, dt, t, events): one theta-weighted implicit step of
     v_t = Dx(m(v) Dx mu(v)), m = mobility(v) at faces, for one run.
@@ -300,14 +315,19 @@ def implicit_stepper(h, tol, potential, curvature, stiffness, theta=1.0, mobilit
     m is dropped, the flux in the residual is kept exact.  The stepper holds
     its run's chord factor (`newton`), so a fresh stepper starts without one;
     a negative result is clipped and renormalized (`enforce_positivity`).
+    The flux divergence is evaluated `once_per_array`, so a step's
+    theta-explicit half and first residual reuse the one the previous step's
+    last residual took of the array it returned: an array passed in must
+    never be mutated afterwards.
     """
     held = {}
+    flux = once_per_array(lambda v: divergence_of_flux(mobility(v), potential(v), h))
 
     def advance(vals, dt, t, events):
-        explicit = (1.0 - theta) * divergence_of_flux(mobility(vals), potential(vals), h) if theta < 1.0 else 0.0
+        explicit = (1.0 - theta) * flux(vals) if theta < 1.0 else None
 
         def residual(v):
-            return v - vals - dt * (theta * divergence_of_flux(mobility(v), potential(v), h) + explicit)
+            return v - vals - dt * (flux(v) if explicit is None else theta * flux(v) + explicit)
 
         def jacobian(v):
             return stepping_bands(mobility(v), curvature(v), stiffness, h, dt * theta)

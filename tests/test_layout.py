@@ -2,7 +2,7 @@
 and never another module's private names, the hot stencil modules use no
 per-call-heavy numpy helpers, no module touches scipy.sparse, every LU
 goes through the one factorisation seam and every implicit step's Newton
-iteration through the one implicit stepper, jko imports nothing from scipy,
+iteration and flux divergence through the one implicit stepper, jko imports nothing from scipy,
 only the trajectory loop builds records, only potential builds convex
 envelopes, and every config field is read."""
 
@@ -104,13 +104,15 @@ def test_no_module_uses_scipy_sparse():
 # inside solvers.factorize, SuperLU (splu) nowhere, factorize only by the Newton
 # iteration and the JKO Newton direction, and the Newton iteration only by the one
 # implicit stepper (every implicit step of every flow), so a swap of the LU touches
-# one function and a wrapper on factorize or newton sees every factorisation or Newton solve
+# one function and a wrapper on factorize or newton sees every factorisation or Newton solve;
+# the flux divergence too is evaluated only there, through the stepper's once-per-iterate cache
 _LU_SEAM = {
     "dgbtrf": {("solvers", "factorize")},
     "dgbtrs": {("solvers", "factorize")},
     "splu": set(),
     "factorize": {("solvers", "newton"), ("jko", "_newton_direction")},
     "newton": {("solvers", "implicit_stepper")},
+    "divergence_of_flux": {("solvers", "implicit_stepper")},
 }
 
 

@@ -1,12 +1,14 @@
 """Stepper checks against linearized and fine-grid oracles."""
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from chflow import solvers
+from chflow import nonlocal_model, solvers
 from chflow.diagnostics import energy_dissipation_audit
 from chflow.functionals import laplacian
 from chflow.potential import compute_convex_envelope, from_polynomial, make_potential
@@ -403,6 +405,71 @@ def test_each_run_and_each_single_step_factorises_afresh(spinodal, monkeypatch):
     step_eps(f0, cfg, spinodal)
     step_eps(f0, cfg, spinodal)
     assert counts[-1] == 2
+
+
+def _count_flux_evaluations(monkeypatch):
+    """Patch solvers.divergence_of_flux with a wrapper that adds 1 to counts[-1] per call."""
+    counts = [0]
+    divergence = solvers.divergence_of_flux
+
+    def counting(m, p, h):
+        counts[-1] += 1
+        return divergence(m, p, h)
+
+    monkeypatch.setattr(solvers, "divergence_of_flux", counting)
+    return counts
+
+
+def _run_closures(monkeypatch, module, simulate, *args):
+    """The advance and energy_of that `simulate(*args)` hands to its module's
+    run_trajectory, which is not run; a fresh stepper per call."""
+    got = types.SimpleNamespace(extras={})
+
+    def capture(state, dt, times, advance, field, make_report, energy_of, flavor):
+        got.advance, got.energy_of = advance, energy_of
+        return got
+
+    monkeypatch.setattr(module, "run_trajectory", capture)
+    return simulate(*args)
+
+
+@pytest.mark.parametrize("flow", ["eps", "eps-theta", "limit", "nonlocal"])
+def test_stepper_reuses_the_flux_of_the_array_it_returned(flow, spinodal, monkeypatch):
+    # advance(out) reads the D its last residual took of out; advance(out.copy())
+    # recomputes it, one evaluation more, and returns the same bits
+    n, dt = 64, 1e-4
+    f0 = _cosine(n, 0.1)
+    eps = 0.0 if flow == "limit" else 0.1
+    cfg = SolverConfig(n=n, dt=dt, eps=eps, t_end=0.01, theta_scheme=0.5 if flow == "eps-theta" else 1.0)
+    if flow == "nonlocal":
+        run = (nonlocal_model, nonlocal_model.simulate_nonlocal, f0, cfg, spinodal)
+    elif flow == "limit":
+        run = (solvers, simulate_limit, f0, cfg, spinodal.envelope)
+    else:
+        run = (solvers, simulate_eps, f0, cfg, spinodal)
+    counts = _count_flux_evaluations(monkeypatch)
+    hit, miss = _run_closures(monkeypatch, *run), _run_closures(monkeypatch, *run)
+    out = hit.advance(f0.values, dt, 0.0, [])
+    assert np.array_equal(miss.advance(f0.values, dt, 0.0, []), out)
+    made = []
+    for stepper, vals in ((hit, out), (miss, out.copy())):
+        counts.append(0)
+        made.append(stepper.advance(vals, dt, dt, []))
+    assert np.array_equal(made[0], made[1])
+    assert counts[-1] == counts[-2] + 1
+    assert hit.energy_of(made[0]) == miss.energy_of(made[1].copy())
+
+
+def test_dispersion_run_evaluates_the_flux_once_per_iterate(wrinkle, monkeypatch):
+    # the benchmark's mode-1 dispersion run (theta 0.5): the explicit half and
+    # the first residual of each step reuse the previous step's last D, so its
+    # 20 steps of one Newton iteration each take 21 evaluations, not 60
+    counts = _count_flux_evaluations(monkeypatch)
+    n, dt, steps = 512, 2e-5, 20
+    cfg = SolverConfig(n=n, dt=dt, eps=0.05, t_end=steps * dt, theta_scheme=0.5, newton_tol=1e-13)
+    rec = simulate_eps(_cosine(n, 1e-4), cfg, wrinkle, output_times=np.linspace(0.0, cfg.t_end, 3))
+    assert rec.events == []
+    assert counts[-1] == 21
 
 
 def test_newton_takes_a_step_from_a_small_residual(spinodal):
