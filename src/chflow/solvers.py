@@ -415,7 +415,9 @@ def run_trajectory(state, dt, times, advance, field, make_report, energy_of, fla
     `advance(state, dt, t, events)` takes one step or raises StepFailure,
     and so halves dt, as does an `energy_of(state)` rise beyond 1e-8 of its
     start; the events it appends reach the record only if the step is
-    accepted.  `field(state)` is the snapshot, `times` come checked
+    accepted.  A step is dt unless that passes the next output time by more
+    than the loop's 1e-12 relative slack; then it is shortened to land on it.
+    `field(state)` is the snapshot, `times` come checked
     (`check_output_times`).  JKO's advance raises on a halved step instead,
     because its energy ledger telescopes equal steps.
     """
@@ -434,7 +436,7 @@ def run_trajectory(state, dt, times, advance, field, make_report, energy_of, fla
     t = 0.0
     for t_out in times[1:]:
         while t < t_out * (1.0 - 1e-12) and not aborted:
-            dt_eff = min(dt_cur, t_out - t)
+            dt_eff = dt_cur if t + dt_cur <= t_out * (1.0 + 1e-12) else t_out - t
             attempt = []
             try:
                 new_state = advance(state, dt_eff, t, attempt)

@@ -460,16 +460,20 @@ def test_stepper_reuses_the_flux_of_the_array_it_returned(flow, spinodal, monkey
     assert hit.energy_of(made[0]) == miss.energy_of(made[1].copy())
 
 
-def test_dispersion_run_evaluates_the_flux_once_per_iterate(wrinkle, monkeypatch):
+def test_dispersion_run_evaluates_the_flux_once_per_iterate_with_one_factor(wrinkle, monkeypatch):
     # the benchmark's mode-1 dispersion run (theta 0.5): the explicit half and
     # the first residual of each step reuse the previous step's last D, so its
-    # 20 steps of one Newton iteration each take 21 evaluations, not 60
+    # 20 steps of one Newton iteration each take 21 evaluations, not 60; and a
+    # step that reaches an output time only to roundoff is taken at full dt,
+    # so the run's one factor serves every step
     counts = _count_flux_evaluations(monkeypatch)
+    lus = _count_factorisations(monkeypatch)
     n, dt, steps = 512, 2e-5, 20
     cfg = SolverConfig(n=n, dt=dt, eps=0.05, t_end=steps * dt, theta_scheme=0.5, newton_tol=1e-13)
     rec = simulate_eps(_cosine(n, 1e-4), cfg, wrinkle, output_times=np.linspace(0.0, cfg.t_end, 3))
     assert rec.events == []
     assert counts[-1] == 21
+    assert lus[-1] == 1
 
 
 def test_newton_takes_a_step_from_a_small_residual(spinodal):
@@ -650,6 +654,23 @@ def test_rejected_step_leaves_no_events(kind, reason):
         {"type": "clip", "t": 0.0, "min_before": -1.0},
     ]
     assert np.all(rec.snapshots[-1].values == 1.0)
+
+
+def test_a_step_that_reaches_an_output_time_to_roundoff_keeps_its_dt():
+    # 0.2 + 0.1 lands one ulp past 0.3, inside the loop's 1e-12 slack: that
+    # step is dt itself, not 0.3 - 0.2 = 0.09999999999999998, which would need
+    # a factor of its own; a step that would pass an output time is shortened
+    steps = []
+
+    def advance(vals, dt, t, events):
+        steps.append(dt)
+        return vals
+
+    times = np.array([0.0, 0.3, 0.7, 0.75])
+    rec = solvers.run_trajectory(np.ones(16), 0.1, times, advance, DensityField, lambda snap: None,
+                                 lambda v: 0.0, "eps")
+    assert rec.times.tolist() == times.tolist()
+    assert steps[:-1] == [0.1] * 7 and steps[-1] == pytest.approx(0.05, rel=1e-12)
 
 
 def test_dt_underflow_aborts_the_run():
