@@ -384,10 +384,6 @@ def run_single(cfg, mode):
     times = cfg.times()
     f0 = generate_initial(cfg.initial_data.name, cfg.initial_data.params, cfg.solver.n)
 
-    out_dir = Path(cfg.output_dir) / f"single-{mode}"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-
     if mode == "eps":
         record = simulate_eps(f0, cfg.solver, spec, output_times=times)
     elif mode == "limit":
@@ -397,6 +393,14 @@ def run_single(cfg, mode):
         if cfg.jko is None:
             raise ValueError("mode=jko needs a jko config section")
         record = simulate_jko(f0, cfg.jko, cfg.solver.eps, spec, cfg.solver.t_end)
+    else:
+        record = simulate_nonlocal(f0, cfg.solver, spec, output_times=times)
+
+    # made only once the run has returned: a config the solver rejects leaves no directory
+    out_dir = Path(cfg.output_dir) / f"single-{mode}"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = []
+    if mode == "jko":
         ledger_path = out_dir / "ledger.csv"
         write_ledger_csv(record, ledger_path)
         outputs.append(ledger_path)
@@ -407,8 +411,7 @@ def run_single(cfg, mode):
             for t, a, b in zip(record.times, record.snapshots, fd_record.snapshots):
                 fh.write(f"{float(t)!r},{w2_periodic(a, b)!r}\n")
         outputs.append(cross_path)
-    else:
-        record = simulate_nonlocal(f0, cfg.solver, spec, output_times=times)
+    elif mode == "nonlocal":
         comparison = compare_local_nonlocal(record, cfg.solver, spec)
         cmp_path = out_dir / "comparison.json"
         _write_json(cmp_path, asdict(comparison))

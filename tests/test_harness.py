@@ -342,6 +342,18 @@ def test_run_single_jko_needs_config(tmp_path):
         run_single(cfg, "spectral")
 
 
+@pytest.mark.parametrize("mode, message", [
+    ("eps", "simulate_eps needs eps > 0"),
+    ("jko", "simulate_jko needs eps > 0"),
+    ("nonlocal", "simulate_nonlocal needs eps > 0"),
+])
+def test_run_single_rejected_config_leaves_no_directory(tmp_path, mode, message):
+    doc = _base_doc(tmp_path, solver={"n": 96, "dt": 2e-4, "eps": 0.0, "t_end": 0.01}, jko={"tau": 2e-3, "m": 128})
+    with pytest.raises(ValueError, match=message):
+        run_single(experiment_from_dict(doc), mode)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_single_nonlocal_comparison(tmp_path):
     record = run_single(experiment_from_dict(_base_doc(tmp_path)), "nonlocal")
     assert record.flavor == "nonlocal"
