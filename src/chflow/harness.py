@@ -374,9 +374,9 @@ def run_single(cfg, mode):
     """Dispatch one run, attach diagnostics, persist artifacts.
 
     Writes trajectory.csv, final_state.csv, audit.json, wrinkle.json, and a
-    manifest under output_dir/single-<mode>; jko runs add the movement
-    ledger and a cross-validation table against the regularized solver,
-    nonlocal runs add the matched local comparison.
+    manifest under output_dir/single-<mode>, made once the run has returned;
+    jko runs add the movement ledger and a cross-validation table against the
+    regularized solver, nonlocal runs add the matched local comparison.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -396,7 +396,6 @@ def run_single(cfg, mode):
     else:
         record = simulate_nonlocal(f0, cfg.solver, spec, output_times=times)
 
-    # made only once the run has returned: a config the solver rejects leaves no directory
     out_dir = Path(cfg.output_dir) / f"single-{mode}"
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []

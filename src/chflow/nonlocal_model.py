@@ -91,16 +91,14 @@ def convolve_periodic(values, kernel_hat, h):
 
 
 def _nonlocal_stepper(cfg, spec, h, caller):
-    """Backward-Euler stepper of mu = W' + v - K_eps*v, the first variation of
-    the model energy, and that energy of a raw cell array, once cfg has eps > 0
-    and theta 1.
+    """Backward-Euler stepper of mu = W' + v - K_eps*v and energy_of(vals), the
+    model energy whose first variation mu is, once cfg has eps > 0 and theta 1.
 
     The Jacobian replaces the convolution by its thin-interface surrogate
     I + eps^2 k0 Dxx, so c = W'' and the linear solves stay banded; the
     residual uses the exact kernel, so the fixed point is the true
     backward-Euler state and the surrogate only affects the iteration count.
-    Both take K_eps*v `once_per_array`, so the energy check of an accepted
-    step reuses the convolution its last residual took of that array.
+    The energy check reuses the K_eps*v its last residual took (`once_per_array`).
     """
     if cfg.eps <= 0.0 or cfg.theta_scheme != 1.0:
         raise ValueError(f"{caller} needs eps > 0 and backward Euler (theta_scheme = 1)")
@@ -133,8 +131,7 @@ def _energy_values(vals, h, conv, spec):
 
 def energy_nonlocal(f: DensityField, eps, spec):
     """Aggregation energy as (bulk W plus the mollified interaction seminorm, seminorm)."""
-    k_hat = np.fft.rfft(kernel_on_grid(eps, f.n))
-    return _energy_values(f.values, f.h, convolve_periodic(f.values, k_hat, f.h), spec)
+    return _energy_values(f.values, f.h, convolve_periodic(f.values, np.fft.rfft(kernel_on_grid(eps, f.n)), f.h), spec)
 
 
 def simulate_nonlocal(f0, cfg, spec, output_times=None):

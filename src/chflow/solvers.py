@@ -292,9 +292,7 @@ def enforce_positivity(vals, h, t, events):
 
 
 def once_per_array(fn):
-    """fn, evaluated afresh only when handed another array object than last
-    time.  The key is identity, not value: an array once handed in must never
-    be mutated afterwards, and an equal copy is simply evaluated again."""
+    """fn, evaluated again only when handed another array object: never mutate one handed in."""
     last = [None, None]
 
     def cached(v):
@@ -315,10 +313,8 @@ def implicit_stepper(h, tol, potential, curvature, stiffness, theta=1.0, mobilit
     m is dropped, the flux in the residual is kept exact.  The stepper holds
     its run's chord factor (`newton`), so a fresh stepper starts without one;
     a negative result is clipped and renormalized (`enforce_positivity`).
-    The flux divergence is evaluated `once_per_array`, so a step's
-    theta-explicit half and first residual reuse the one the previous step's
-    last residual took of the array it returned: an array passed in must
-    never be mutated afterwards.
+    The flux divergence is taken `once_per_array`: a step's explicit half and
+    first residual reuse its last step's final one; never mutate an array passed in.
     """
     held = {}
     flux = once_per_array(lambda v: divergence_of_flux(mobility(v), potential(v), h))
@@ -415,11 +411,10 @@ def run_trajectory(state, dt, times, advance, field, make_report, energy_of, fla
     `advance(state, dt, t, events)` takes one step or raises StepFailure,
     and so halves dt, as does an `energy_of(state)` rise beyond 1e-8 of its
     start; the events it appends reach the record only if the step is
-    accepted.  A step is dt unless that passes the next output time by more
-    than the loop's 1e-12 relative slack; then it is shortened to land on it.
-    `field(state)` is the snapshot, `times` come checked
-    (`check_output_times`).  JKO's advance raises on a halved step instead,
-    because its energy ledger telescopes equal steps.
+    accepted.  A step is dt, shortened to land on the next output time only if
+    it would pass it by more than 1e-12 relative.  `field(state)` is the
+    snapshot, `times` come checked (`check_output_times`).  JKO's advance
+    raises on a halved step instead, as its ledger telescopes equal steps.
     """
     events = []
     snapshots = [field(state)]
