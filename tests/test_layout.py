@@ -2,9 +2,9 @@
 and never another module's private names, the hot stencil modules use no
 per-call-heavy numpy helpers, no module touches scipy.sparse, every LU
 goes through the one factorisation seam and every implicit step's Newton
-iteration and flux divergence through the one implicit stepper, jko imports nothing from scipy,
-only the trajectory loop builds records, only potential builds convex
-envelopes, and every config field is read."""
+iteration and flux divergence through the one implicit stepper, jko imports
+nothing from scipy, only the trajectory loop builds records, only potential
+builds convex envelopes, and every config field is read."""
 
 import ast
 from pathlib import Path

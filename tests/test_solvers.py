@@ -286,16 +286,16 @@ def test_limit_comparison_principle(quadratic_env):
             assert np.all(hi >= lo - 1e-12), name
 
 
-def _count_factorisations(monkeypatch):
-    """Patch solvers.factorize with a wrapper that adds 1 to counts[-1] per call."""
+def _count_calls(monkeypatch, name):
+    """Patch solvers.<name> with a wrapper that adds 1 to counts[-1] per call."""
     counts = [0]
-    factorize = solvers.factorize
+    wrapped = getattr(solvers, name)
 
-    def counting(bands):
+    def counting(*args):
         counts[-1] += 1
-        return factorize(bands)
+        return wrapped(*args)
 
-    monkeypatch.setattr(solvers, "factorize", counting)
+    monkeypatch.setattr(solvers, name, counting)
     return counts
 
 
@@ -303,7 +303,7 @@ def test_chord_newton_refreshes_on_rough_data(quadratic_env, monkeypatch):
     # the limit steps of test_limit_comparison_principle: white noise at
     # dt/h^2 ~ 3.3, where the Jacobian moves between iterates, so the factor
     # of the first iterate alone does not converge
-    counts = _count_factorisations(monkeypatch)
+    counts = _count_calls(monkeypatch, "factorize")
     rng = np.random.default_rng(5)
     n = 128
     h = 1.0 / n
@@ -327,7 +327,7 @@ def test_chord_newton_factorises_a_few_times_per_smooth_run(spinodal, monkeypatc
     # the finest run of the benchmark sweep, with its output times: the run's
     # held factor serves every step of one dt, and the short first and last
     # steps (2e-5 and 1.8e-4) each need their own
-    counts = _count_factorisations(monkeypatch)
+    counts = _count_calls(monkeypatch, "factorize")
     steps = []
     newton_ = solvers.newton
 
@@ -379,7 +379,7 @@ def test_newton_holds_one_factor_per_step_size():
 def test_each_run_and_each_single_step_factorises_afresh(spinodal, monkeypatch):
     # the chord factor belongs to its run's stepper: a second run with the same
     # config, or a second single step, starts without the first one's factor
-    counts = _count_factorisations(monkeypatch)
+    counts = _count_calls(monkeypatch, "factorize")
     newton_ = solvers.newton
     made = []  # factorisations made by each Newton call
 
@@ -405,19 +405,6 @@ def test_each_run_and_each_single_step_factorises_afresh(spinodal, monkeypatch):
     step_eps(f0, cfg, spinodal)
     step_eps(f0, cfg, spinodal)
     assert counts[-1] == 2
-
-
-def _count_flux_evaluations(monkeypatch):
-    """Patch solvers.divergence_of_flux with a wrapper that adds 1 to counts[-1] per call."""
-    counts = [0]
-    divergence = solvers.divergence_of_flux
-
-    def counting(m, p, h):
-        counts[-1] += 1
-        return divergence(m, p, h)
-
-    monkeypatch.setattr(solvers, "divergence_of_flux", counting)
-    return counts
 
 
 def _run_closures(monkeypatch, module, simulate, *args):
@@ -447,7 +434,7 @@ def test_stepper_reuses_the_flux_of_the_array_it_returned(flow, spinodal, monkey
         run = (solvers, simulate_limit, f0, cfg, spinodal.envelope)
     else:
         run = (solvers, simulate_eps, f0, cfg, spinodal)
-    counts = _count_flux_evaluations(monkeypatch)
+    counts = _count_calls(monkeypatch, "divergence_of_flux")
     hit, miss = _run_closures(monkeypatch, *run), _run_closures(monkeypatch, *run)
     out = hit.advance(f0.values, dt, 0.0, [])
     assert np.array_equal(miss.advance(f0.values, dt, 0.0, []), out)
@@ -466,8 +453,8 @@ def test_dispersion_run_evaluates_the_flux_once_per_iterate_with_one_factor(wrin
     # 20 steps of one Newton iteration each take 21 evaluations, not 60; and a
     # step that reaches an output time only to roundoff is taken at full dt,
     # so the run's one factor serves every step
-    counts = _count_flux_evaluations(monkeypatch)
-    lus = _count_factorisations(monkeypatch)
+    counts = _count_calls(monkeypatch, "divergence_of_flux")
+    lus = _count_calls(monkeypatch, "factorize")
     n, dt, steps = 512, 2e-5, 20
     cfg = SolverConfig(n=n, dt=dt, eps=0.05, t_end=steps * dt, theta_scheme=0.5, newton_tol=1e-13)
     rec = simulate_eps(_cosine(n, 1e-4), cfg, wrinkle, output_times=np.linspace(0.0, cfg.t_end, 3))
