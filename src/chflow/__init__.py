@@ -19,7 +19,7 @@ from .harness import (
     run_single,
     run_sweep,
 )
-from .jko import JkoConfig, simulate_jko, write_ledger_csv
+from .jko import JkoConfig, simulate_jko
 from .nonlocal_model import (
     KernelSpec,
     compare_local_nonlocal,
@@ -85,6 +85,5 @@ __all__ = [
     "validate_hypotheses",
     "w2_periodic",
     "well_preparedness",
-    "write_ledger_csv",
     "wrinkling_report",
 ]

@@ -12,7 +12,7 @@ import sys
 from dataclasses import asdict
 
 from .diagnostics import dissipation_audit
-from .harness import MODES, jsonable, load_config, run_single, run_sweep
+from .harness import MODES, TRAJECTORY_COLUMNS, jsonable, load_config, run_single, run_sweep
 from .potential import (
     HypothesisViolation,
     canonical_names,
@@ -78,7 +78,7 @@ def _cmd_envelope(args):
 def _cmd_audit(args):
     if real_number(args.tol, "--tol") < 0.0:
         raise ValueError("--tol must be nonnegative")
-    cols = {key: [] for key in ("e_eps", "e_star", "slope_eps", "slope_star", "t", "speed")}
+    cols = {key: [] for key in TRAJECTORY_COLUMNS}
     with open(args.trajectory, newline="") as fh:
         for row in csv.DictReader(fh):
             for key, values in cols.items():

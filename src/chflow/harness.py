@@ -3,6 +3,8 @@
 A single JSON document configures every run.  Sweeps reproduce the
 vanishing-interface limit at desk scale: one relaxed reference run plus one
 regularized run per eps, compared in transport distance, slope, and energy.
+This module writes every artifact; the numerical modules write no file, and
+every CSV goes through `_write_csv`, the one dialect.
 """
 
 import hashlib
@@ -20,7 +22,7 @@ import scipy
 
 from . import __version__
 from .diagnostics import energy_dissipation_audit, well_preparedness, wrinkling_report
-from .jko import JkoConfig, jko_step_count, simulate_jko, write_ledger_csv
+from .jko import JkoConfig, jko_step_count, simulate_jko
 from .nonlocal_model import compare_local_nonlocal, simulate_nonlocal
 from .potential import (
     HypothesisViolation,
@@ -37,6 +39,7 @@ __all__ = [
     "MODES",
     "SweepReport",
     "SweepRow",
+    "TRAJECTORY_COLUMNS",
     "collect_versions",
     "config_hash",
     "default_output_times",
@@ -50,6 +53,8 @@ __all__ = [
 ]
 
 MODES = ("eps", "limit", "jko", "nonlocal")
+# the columns of trajectory.csv and limit_trajectory.csv, which `chflow audit` reads back
+TRAJECTORY_COLUMNS = ("t", "min", "max", "mass", "e_eps", "e_star", "slope_eps", "slope_star", "speed")
 _WRINKLE_ETA = 0.05
 _WRINKLE_DELTA = 0.125
 
@@ -72,6 +77,27 @@ def _write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_csv(path, header, rows):
+    """The one CSV dialect of every artifact: a header row, then one line per
+    row, ints as they are and every other number as repr(float(x)), so it
+    parses back bit for bit, with LF line ends.  Returns path."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(str(x) if isinstance(x, numbers.Integral) else repr(float(x)) for x in row) + "\n")
+    return path
+
+
+def _write_trajectory(record, path):
+    speeds = record.speeds()
+    rows = [
+        (t, np.min(snap.values), np.max(snap.values), snap.mass(),
+         rep.e_eps, rep.e_star, rep.slope_eps, rep.slope_star, speed)
+        for t, snap, rep, speed in zip(record.times, record.snapshots, record.reports, speeds)
+    ]
+    return _write_csv(path, TRAJECTORY_COLUMNS, rows)
 
 
 def _reject_unknown(mapping, allowed, where):
@@ -362,14 +388,6 @@ def _wrinkle_rows(record, unstable):
     ]
 
 
-def _write_final_state(record, path):
-    snap = record.snapshots[-1]
-    with open(path, "w", newline="") as fh:
-        fh.write("x,density\n")
-        for xi, vi in zip(snap.cell_centers(), snap.values):
-            fh.write(f"{float(xi)!r},{float(vi)!r}\n")
-
-
 def run_single(cfg, mode):
     """Dispatch one run, attach diagnostics, persist artifacts.
 
@@ -400,29 +418,21 @@ def run_single(cfg, mode):
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     if mode == "jko":
-        ledger_path = out_dir / "ledger.csv"
-        write_ledger_csv(record, ledger_path)
-        outputs.append(ledger_path)
+        ex = record.extras
+        ledger = zip(range(len(record.times)), ex["d2_increments"], ex["energies"], ex["ledger_slack"])
+        outputs.append(_write_csv(out_dir / "ledger.csv", ("step", "d2_increment", "energy", "slack"), ledger))
         fd_record = simulate_eps(f0, cfg.solver, spec, output_times=record.times)
-        cross_path = out_dir / "cross_validation.csv"
-        with open(cross_path, "w", newline="") as fh:
-            fh.write("t,d2\n")
-            for t, a, b in zip(record.times, record.snapshots, fd_record.snapshots):
-                fh.write(f"{float(t)!r},{w2_periodic(a, b)!r}\n")
-        outputs.append(cross_path)
+        cross = [(t, w2_periodic(a, b)) for t, a, b in zip(record.times, record.snapshots, fd_record.snapshots)]
+        outputs.append(_write_csv(out_dir / "cross_validation.csv", ("t", "d2"), cross))
     elif mode == "nonlocal":
         comparison = compare_local_nonlocal(record, cfg.solver, spec)
         cmp_path = out_dir / "comparison.json"
         _write_json(cmp_path, asdict(comparison))
         outputs.append(cmp_path)
 
-    traj_path = out_dir / "trajectory.csv"
-    record.write_csv(traj_path)
-    outputs.append(traj_path)
-
-    final_path = out_dir / "final_state.csv"
-    _write_final_state(record, final_path)
-    outputs.append(final_path)
+    outputs.append(_write_trajectory(record, out_dir / "trajectory.csv"))
+    final = record.snapshots[-1]
+    outputs.append(_write_csv(out_dir / "final_state.csv", ("x", "density"), zip(final.cell_centers(), final.values)))
 
     audit_path = out_dir / "audit.json"
     audit_payload = (
@@ -450,6 +460,10 @@ class SweepRow:
     slope_gap_L2: float
     energy_gap_final: float
     wrinkle_summary: dict
+
+
+_SWEEP_COLUMNS = ("eps", "sup_t_d2_to_limit", "slope_gap_L2", "energy_gap_final",
+                  "wrinkle_violations", "wrinkle_osc_mass", "wrinkle_localized")
 
 
 @dataclass(frozen=True)
@@ -551,28 +565,15 @@ def run_sweep(cfg):
         rows.append(row)
         run_dir = out_dir / f"eps-{eps:g}"
         run_dir.mkdir(exist_ok=True)
-        traj = run_dir / "trajectory.csv"
-        record.write_csv(traj)
-        outputs.append(traj)
+        outputs.append(_write_trajectory(record, run_dir / "trajectory.csv"))
 
-    limit_path = out_dir / "limit_trajectory.csv"
-    limit_rec.write_csv(limit_path)
-    outputs.append(limit_path)
-
-    report_path = out_dir / "sweep_report.csv"
-    with open(report_path, "w", newline="") as fh:
-        fh.write(
-            "eps,sup_t_d2_to_limit,slope_gap_L2,energy_gap_final,"
-            "wrinkle_violations,wrinkle_osc_mass,wrinkle_localized\n"
-        )
-        for row in rows:
-            ws = row.wrinkle_summary
-            fh.write(
-                f"{row.eps!r},{row.sup_t_d2_to_limit!r},{row.slope_gap_L2!r},"
-                f"{row.energy_gap_final!r},{ws['violations']},"
-                f"{ws['oscillating_mass_fraction']!r},{int(ws['sigma_localized'])}\n"
-            )
-    outputs.append(report_path)
+    outputs.append(_write_trajectory(limit_rec, out_dir / "limit_trajectory.csv"))
+    report = [
+        (row.eps, row.sup_t_d2_to_limit, row.slope_gap_L2, row.energy_gap_final, row.wrinkle_summary["violations"],
+         row.wrinkle_summary["oscillating_mass_fraction"], int(row.wrinkle_summary["sigma_localized"]))
+        for row in rows
+    ]
+    outputs.append(_write_csv(out_dir / "sweep_report.csv", _SWEEP_COLUMNS, report))
 
     write_manifest(
         out_dir,

@@ -27,7 +27,6 @@ cell averages of the piecewise-constant particle density
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +46,6 @@ __all__ = [
     "jko_step_positions",
     "particles_from_density",
     "simulate_jko",
-    "write_ledger_csv",
 ]
 
 _ARMIJO = 1e-4  # sufficient-decrease fraction of the Newton slope
@@ -346,14 +344,3 @@ def simulate_jko(f0: DensityField, cfg: JkoConfig, eps: float, spec: PotentialSp
     record.extras["positions"] = steps[-1][0]
     return record
 
-
-def write_ledger_csv(record: TrajectoryRecord, path):
-    """Per-step movement ledger: step, d2_increment, the gap energy E and the slack."""
-    increments = record.extras["d2_increments"]
-    energies = record.extras["energies"]
-    slack = record.extras["ledger_slack"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "d2_increment", "energy", "slack"])
-        for k in range(len(record.times)):
-            writer.writerow([k, repr(float(increments[k])), repr(float(energies[k])), repr(float(slack[k]))])

@@ -24,7 +24,6 @@ JKO never halves tau, because its energy ledger telescopes equal steps.
 
 from __future__ import annotations
 
-import csv
 import functools
 import numbers
 import types
@@ -143,16 +142,6 @@ class TrajectoryRecord:
                 [0.0] + [metric_speed(self, k) for k in range(len(self.times) - 1)]
             )
         return self.extras["speeds"]
-
-    def write_csv(self, path):
-        speeds = self.speeds()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "min", "max", "mass", "e_eps", "e_star", "slope_eps", "slope_star", "speed"])
-            for t, snap, rep, speed in zip(self.times, self.snapshots, self.reports, speeds):
-                row = (t, np.min(snap.values), np.max(snap.values), snap.mass(),
-                       rep.e_eps, rep.e_star, rep.slope_eps, rep.slope_star, speed)
-                writer.writerow([repr(float(x)) for x in row])
 
 
 @functools.lru_cache(maxsize=64)

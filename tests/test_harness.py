@@ -13,6 +13,8 @@ from chflow.cli import main
 from chflow.diagnostics import well_preparedness
 from chflow.functionals import energy_eps, energy_star
 from chflow.harness import (
+    MODES,
+    TRAJECTORY_COLUMNS,
     ExperimentConfig,
     InitialData,
     collect_versions,
@@ -26,7 +28,8 @@ from chflow.harness import (
 from chflow.jko import jko_step_count
 from chflow.nonlocal_model import simulate_nonlocal
 from chflow.potential import HypothesisViolation, compute_convex_envelope, make_potential
-from chflow.solvers import SolverConfig
+from chflow.solvers import SolverConfig, simulate_eps
+from chflow.wasserstein1d import w2_periodic
 
 
 def _base_doc(out_dir, **overrides):
@@ -332,6 +335,98 @@ def test_run_single_jko_artifacts(tmp_path):
     d2 = np.array([float(line.split(",")[1]) for line in cross[1:]])
     assert d2.size == record.times.size
     assert np.all(np.isfinite(d2)) and np.all(d2 < 1e-3)
+
+
+def _csv_rows(path, columns):
+    """The rows of a CSV artifact, checked cell by cell against `columns` ({name: values}):
+    the header names the columns in order, every line ends in LF alone, and every cell
+    parses back bit for bit to the value it was written from (int columns as ints)."""
+    blob = path.read_bytes()
+    assert b"\r" not in blob, f"{path.name} has a CR"
+    header, *rows = blob.decode().split("\n")[:-1]
+    assert tuple(header.split(",")) == tuple(columns)
+    rows = [line.split(",") for line in rows]
+    for k, (name, values) in enumerate(columns.items()):
+        cells = [row[k] for row in rows]
+        assert len(cells) == len(values), name
+        if all(isinstance(v, (int, np.integer)) for v in values):
+            assert [int(c) for c in cells] == list(values), name
+        else:
+            got = np.array([float(c) for c in cells])
+            assert np.array_equal(got.view(np.int64), np.asarray(values, dtype=float).view(np.int64)), name
+    return rows
+
+
+def _trajectory_columns(record):
+    snaps, reps = record.snapshots, record.reports
+    return {
+        "t": record.times,
+        "min": [np.min(s.values) for s in snaps],
+        "max": [np.max(s.values) for s in snaps],
+        "mass": [s.mass() for s in snaps],
+        **{key: [getattr(r, key) for r in reps] for key in ("e_eps", "e_star", "slope_eps", "slope_star")},
+        "speed": record.speeds(),
+    }
+
+
+def _recording_simulate_eps(monkeypatch):
+    """Make harness keep every regularized record it computes, in call order."""
+    records = []
+
+    def recording(*args, **kwargs):
+        records.append(simulate_eps(*args, **kwargs))
+        return records[-1]
+
+    monkeypatch.setattr(harness, "simulate_eps", recording)
+    return records
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_run_single_csv_artifacts_round_trip(tmp_path, monkeypatch, mode):
+    assert TRAJECTORY_COLUMNS == ("t", "min", "max", "mass", "e_eps", "e_star", "slope_eps", "slope_star", "speed")
+    eps_records = _recording_simulate_eps(monkeypatch)
+    record = run_single(experiment_from_dict(_base_doc(tmp_path, jko={"tau": 2e-3, "m": 128})), mode)
+    out = tmp_path / f"single-{mode}"
+    traj = _csv_rows(out / "trajectory.csv", _trajectory_columns(record))
+    assert len(traj) == record.times.size and record.times.size == 3 + 3 * (mode == "jko")
+    final = record.snapshots[-1]
+    _csv_rows(out / "final_state.csv", {"x": final.cell_centers(), "density": final.values})
+    written = {"trajectory.csv", "final_state.csv"}
+    if mode == "jko":
+        ex = record.extras
+        ledger = _csv_rows(out / "ledger.csv", {
+            "step": list(range(record.times.size)),
+            "d2_increment": ex["d2_increments"],
+            "energy": ex["energies"],
+            "slack": ex["ledger_slack"],
+        })
+        assert int(ledger[-1][0]) == record.times.size - 1
+        assert float(ledger[-1][3]) <= 1e-12
+        (fd_record,) = eps_records
+        d2 = [w2_periodic(a, b) for a, b in zip(record.snapshots, fd_record.snapshots)]
+        _csv_rows(out / "cross_validation.csv", {"t": record.times, "d2": d2})
+        written |= {"ledger.csv", "cross_validation.csv"}
+    assert {path.name for path in out.glob("*.csv")} == written
+
+
+def test_run_sweep_csv_artifacts_round_trip(tmp_path, monkeypatch):
+    eps_records = _recording_simulate_eps(monkeypatch)
+    report = run_sweep(experiment_from_dict(_sweep_doc(tmp_path)))
+    out = tmp_path / "sweep"
+    _csv_rows(out / "limit_trajectory.csv", _trajectory_columns(report.limit_run))
+    assert report.failures == () and len(eps_records) == len(report.rows) == 2
+    for row, record in zip(report.rows, eps_records):
+        _csv_rows(out / f"eps-{row.eps:g}" / "trajectory.csv", _trajectory_columns(record))
+    wrinkles = [row.wrinkle_summary for row in report.rows]
+    _csv_rows(out / "sweep_report.csv", {
+        **{key: [getattr(row, key) for row in report.rows]
+           for key in ("eps", "sup_t_d2_to_limit", "slope_gap_L2", "energy_gap_final")},
+        "wrinkle_violations": [w["violations"] for w in wrinkles],
+        "wrinkle_osc_mass": [w["oscillating_mass_fraction"] for w in wrinkles],
+        "wrinkle_localized": [int(w["sigma_localized"]) for w in wrinkles],
+    })
+    assert sorted(str(p.relative_to(out)) for p in out.rglob("*.csv")) == [
+        "eps-0.05/trajectory.csv", "eps-0.1/trajectory.csv", "limit_trajectory.csv", "sweep_report.csv"]
 
 
 def test_run_single_jko_needs_config(tmp_path):

@@ -17,7 +17,6 @@ from chflow.jko import (
     jko_step_positions,
     particles_from_density,
     simulate_jko,
-    write_ledger_csv,
 )
 from chflow.jko import _bands, _curvature, _Objective, _newton_direction
 from chflow.potential import from_polynomial, make_potential
@@ -379,15 +378,3 @@ def test_simulate_requires_multiple_of_tau(cubic):
     f0 = _cosine_field(128, 0.2)
     with pytest.raises(ValueError):
         simulate_jko(f0, JkoConfig(tau=3e-3, m=256), 0.1, cubic, 1e-2)
-
-
-def test_ledger_csv(tmp_path, cubic):
-    rec = simulate_jko(_cosine_field(128, 0.3), JkoConfig(tau=1e-3, m=256), 0.1, cubic, 4e-3)
-    path = tmp_path / "ledger.csv"
-    write_ledger_csv(rec, path)
-    rows = path.read_text().strip().split("\n")
-    assert rows[0] == "step,d2_increment,energy,slack"
-    assert len(rows) == len(rec.times) + 1
-    last = rows[-1].split(",")
-    assert int(last[0]) == len(rec.times) - 1
-    assert float(last[3]) <= 1e-12

@@ -4,7 +4,8 @@ per-call-heavy numpy helpers, no module touches scipy.sparse, every LU
 goes through the one factorisation seam and every implicit step's Newton
 iteration and flux divergence through the one implicit stepper, jko imports
 nothing from scipy, only the trajectory loop builds records, only potential
-builds convex envelopes, and every config field is read."""
+builds convex envelopes, only harness writes files, and every config field
+is read."""
 
 import ast
 from pathlib import Path
@@ -179,6 +180,43 @@ def test_only_potential_builds_envelopes():
         if isinstance(node, ast.Call) and _dotted(node.func).rpartition(".")[2] == "compute_convex_envelope"
     ]
     assert not offenders, "\n".join(offenders)
+
+
+# harness owns every artifact and its one CSV dialect (cli reads trajectory.csv back),
+# so no other module imports csv and none below harness opens a file for writing
+_WRITE_METHODS = {"write_text", "write_bytes", "tofile", "savetxt", "save", "savez"}
+
+
+def _file_writes(tree):
+    """(line, what) for every csv import and every call that may write a file."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(alias.name == "csv" for alias in node.names):
+            yield node.lineno, "import csv"
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "csv":
+            yield node.lineno, "from csv import"
+        elif isinstance(node, ast.Call):
+            name = _dotted(node.func).rpartition(".")[2]
+            if name == "open":
+                mode = node.args[1] if len(node.args) > 1 else next(
+                    (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r"))
+                # a mode that is not a literal may write
+                if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or set(mode.value) & set("wax+"):
+                    yield node.lineno, "open for writing"
+            elif name in _WRITE_METHODS:
+                yield node.lineno, f"calls {name}"
+
+
+def test_only_harness_writes_files():
+    offenders = [
+        f"{path.name}:{line} {what}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for line, what in _file_writes(ast.parse(path.read_text(), filename=str(path)))
+        if not (path.stem == "harness" or (path.stem == "cli" and what == "import csv"))
+    ]
+    assert not offenders, "\n".join(offenders)
+    # and the check sees the writes it exists for
+    harness = ast.parse((PACKAGE_DIR / "harness.py").read_text())
+    assert "open for writing" in {what for _, what in _file_writes(harness)}
 
 
 # lowest first; a module may import only modules of a strictly lower layer
