@@ -112,6 +112,7 @@ def generate_initial(name, params, n):
     Generators: "uniform"; "cosine" (1 + a cos(2 pi k x), 0 <= a < 1);
     "bump" (smooth compactly supported bump over a floor, renormalized);
     "two-phase" (tanh steps between two levels at x = 1/4 and 3/4,
+    summed over periodic images so the profile is smooth across the wrap,
     renormalized).  Parameters that would produce negative density raise.
     """
     params = dict(params or {})
@@ -154,7 +155,10 @@ def generate_initial(name, params, n):
             raise ValueError("two-phase levels must be nonnegative")
         if width <= 0.0:
             raise ValueError("two-phase interface width must be positive")
-        vals = lo + (hi - lo) * 0.5 * (np.tanh((x - 0.25) / width) - np.tanh((x - 0.75) / width))
+        # the sum over periodic images k = -3..3 is smooth across the wrap (the next image is
+        # below 1e-13 for width <= 0.2); a single pair of steps has a slope jump at x = 0
+        y = x - np.arange(-3, 4)[:, None]
+        vals = lo + (hi - lo) * 0.5 * np.sum(np.tanh((y - 0.25) / width) - np.tanh((y - 0.75) / width), axis=0)
     else:
         raise ValueError(f"unknown initial-data generator {name!r}")
     if float(np.min(vals)) < 0.0:

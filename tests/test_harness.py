@@ -11,7 +11,7 @@ import pytest
 from chflow import harness, nonlocal_model
 from chflow.cli import main
 from chflow.diagnostics import well_preparedness
-from chflow.functionals import energy_eps, energy_star
+from chflow.functionals import energy_eps, energy_star, slope_eps
 from chflow.harness import (
     MODES,
     TRAJECTORY_COLUMNS,
@@ -92,6 +92,26 @@ def test_cosine_mode_must_be_integral():
             generate_initial("cosine", {"a": 0.1, "k": k}, 64)
     whole = generate_initial("cosine", {"a": 0.1, "k": 3.0}, 64)
     assert np.array_equal(whole.values, generate_initial("cosine", {"a": 0.1, "k": 3}, 64).values)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("uniform", {}),
+    ("cosine", {}),
+    ("bump", {}),
+    ("two-phase", {}),
+    ("two-phase", {"lo": 0.3, "hi": 1.7, "width": 0.1}),
+    ("two-phase", {"lo": 0.3, "hi": 1.7, "width": 0.2}),
+], ids=["uniform", "cosine", "bump", "two-phase", "two-phase-w0.1", "two-phase-w0.2"])
+def test_initial_slope_converges_under_refinement(name, params):
+    # a generator with a slope jump at the periodic wrap puts a delta in the discrete
+    # second difference, so slope_eps at t = 0 grows with n (two-phase at width 0.2
+    # read 37 at n = 2048 and 297 at n = 8192 before its images were summed)
+    spec = make_potential("quartic-wrinkle")
+    coarse, fine = (slope_eps(generate_initial(name, params, n), 0.025, spec) for n in (2048, 8192))
+    if name == "uniform":
+        assert coarse == fine == 0.0
+    else:
+        assert abs(fine - coarse) < 0.01 * fine
 
 
 def test_two_phase_on_convex_branches_is_ill_prepared():
