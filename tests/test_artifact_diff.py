@@ -23,9 +23,10 @@ SMALL_CONFIG = {
 }
 
 
-def test_tree_against_itself_differs_nowhere(tmp_path):
+def _diff_against_itself(tmp_path, doc):
+    """The tool's rows for the working tree run twice on doc, all of them zero."""
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(SMALL_CONFIG))
+    config.write_text(json.dumps(doc))
     proc = subprocess.run(
         [sys.executable, str(SCRIPT), "--config", str(config)],
         capture_output=True,
@@ -34,7 +35,12 @@ def test_tree_against_itself_differs_nowhere(tmp_path):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()[1:]]
-    assert all(row[-2:] == ["0", "0"] for row in rows)
+    assert rows and all(row[-2:] == ["0", "0"] for row in rows)
+    return rows
+
+
+def test_tree_against_itself_differs_nowhere(tmp_path):
+    rows = _diff_against_itself(tmp_path, SMALL_CONFIG)
     artifacts = {row[0] for row in rows}
     for mode in ("eps", "limit", "jko", "nonlocal"):
         assert f"single-{mode}/trajectory.csv" in artifacts
@@ -43,3 +49,13 @@ def test_tree_against_itself_differs_nowhere(tmp_path):
     columns = {(row[0], row[1]) for row in rows}
     assert ("sweep/sweep_report.csv", "sup_t_d2_to_limit") in columns
     assert ("single-nonlocal/comparison.json", "gaps[]") in columns
+
+
+def test_crank_nicolson_config_skips_only_the_nonlocal_run(tmp_path):
+    # the nonlocal model rejects theta != 1, which used to stop the tool before any diff
+    half = {**SMALL_CONFIG, "solver": {**SMALL_CONFIG["solver"], "theta_scheme": 0.5}}
+    artifacts = {row[0] for row in _diff_against_itself(tmp_path, half)}
+    assert not any(a.startswith("single-nonlocal/") for a in artifacts)
+    for mode in ("eps", "limit", "jko"):
+        assert f"single-{mode}/trajectory.csv" in artifacts
+    assert "sweep/sweep_report.csv" in artifacts

@@ -5,6 +5,8 @@
 Each side runs `chflow simulate` in the eps, limit, jko and nonlocal modes
 and then `chflow sweep`, all on one config (by default the example config of
 the README), in a fresh Python process whose PYTHONPATH is that tree's src/.
+The nonlocal model is backward Euler only, so a config whose
+`solver.theta_scheme` is not 1 skips the nonlocal run.
 One side is the working tree, HEAD plus any uncommitted edits.  The other is
 REV, checked out with `git worktree add --detach` into a temporary directory
 and removed afterwards; without REV the working tree runs twice, which shows
@@ -47,6 +49,13 @@ README_CONFIG = {
 COMMANDS = [["simulate", "--mode", mode, "--config", "config.json"] for mode in ("eps", "limit", "jko", "nonlocal")]
 COMMANDS.append(["sweep", "--config", "config.json"])
 
+
+def commands_for(config):
+    """COMMANDS without the nonlocal run when the config's theta_scheme is not 1."""
+    if config.get("solver", {}).get("theta_scheme", 1.0) == 1.0:
+        return COMMANDS
+    return [argv for argv in COMMANDS if "nonlocal" not in argv]
+
 _DRIVER = """
 import contextlib, io, sys
 from chflow.cli import main
@@ -66,7 +75,7 @@ def run_tree(src, config, run_dir):
     (run_dir / "config.json").write_text(json.dumps({**config, "output_dir": "out"}))
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     subprocess.run(
-        [sys.executable, "-c", _DRIVER.format(commands=COMMANDS)], cwd=run_dir, env=env, check=True
+        [sys.executable, "-c", _DRIVER.format(commands=commands_for(config))], cwd=run_dir, env=env, check=True
     )
     return run_dir / "out"
 
