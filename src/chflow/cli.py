@@ -80,7 +80,11 @@ def _cmd_audit(args):
         raise ValueError("--tol must be nonnegative")
     cols = {key: [] for key in TRAJECTORY_COLUMNS}
     with open(args.trajectory, newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        missing = [key for key in TRAJECTORY_COLUMNS if key not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"trajectory CSV lacks column(s) {', '.join(missing)}")
+        for row in reader:
             for key, values in cols.items():
                 values.append(float(row[key]))
     if len(cols["t"]) < 2:

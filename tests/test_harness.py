@@ -745,6 +745,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["audit", "--trajectory", str(rising)]) == 2
     capsys.readouterr()
 
+    # the audit reads the whole trajectory.csv schema, and names what a file lacks
+    partial = tmp_path / "partial.csv"
+    partial.write_text("t,e_eps,e_star,slope_eps,slope_star,speed\n0.0,-0.3,-0.375,0.0,0.0,0.0\n")
+    assert main(["audit", "--trajectory", str(partial)]) == 1
+    assert "lacks column(s) min, max, mass" in capsys.readouterr().err
+
 
 
 @pytest.mark.parametrize(

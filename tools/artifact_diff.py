@@ -56,6 +56,7 @@ def commands_for(config):
         return COMMANDS
     return [argv for argv in COMMANDS if "nonlocal" not in argv]
 
+
 _DRIVER = """
 import contextlib, io, sys
 from chflow.cli import main
