@@ -245,9 +245,9 @@ _JKO_KEYS = tuple(f.name for f in fields(JkoConfig))
 _INITIAL_KEYS = tuple(f.name for f in fields(InitialData))
 
 
-# the JSON type of each section; another type would fail inside dict() or tuple() with Python's own message
+# the JSON type of each section and of output_dir; another type would fail later, output_dir only after the run
 _SECTION_TYPES = {"potential": ((str, list, tuple), "a name or an array"), "solver": (dict, "an object"),
-                  "initial_data": (dict, "an object"), "jko": (dict, "an object"),
+                  "initial_data": (dict, "an object"), "jko": (dict, "an object"), "output_dir": (str, "a string"),
                   "eps_list": ((list, tuple), "an array"), "output_times": ((list, tuple), "an array")}
 
 

@@ -4,9 +4,9 @@ The model replaces the local interfacial term with a mollified attraction,
 ∂tν = ∂x(ν ∂x(W'(ν) + ν - K_eps*ν)), W the run's PotentialSpec; expanding
 K_eps*ν - ν = eps²k0 νxx + ..., whatever W is, recovers the regularized
 local flow with eps_eff² = eps² k0, which is what compare_local_nonlocal
-measures.  The model steps by backward Euler through
-`solvers.implicit_stepper`, as the local flow does, so one run serves as
-the record and as the comparison's nonlocal side.
+measures.  The model is a flow triple that `solvers.simulate_cells` runs,
+as it runs the local flows, its step backward Euler through `implicit_stepper`,
+so one run serves as the record and as the comparison's nonlocal side.
 """
 
 import functools
@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .functionals import EnergyReport, energy_star
-from .solvers import SolverConfig, check_output_times, implicit_stepper, once_per_array, run_trajectory, simulate_eps
+from .solvers import SolverConfig, implicit_stepper, once_per_array, simulate_cells, simulate_eps, step_cells
 from .wasserstein1d import DensityField, w2_periodic
 
 __all__ = [
@@ -90,9 +90,9 @@ def convolve_periodic(values, kernel_hat, h):
     return np.fft.irfft(np.fft.rfft(values) * kernel_hat, values.size) * h
 
 
-def _nonlocal_stepper(cfg, spec, h, caller):
-    """Backward-Euler stepper of mu = W' + v - K_eps*v and energy_of(vals), the
-    model energy whose first variation mu is, once cfg has eps > 0 and theta 1.
+def _nonlocal_flow(cfg, spec, h, caller):
+    """Flow triple of the model by backward Euler, mu = W' + v - K_eps*v the first
+    variation of its energy, once cfg has eps > 0 and theta 1.
 
     The Jacobian replaces the convolution by its thin-interface surrogate
     I + eps^2 k0 Dxx, so c = W'' and the linear solves stay banded; the
@@ -111,15 +111,20 @@ def _nonlocal_stepper(cfg, spec, h, caller):
     def energy_of(vals):
         return _energy_values(vals, h, conv(vals), spec)[0]
 
-    return implicit_stepper(h, cfg.newton_tol, mu, spec.eval_W2, cfg.eps * cfg.eps * _kernel().k0), energy_of
+    def make_report(snap):
+        e_model = energy_of(snap.values)
+        e_bulk = energy_star(snap, spec.envelope)
+        return EnergyReport(
+            e_eps=e_model, e_star=e_bulk, slope_eps=0.0, slope_star=0.0, gap=e_model - e_bulk
+        )
+
+    advance = implicit_stepper(h, cfg.newton_tol, mu, spec.eval_W2, cfg.eps * cfg.eps * _kernel().k0)
+    return advance, energy_of, make_report
 
 
 def step_nonlocal(f: DensityField, cfg: SolverConfig, spec) -> DensityField:
     """Advance the aggregation model with bulk potential spec by one backward-Euler step of size cfg.dt."""
-    advance, _ = _nonlocal_stepper(cfg, spec, f.h, "step_nonlocal")
-    if f.n != cfg.n:
-        raise ValueError("field resolution does not match config")
-    return DensityField(advance(f.values, cfg.dt, 0.0, []))
+    return step_cells(_nonlocal_flow(cfg, spec, f.h, "step_nonlocal"), f, cfg)
 
 
 def _energy_values(vals, h, conv, spec):
@@ -141,20 +146,8 @@ def simulate_nonlocal(f0, cfg, spec, output_times=None):
     e_star; the local slope surrogates do not transfer to this model, so the
     slope columns are recorded as zero.
     """
-    advance, energy_of = _nonlocal_stepper(cfg, spec, f0.h, "simulate_nonlocal")
-    if f0.n != cfg.n:
-        raise ValueError("field resolution does not match config")
-    times = check_output_times(cfg, output_times)
+    record = simulate_cells(_nonlocal_flow(cfg, spec, f0.h, "simulate_nonlocal"), f0, cfg, output_times, "nonlocal")
     kern = _kernel()
-
-    def make_report(snap):
-        e_model = energy_of(snap.values)
-        e_bulk = energy_star(snap, spec.envelope)
-        return EnergyReport(
-            e_eps=e_model, e_star=e_bulk, slope_eps=0.0, slope_star=0.0, gap=e_model - e_bulk
-        )
-
-    record = run_trajectory(f0.values, cfg.dt, times, advance, DensityField, make_report, energy_of, "nonlocal")
     record.extras["kernel"] = {"name": kern.name, "k0": kern.k0, "eps": cfg.eps}
     return record
 

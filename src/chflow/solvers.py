@@ -2,24 +2,21 @@
 
 Both flows are conservative: the update is a difference of face fluxes,
 so the discrete mass telescopes exactly no matter how inaccurate the
-Newton solve is.  The regularized flow, the limit flow and the nonlocal
-model step through one lagged-mobility implicit flux step,
-`implicit_stepper`; the limit flow is its backward Euler step with unit
-face mobility and mu = Q**', a monotone system, which keeps the minimum
-principle and dissipates the relaxed energy unconditionally.  Every flow
-clips a Newton result with a negative cell and restores its mass
-(`enforce_positivity`).  Newton is a chord iteration: each run's stepper
-holds one LU per step size across its steps, refreshed only when a step
-fails to halve the residual, so a smooth run factorises a handful of times.  It
-takes at least one correction and stops on a small residual or a small
-simplified correction, so dt is halved only when a step truly fails,
-never at the roundoff floor.  Every implicit
-step linearises to one stepping matrix, I - dt theta Dx(m Dx (diag(c) -
-s Dxx)), whose cyclic bands `stepping_bands` builds; `factorize` scatters
-those bands into LAPACK band storage in a folded cell order (plan cached
-per size) and factors them.  All four flows, JKO too, step an opaque
-state (cells, or particles) through one adaptive-dt loop, `run_trajectory`;
-JKO never halves tau, because its energy ledger telescopes equal steps.
+Newton solve is.  Each cell flow (the regularized flow, the limit flow
+and the nonlocal model) is one flow triple (advance, energy_of,
+make_report) from its builder, run by one driver, `simulate_cells`, or
+stepped once by `step_cells`.  Every advance is a run's lagged-mobility
+implicit flux step, `implicit_stepper`: a chord Newton iteration
+(`newton`) whose factor the stepper holds across its steps, on one
+stepping matrix I - dt theta Dx(m Dx (diag(c) - s Dxx)), its bands from
+`stepping_bands` and its LU from `factorize`, and a result with a
+negative cell clipped to its mass (`enforce_positivity`).  The limit
+flow's is backward Euler with unit face mobility and mu = Q**', a
+monotone system, which keeps the minimum principle and dissipates the
+relaxed energy unconditionally.  All four flows, JKO too, step an opaque
+state (cells, or particles) through one adaptive-dt loop,
+`run_trajectory`, which halves dt only when a step truly fails; JKO
+never halves tau, because its energy ledger telescopes equal steps.
 """
 
 from __future__ import annotations
@@ -60,8 +57,10 @@ __all__ = [
     "past_horizon",
     "real_number",
     "run_trajectory",
+    "simulate_cells",
     "simulate_eps",
     "simulate_limit",
+    "step_cells",
     "step_eps",
     "step_limit",
     "step_limit_values",
@@ -323,44 +322,63 @@ def implicit_stepper(h, tol, potential, curvature, stiffness, theta=1.0, mobilit
     return advance
 
 
-def _eps_stepper(cfg, spec, h, caller):
-    """Stepper of the regularized flow, mu = W' - eps^2 Dxx, c = W'', once cfg has eps > 0."""
+def _eps_flow(cfg, spec, h, caller):
+    """Flow triple of the regularized flow, mu = W' - eps^2 Dxx, c = W'', once cfg has eps > 0."""
     if cfg.eps <= 0.0:
         raise ValueError(f"{caller} needs eps > 0")
 
     def mu(v):
         return chemical_potential_values(v, h, cfg.eps, spec)
 
-    return implicit_stepper(h, cfg.newton_tol, mu, spec.eval_W2, cfg.eps * cfg.eps, cfg.theta_scheme)
+    def energy_of(v):
+        return energy_eps_values(v, h, cfg.eps, spec)
+
+    def make_report(snap):
+        return energy_report(snap, cfg.eps, spec)
+
+    advance = implicit_stepper(h, cfg.newton_tol, mu, spec.eval_W2, cfg.eps * cfg.eps, cfg.theta_scheme)
+    return advance, energy_of, make_report
 
 
-def _limit_stepper(cfg, env, h, caller):
-    """Backward-Euler stepper of the relaxed flow, v_t = Dxx Q**'(v): unit face
-    mobility, mu = Q**', c = Q**'' = v W**'' (>= 0 on the admissible range,
-    strays clamped), once cfg is its one scheme, eps = 0 and theta 1."""
+def _limit_flow(cfg, env, h, caller):
+    """Flow triple of the relaxed flow, v_t = Dxx Q**'(v), by backward Euler:
+    unit face mobility, mu = Q**', c = Q**'' = v W**'' (>= 0 on the admissible
+    range, strays clamped), once cfg is its one scheme, eps = 0 and theta 1."""
     if cfg.eps != 0.0 or cfg.theta_scheme != 1.0:
         raise ValueError(f"{caller} requires eps = 0 and backward Euler (theta_scheme = 1)")
 
     def curvature(v):
         return np.maximum(0.0, v * env.eval_Wss2(v))
 
-    return implicit_stepper(h, cfg.newton_tol, env.eval_Qss1, curvature, 0.0, mobility=np.ones_like)
+    def energy_of(v):
+        return energy_star_values(v, h, env)
+
+    def make_report(snap):
+        e_star = energy_star(snap, env)
+        s_star = slope_star(snap, env)
+        return EnergyReport(e_eps=e_star, e_star=e_star, slope_eps=s_star, slope_star=s_star, gap=0.0)
+
+    advance = implicit_stepper(h, cfg.newton_tol, env.eval_Qss1, curvature, 0.0, mobility=np.ones_like)
+    return advance, energy_of, make_report
+
+
+def step_cells(flow, f, cfg):
+    """One step of size cfg.dt from the field f by a flow triple's stepper, with
+    no energy check and no retry at a smaller dt."""
+    if f.n != cfg.n:
+        raise ValueError("field resolution does not match config")
+    advance, _, _ = flow
+    return DensityField(advance(f.values, cfg.dt, 0.0, []))
 
 
 def step_eps(f: DensityField, cfg: SolverConfig, spec: PotentialSpec) -> DensityField:
     """Advance the regularized flow by one step of size cfg.dt."""
-    advance = _eps_stepper(cfg, spec, f.h, "step_eps")
-    if f.n != cfg.n:
-        raise ValueError("field resolution does not match config")
-    return DensityField(advance(f.values, cfg.dt, 0.0, []))
+    return step_cells(_eps_flow(cfg, spec, f.h, "step_eps"), f, cfg)
 
 
 def step_limit(f: DensityField, cfg: SolverConfig, env: ConvexEnvelope) -> DensityField:
     """Advance the relaxed flow by one backward-Euler step of size cfg.dt."""
-    advance = _limit_stepper(cfg, env, f.h, "step_limit")
-    if f.n != cfg.n:
-        raise ValueError("field resolution does not match config")
-    return DensityField(advance(f.values, cfg.dt, 0.0, []))
+    return step_cells(_limit_flow(cfg, env, f.h, "step_limit"), f, cfg)
 
 
 def step_limit_values(values, h, dt, cfg, env):
@@ -369,7 +387,7 @@ def step_limit_values(values, h, dt, cfg, env):
     Used for scheme studies (comparison principle on ordered data of
     unequal mass) where the unit-mass container does not apply.
     """
-    return _limit_stepper(cfg, env, h, "step_limit_values")(np.asarray(values, dtype=float), dt, 0.0, [])
+    return _limit_flow(cfg, env, h, "step_limit_values")[0](np.asarray(values, dtype=float), dt, 0.0, [])
 
 
 def past_horizon(t, t_end):
@@ -455,6 +473,16 @@ def run_trajectory(state, dt, times, advance, field, make_report, energy_of, fla
     )
 
 
+def simulate_cells(flow, f0, cfg, output_times, flavor):
+    """Run a flow triple (advance, energy_of, make_report) from the field f0 to
+    cfg.t_end through `run_trajectory`, a record of flavor `flavor`."""
+    if f0.n != cfg.n:
+        raise ValueError("field resolution does not match config")
+    times = check_output_times(cfg, output_times)
+    advance, energy_of, make_report = flow
+    return run_trajectory(f0.values, cfg.dt, times, advance, DensityField, make_report, energy_of, flavor)
+
+
 def simulate_eps(
     f0: DensityField,
     cfg: SolverConfig,
@@ -466,18 +494,7 @@ def simulate_eps(
     The step is halved whenever Newton fails or the energy rises beyond
     1e-8 of its starting size, and regrows after ten clean steps.
     """
-    advance = _eps_stepper(cfg, spec, f0.h, "simulate_eps")
-    if f0.n != cfg.n:
-        raise ValueError("field resolution does not match config")
-    times = check_output_times(cfg, output_times)
-
-    def make_report(snap):
-        return energy_report(snap, cfg.eps, spec)
-
-    def energy_of(v):
-        return energy_eps_values(v, f0.h, cfg.eps, spec)
-
-    return run_trajectory(f0.values, cfg.dt, times, advance, DensityField, make_report, energy_of, "eps")
+    return simulate_cells(_eps_flow(cfg, spec, f0.h, "simulate_eps"), f0, cfg, output_times, "eps")
 
 
 def simulate_limit(
@@ -492,17 +509,4 @@ def simulate_limit(
     the gap column is identically zero; the discrete energy-equality
     residuals are `diagnostics.energy_dissipation_audit(record).residuals`.
     """
-    advance = _limit_stepper(cfg, env, f0.h, "simulate_limit")
-    if f0.n != cfg.n:
-        raise ValueError("field resolution does not match config")
-    times = check_output_times(cfg, output_times)
-
-    def make_report(snap):
-        e_star = energy_star(snap, env)
-        s_star = slope_star(snap, env)
-        return EnergyReport(e_eps=e_star, e_star=e_star, slope_eps=s_star, slope_star=s_star, gap=0.0)
-
-    def energy_of(v):
-        return energy_star_values(v, f0.h, env)
-
-    return run_trajectory(f0.values, cfg.dt, times, advance, DensityField, make_report, energy_of, "limit")
+    return simulate_cells(_limit_flow(cfg, env, f0.h, "simulate_limit"), f0, cfg, output_times, "limit")

@@ -269,6 +269,9 @@ def test_config_types_are_not_coerced(tmp_path):
         ("potential", 5, "potential"),
         ("eps_list", 0.1, "eps_list"),
         ("output_times", 0.01, "output_times"),
+        # an output_dir that is not a string used to fail at Path() after the whole run
+        ("output_dir", 5, "output_dir"),
+        ("output_dir", ["a"], "output_dir"),
     ):
         with pytest.raises(ValueError, match=what):
             experiment_from_dict(_base_doc(tmp_path, **{key: value}))

@@ -2,10 +2,11 @@
 and never another module's private names, the hot stencil modules use no
 per-call-heavy numpy helpers, no module touches scipy.sparse, every LU
 goes through the one factorisation seam and every implicit step's Newton
-iteration and flux divergence through the one implicit stepper, jko imports
-nothing from scipy, only the trajectory loop builds records, only potential
-builds convex envelopes, only harness writes files, and every config field
-is read."""
+iteration and flux divergence through the one implicit stepper, only the
+cell flows' builders make steppers and only their one driver and JKO run
+the trajectory loop, jko imports nothing from scipy, only the trajectory
+loop builds records, only potential builds convex envelopes, only harness
+writes files, and every config field is read."""
 
 import ast
 from pathlib import Path
@@ -117,8 +118,8 @@ _LU_SEAM = {
 }
 
 
-def _seam_uses(path):
-    """(name, enclosing top-level function or None, line) for every reference to a seam name."""
+def _seam_uses(path, seam):
+    """(name, enclosing top-level function or None, line) for every reference to a name of `seam`."""
     tree = ast.parse(path.read_text(), filename=str(path))
     for top in tree.body:
         owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
@@ -131,30 +132,49 @@ def _seam_uses(path):
                 # an import under another name would hide the uses from this check
                 for alias in node.names:
                     name = alias.name.rpartition(".")[2]
-                    if name in _LU_SEAM and alias.asname is not None:
+                    if name in seam and alias.asname is not None:
                         yield name, f"an import as {alias.asname}", node.lineno
                 continue
             else:
                 continue
-            if name in _LU_SEAM:
+            if name in seam:
                 yield name, owner, node.lineno
 
 
-def test_every_lu_goes_through_factorize():
+def _check_seam(seam):
+    """Every name of `seam` is used only in its allowed (module, top-level function)
+    places, and every allowed place really uses it."""
     uses = [
         (path.stem, name, owner, line)
         for path in sorted(PACKAGE_DIR.glob("*.py"))
-        for name, owner, line in _seam_uses(path)
+        for name, owner, line in _seam_uses(path, seam)
     ]
     offenders = [
         f"{stem}.py:{line} uses {name} in {owner}"
         for stem, name, owner, line in uses
-        if (stem, owner) not in _LU_SEAM[name]
+        if (stem, owner) not in seam[name]
     ]
     assert not offenders, "\n".join(offenders)
-    # every allowed place really uses its name: the LU is LAPACK's, and factorize keeps its callers
     used = {(name, stem, owner) for stem, name, owner, _ in uses}
-    assert {(name, *place) for name, places in _LU_SEAM.items() for place in places} <= used
+    assert {(name, *place) for name, places in seam.items() for place in places} <= used
+
+
+def test_every_lu_goes_through_factorize():
+    # the LU is LAPACK's, and factorize keeps its callers
+    _check_seam(_LU_SEAM)
+
+
+# each cell flow (eps, limit, nonlocal) is a triple (advance, energy_of, make_report)
+# whose stepper only its builder makes, and one driver runs every triple; JKO steps
+# particles, not cells, and calls the trajectory loop itself
+_DRIVER_SEAM = {
+    "run_trajectory": {("solvers", "simulate_cells"), ("jko", "simulate_jko")},
+    "implicit_stepper": {("solvers", "_eps_flow"), ("solvers", "_limit_flow"), ("nonlocal_model", "_nonlocal_flow")},
+}
+
+
+def test_cell_flows_share_one_driver():
+    _check_seam(_DRIVER_SEAM)
 
 
 # every flow (eps, limit, nonlocal, JKO) steps through the one adaptive loop,

@@ -407,16 +407,16 @@ def test_each_run_and_each_single_step_factorises_afresh(spinodal, monkeypatch):
     assert counts[-1] == 2
 
 
-def _run_closures(monkeypatch, module, simulate, *args):
-    """The advance and energy_of that `simulate(*args)` hands to its module's
-    run_trajectory, which is not run; a fresh stepper per call."""
+def _run_closures(monkeypatch, simulate, *args):
+    """The advance and energy_of that `simulate(*args)` hands to
+    run_trajectory through `simulate_cells`, which is not run; a fresh stepper per call."""
     got = types.SimpleNamespace(extras={})
 
     def capture(state, dt, times, advance, field, make_report, energy_of, flavor):
         got.advance, got.energy_of = advance, energy_of
         return got
 
-    monkeypatch.setattr(module, "run_trajectory", capture)
+    monkeypatch.setattr(solvers, "run_trajectory", capture)
     return simulate(*args)
 
 
@@ -429,11 +429,11 @@ def test_stepper_reuses_the_flux_of_the_array_it_returned(flow, spinodal, monkey
     eps = 0.0 if flow == "limit" else 0.1
     cfg = SolverConfig(n=n, dt=dt, eps=eps, t_end=0.01, theta_scheme=0.5 if flow == "eps-theta" else 1.0)
     if flow == "nonlocal":
-        run = (nonlocal_model, nonlocal_model.simulate_nonlocal, f0, cfg, spinodal)
+        run = (nonlocal_model.simulate_nonlocal, f0, cfg, spinodal)
     elif flow == "limit":
-        run = (solvers, simulate_limit, f0, cfg, spinodal.envelope)
+        run = (simulate_limit, f0, cfg, spinodal.envelope)
     else:
-        run = (solvers, simulate_eps, f0, cfg, spinodal)
+        run = (simulate_eps, f0, cfg, spinodal)
     counts = _count_calls(monkeypatch, "divergence_of_flux")
     hit, miss = _run_closures(monkeypatch, *run), _run_closures(monkeypatch, *run)
     out = hit.advance(f0.values, dt, 0.0, [])
@@ -445,6 +445,18 @@ def test_stepper_reuses_the_flux_of_the_array_it_returned(flow, spinodal, monkey
     assert np.array_equal(made[0], made[1])
     assert counts[-1] == counts[-2] + 1
     assert hit.energy_of(made[0]) == miss.energy_of(made[1].copy())
+
+
+@pytest.mark.parametrize(
+    "name", ["simulate_eps", "simulate_limit", "simulate_nonlocal", "step_eps", "step_limit", "step_nonlocal"]
+)
+def test_field_of_another_resolution_is_rejected(name, spinodal):
+    # every run and every single step checks the field against cfg.n before it steps
+    limit = "limit" in name
+    cfg = SolverConfig(n=128, dt=1e-4, eps=0.0 if limit else 0.1, t_end=1e-3)
+    run = getattr(nonlocal_model if name.endswith("nonlocal") else solvers, name)
+    with pytest.raises(ValueError, match="field resolution does not match config"):
+        run(_cosine(64, 0.1), cfg, spinodal.envelope if limit else spinodal)
 
 
 def test_dispersion_run_evaluates_the_flux_once_per_iterate_with_one_factor(wrinkle, monkeypatch):
