@@ -64,18 +64,22 @@ def laplacian(values, h):
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Scalar energy diagnostics for a single snapshot.
+    """Scalar energy diagnostics for a single snapshot: two energies, two slopes.
 
-    `gap` is the excess of the regularized energy over the relaxed one;
-    it cannot drop below zero (up to rounding) because the gradient term
-    is a square and the well dominates its envelope pointwise.
+    The property `gap`, e_eps - e_star, is the excess of the regularized
+    energy over the relaxed one; it cannot drop below zero (up to rounding)
+    because the gradient term is a square and the well dominates its
+    envelope pointwise, so a report with gap below -1e-10 is refused.
     """
 
     e_eps: float
     e_star: float
     slope_eps: float
     slope_star: float
-    gap: float
+
+    @property
+    def gap(self):
+        return self.e_eps - self.e_star
 
     def __post_init__(self):
         if self.gap < -1e-10:
@@ -136,19 +140,15 @@ def g_field(f: DensityField, eps: float, spec: PotentialSpec) -> np.ndarray:
     )
 
 
-def slope_eps(f: DensityField, eps: float, spec: PotentialSpec, floor: float | None = None) -> float:
+def slope_eps(f: DensityField, eps: float, spec: PotentialSpec) -> float:
     """Upper slope surrogate: sqrt of sum f * (Dx e)^2 h off the vacuum set.
 
-    `floor` masks near-vacuum cells where the factorized flux velocity is
-    not resolvable; it defaults to 1e-8 times the field maximum.
+    The vacuum set is every cell at or below 1e-8 times the field maximum,
+    where the factorized flux velocity is not resolvable.
     """
-    if floor is None:
-        floor = 1e-8 * float(np.max(f.values))
-    if floor < 0.0:
-        raise ValueError("floor must be nonnegative")
     e = chemical_potential(f, eps, spec)
     de = dx_centered(e, f.h)
-    mask = f.values > floor
+    mask = f.values > 1e-8 * float(np.max(f.values))
     return float(np.sqrt(np.sum(f.values[mask] * de[mask] ** 2) * f.h))
 
 
@@ -164,12 +164,9 @@ def slope_star(f: DensityField, env: ConvexEnvelope) -> float:
 
 def energy_report(f: DensityField, eps: float, spec: PotentialSpec) -> EnergyReport:
     """Bundle both energies and both slopes for one snapshot; the relaxed ones use ``spec.envelope``."""
-    e_eps = energy_eps(f, eps, spec)
-    e_star = energy_star(f, spec.envelope)
     return EnergyReport(
-        e_eps=e_eps,
-        e_star=e_star,
+        e_eps=energy_eps(f, eps, spec),
+        e_star=energy_star(f, spec.envelope),
         slope_eps=slope_eps(f, eps, spec),
         slope_star=slope_star(f, spec.envelope),
-        gap=e_eps - e_star,
     )

@@ -109,11 +109,12 @@ def _reject_unknown(mapping, allowed, where):
 def generate_initial(name, params, n):
     """Built-in unit-mass, non-negative initial fields on n cells.
 
-    Generators: "uniform"; "cosine" (1 + a cos(2 pi k x), 0 <= a < 1);
-    "bump" (smooth compactly supported bump over a floor, renormalized);
-    "two-phase" (tanh steps between two levels at x = 1/4 and 3/4,
-    summed over periodic images so the profile is smooth across the wrap,
-    renormalized).  Parameters that would produce negative density raise.
+    Generators: "uniform"; "cosine" (1 + a cos(2 pi k x), 0 <= a < 1,
+    k < n/2 so the grid holds the mode); "bump" (smooth compactly supported
+    bump over a floor, renormalized); "two-phase" (tanh steps of width at
+    most 0.2 between two levels at x = 1/4 and 3/4, summed over periodic
+    images so the profile is smooth across the wrap, renormalized).
+    Parameters that would produce negative density raise.
     """
     params = dict(params or {})
     x = (np.arange(int(n)) + 0.5) / int(n)
@@ -132,6 +133,8 @@ def generate_initial(name, params, n):
             raise ValueError("cosine amplitude must satisfy 0 <= a < 1")
         if isinstance(k, bool) or not isinstance(k, numbers.Real) or not (k >= 1 and float(k).is_integer()):
             raise ValueError("cosine mode must be a positive integer")
+        if k >= n / 2:
+            raise ValueError(f"cosine mode k = {k:g} needs k < n/2 = {n / 2:g} to be resolved on {n} cells")
         vals = 1.0 + a * np.cos(2.0 * np.pi * int(k) * x)
     elif name == "bump":
         _reject_unknown(params, ("width", "floor", "center"), "bump parameter")
@@ -153,8 +156,8 @@ def generate_initial(name, params, n):
         width = param("width", 0.05)
         if lo < 0.0 or hi < 0.0:
             raise ValueError("two-phase levels must be nonnegative")
-        if width <= 0.0:
-            raise ValueError("two-phase interface width must be positive")
+        if not 0.0 < width <= 0.2:
+            raise ValueError("two-phase interface width must lie in (0, 0.2]")
         # the sum over periodic images k = -3..3 is smooth across the wrap (the next image is
         # below 1e-13 for width <= 0.2); a single pair of steps has a slope jump at x = 0
         y = x - np.arange(-3, 4)[:, None]
@@ -345,8 +348,8 @@ def _sha256_file(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def write_manifest(out_dir, cfg, outputs, extra=None):
-    """manifest.json: config, config_hash, versions, outputs with hashes."""
+def write_manifest(out_dir, cfg, outputs, extra):
+    """manifest.json: config, config_hash, versions, outputs with hashes, and the run's own `extra` keys."""
     out_dir = Path(out_dir)
     manifest = {
         "config": config_as_dict(cfg),
@@ -356,9 +359,8 @@ def write_manifest(out_dir, cfg, outputs, extra=None):
             {"path": str(Path(p).relative_to(out_dir)), "sha256": _sha256_file(p)}
             for p in outputs
         ],
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
     path = out_dir / "manifest.json"
     _write_json(path, manifest)
     return path
@@ -477,32 +479,33 @@ class SweepReport:
 
 
 def _sweep_worker(payload):
-    """One regularized run and its gap columns; exceptions become row failures.
+    """One regularized run measured against the relaxed reference record.
 
-    f0 and its t = 0 distance d2_start to the reference come from the well-preparedness gate."""
-    cfg, spec, unstable, eps, f0, d2_start, times, limit_vals, limit_slopes, limit_energies = payload
+    payload is (run_cfg, spec, unstable, f0, d2_start, reference): the eps run's
+    solver config on f0's grid, f0 and its t = 0 distance d2_start to the
+    reference from the well-preparedness gate, and the reference record, whose
+    times the run outputs at.  Returns (row, record, None), or (None, None,
+    message) when the run raises or aborts."""
+    run_cfg, spec, unstable, f0, d2_start, reference = payload
     try:
-        run_cfg = replace(cfg.solver, n=f0.n, eps=eps)
-        record = simulate_eps(f0, run_cfg, spec, output_times=times)
-        if not record.completed or len(record.snapshots) != len(limit_vals):
+        record = simulate_eps(f0, run_cfg, spec, output_times=reference.times)
+        if not record.completed:
             raise RuntimeError("regularized run aborted before reaching t_end")
-        later = zip(record.snapshots[1:], limit_vals[1:])
-        d2 = np.array([d2_start] + [w2_periodic(a, DensityField(b)) for a, b in later])
-        slopes = np.array([rep.slope_eps for rep in record.reports])
-        energies = np.array([rep.e_eps for rep in record.reports])
-        t_arr = np.asarray(times, dtype=float)
-        slope_gap = float(np.trapezoid((slopes - np.asarray(limit_slopes)) ** 2, t_arr))
-        energy_gap = float(np.max(np.abs(energies - np.asarray(limit_energies))))
+        later = zip(record.snapshots[1:], reference.snapshots[1:])
+        d2 = np.array([d2_start] + [w2_periodic(a, b) for a, b in later])
+        reports = list(zip(record.reports, reference.reports))
+        slope_diff = np.array([rep.slope_eps - ref.slope_star for rep, ref in reports])
+        energy_diff = np.array([rep.e_eps - ref.e_star for rep, ref in reports])
         row = SweepRow(
-            eps=float(eps),
+            eps=run_cfg.eps,
             sup_t_d2_to_limit=float(np.max(d2)),
-            slope_gap_L2=slope_gap,
-            energy_gap_final=energy_gap,
+            slope_gap_L2=float(np.trapezoid(slope_diff**2, reference.times)),
+            energy_gap_final=float(np.max(np.abs(energy_diff))),
             wrinkle_summary=_wrinkle_summary(record.snapshots[-1], unstable),
         )
-        return eps, row, record, None
+        return row, record, None
     except Exception as exc:  # per-eps isolation: the sweep continues
-        return eps, None, None, f"{type(exc).__name__}: {exc}"
+        return None, None, f"{type(exc).__name__}: {exc}"
 
 
 def run_sweep(cfg):
@@ -538,12 +541,9 @@ def run_sweep(cfg):
     if not limit_rec.completed:
         abort_t = next(ev["t"] for ev in limit_rec.events if ev["type"] == "abort")
         raise RuntimeError(f"relaxed reference run (n = {n_limit}) aborted at t = {abort_t!r}; no eps run was started")
-    limit_vals = [snap.values for snap in limit_rec.snapshots]
-    limit_slopes = tuple(rep.slope_star for rep in limit_rec.reports)
-    limit_energies = tuple(rep.e_star for rep in limit_rec.reports)
 
     payloads = [
-        (cfg, spec, unstable, eps, f0, row[1], times, limit_vals, limit_slopes, limit_energies)
+        (replace(cfg.solver, n=f0.n, eps=eps), spec, unstable, f0, row[1], limit_rec)
         for (eps, f0), row in zip(family, prep.rows)
     ]
     if cfg.workers > 1:
@@ -558,9 +558,9 @@ def run_sweep(cfg):
 
     rows = []
     failures = []
-    for eps, row, record, err in results:
+    for eps, (row, record, err) in zip(cfg.eps_list, results):
         if err is not None:
-            failures.append((float(eps), err))
+            failures.append((eps, err))
             continue
         rows.append(row)
         run_dir = out_dir / f"eps-{eps:g}"

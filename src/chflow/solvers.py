@@ -356,7 +356,7 @@ def _limit_flow(cfg, env, h, caller):
     def make_report(snap):
         e_star = energy_star(snap, env)
         s_star = slope_star(snap, env)
-        return EnergyReport(e_eps=e_star, e_star=e_star, slope_eps=s_star, slope_star=s_star, gap=0.0)
+        return EnergyReport(e_eps=e_star, e_star=e_star, slope_eps=s_star, slope_star=s_star)
 
     advance = implicit_stepper(h, cfg.newton_tol, env.eval_Qss1, curvature, 0.0, mobility=np.ones_like)
     return advance, energy_of, make_report

@@ -180,7 +180,7 @@ def test_g_gradient_l1_bounded_by_slope(cubic):
         dg = dx_centered(g_field(f, eps, cubic), f.h)
         fe = f.values * dx_centered(chemical_potential(f, eps, cubic), f.h)
         lhs = float(np.sum(np.abs(dg)) * f.h)
-        rhs = np.sqrt(f.mass()) * slope_eps(f, eps, cubic, floor=0.0)
+        rhs = np.sqrt(f.mass()) * slope_eps(f, eps, cubic)
         id_err = float(np.sum(np.abs(dg - fe)) * f.h)
         assert lhs <= rhs + id_err + 1e-12
         id_errs.append(id_err)
@@ -213,11 +213,6 @@ def test_slope_eps_scales_linearly_in_amplitude(cubic):
     assert r[0] == pytest.approx(r[1], rel=1e-4)
 
 
-def test_slope_eps_rejects_negative_floor(cubic):
-    with pytest.raises(ValueError):
-        slope_eps(_uniform(), 0.1, cubic, floor=-1.0)
-
-
 def test_slope_star_zero_on_plateau(cubic_env):
     # values stay inside the affine stretch of the envelope
     f = _cosine_field(97, 0.45)
@@ -228,7 +223,7 @@ def test_slope_star_zero_on_plateau(cubic_env):
 def test_slope_star_matches_slope_eps_in_convex_region(spinodal, spinodal_env):
     f = _cosine_field(256, 0.4)
     a = slope_star(f, spinodal_env)
-    b = slope_eps(f, 0.0, spinodal, floor=0.0)
+    b = slope_eps(f, 0.0, spinodal)
     assert a == pytest.approx(b, abs=1e-10)
 
 
@@ -262,7 +257,7 @@ def test_energy_report_fields_and_gap_guard(cubic):
     assert rep.gap >= -1e-10
     assert rep.slope_eps >= 0.0 and rep.slope_star >= 0.0
     with pytest.raises(ValueError):
-        EnergyReport(e_eps=0.0, e_star=1.0, slope_eps=0.0, slope_star=0.0, gap=-1.0)
+        EnergyReport(e_eps=0.0, e_star=1.0, slope_eps=0.0, slope_star=0.0)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)

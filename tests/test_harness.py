@@ -1,6 +1,7 @@
 """Config plumbing, initial-data generators, sweeps, manifests, CLI."""
 
 import hashlib
+import importlib.util
 import json
 import re
 from pathlib import Path
@@ -85,6 +86,15 @@ def test_generate_initial_rejects_bad_input():
         generate_initial("uniform", {"a": 1.0}, 64)
 
 
+def test_two_phase_width_is_bounded():
+    # the sum over images k = -3..3 is smooth across the wrap only up to width 0.2: at width
+    # 1.0 the second difference there read 5.6e-7 against 2.1e-9 inside (n = 4096), silently
+    for width in (0.21, 1.0):
+        with pytest.raises(ValueError, match=r"two-phase interface width must lie in \(0, 0\.2\]"):
+            generate_initial("two-phase", {"width": width}, 64)
+    assert generate_initial("two-phase", {"width": 0.2}, 64).n == 64
+
+
 def test_cosine_mode_must_be_integral():
     # int() used to truncate 1.5 to mode 1 silently
     for k in (0, -2, 0.5, 1.5, 2.25, float("nan"), float("inf")):
@@ -92,6 +102,16 @@ def test_cosine_mode_must_be_integral():
             generate_initial("cosine", {"a": 0.1, "k": k}, 64)
     whole = generate_initial("cosine", {"a": 0.1, "k": 3.0}, 64)
     assert np.array_equal(whole.values, generate_initial("cosine", {"a": 0.1, "k": 3}, 64).values)
+
+
+def test_cosine_mode_must_fit_the_grid(tmp_path):
+    # on 64 cells k = 32 and 64 used to give uniform data and k = 33 mode 31, silently
+    for k in (32, 33, 64):
+        with pytest.raises(ValueError, match=f"cosine mode k = {k} needs k < n/2 = 32 to be resolved on 64 cells"):
+            generate_initial("cosine", {"a": 0.1, "k": k}, 64)
+    assert np.ptp(generate_initial("cosine", {"a": 0.1, "k": 31}, 64).values) > 0.1
+    with pytest.raises(ValueError, match="cosine mode k = 48"):
+        experiment_from_dict(_base_doc(tmp_path, initial_data={"name": "cosine", "params": {"k": 48}}))
 
 
 @pytest.mark.parametrize("name, params", [
@@ -294,6 +314,12 @@ def test_readme_example_config_loads(tmp_path):
     doc["output_dir"] = str(tmp_path)
     cfg = experiment_from_dict(doc)
     assert cfg.eps_list and cfg.jko is not None and cfg.workers == doc["workers"]
+    # tools/artifact_diff.py runs this config by default from its own copy
+    tool_path = Path(__file__).resolve().parents[1] / "tools" / "artifact_diff.py"
+    spec = importlib.util.spec_from_file_location("artifact_diff", tool_path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert json.loads(block.group(1)) == tool.README_CONFIG
 
 
 def test_config_hash_ignores_execution_keys(tmp_path):
@@ -588,6 +614,30 @@ def test_run_sweep_isolates_failures(tmp_path, monkeypatch):
     assert "poisoned" in report.failures[0][1]
     manifest = json.loads((tmp_path / "sweep" / "manifest.json").read_text())
     assert manifest["failures"] == [{"eps": 0.1, "error": "RuntimeError: poisoned run"}]
+
+
+def test_run_sweep_records_an_aborted_eps_run(tmp_path, monkeypatch):
+    from chflow.solvers import TrajectoryRecord
+
+    real = harness.simulate_eps
+
+    def aborting(f0, run_cfg, spec, output_times=None):
+        rec = real(f0, run_cfg, spec, output_times=output_times)
+        if run_cfg.eps != 0.1:
+            return rec
+        abort = {"type": "abort", "t": 0.01, "dt": 1e-16}
+        return TrajectoryRecord(rec.times[:2], rec.snapshots[:2], rec.reports[:2], [abort], rec.flavor)
+
+    monkeypatch.setattr(harness, "simulate_eps", aborting)
+    report = run_sweep(experiment_from_dict(_sweep_doc(tmp_path)))
+    message = "RuntimeError: regularized run aborted before reaching t_end"
+    assert report.failures == ((0.1, message),)
+    assert [row.eps for row in report.rows] == [0.05]
+    alone = run_sweep(experiment_from_dict(_sweep_doc(tmp_path / "alone", eps_list=[0.05])))
+    assert report.rows == alone.rows
+    manifest = json.loads((tmp_path / "sweep" / "manifest.json").read_text())
+    assert manifest["failures"] == [{"eps": 0.1, "error": message}]
+    assert not (tmp_path / "sweep" / "eps-0.1").exists()
 
 
 def test_run_sweep_stops_when_the_reference_aborts(tmp_path, monkeypatch):
