@@ -219,7 +219,7 @@ def energy_dissipation_audit(traj):
     Reads (e_eps, slope_eps) for every flavor: a limit run reports the
     relaxed pair in both columns.
     """
-    if traj.reports is None or len(traj.reports) < 2:
+    if len(traj.reports) < 2:
         raise ValueError("audit needs at least two snapshots with energy reports")
     energies = [rep.e_eps for rep in traj.reports]
     slopes = [rep.slope_eps for rep in traj.reports]

@@ -20,9 +20,9 @@ H+ = I + tau m G^T B+ G of the Hessian, with G the cyclic gap difference and
 B+ the curvature of E in the gaps, W'' clipped at zero and each eps term's
 2 x 2 block in (g_i, g_{i+1}) replaced by its positive part.  H+ is a cyclic
 band of half-width 2, factorised through `solvers.factorize` like every
-other implicit step (`_newton_direction`).  Output densities are the exact
-cell averages of the piecewise-constant particle density
-(`wasserstein1d.to_density`).
+other implicit step (`_newton_direction`).  A configuration is a plain
+sorted array of positions, and output densities are the exact cell averages
+of its piecewise-constant particle density (`wasserstein1d.to_density`).
 """
 
 from __future__ import annotations
@@ -34,13 +34,12 @@ import numpy as np
 from .functionals import dx_centered, dx_forward, energy_report, pad_periodic
 from .potential import PotentialSpec
 from .solvers import TrajectoryRecord, factorize, past_horizon, real_number, run_trajectory, whole_number
-from .wasserstein1d import DensityField, QuantileRepr, to_density
+from .wasserstein1d import DensityField, to_density
 
 __all__ = [
     "JkoConfig",
     "JkoConvergenceFailure",
     "de_giorgi_interpolant",
-    "density_from_particles",
     "jko_step",
     "jko_step_count",
     "jko_step_positions",
@@ -99,11 +98,6 @@ def particles_from_density(f: DensityField, m: int) -> np.ndarray:
     root = a + np.sqrt(np.maximum(a * a + 2.0 * b * r, 0.0))
     u = np.divide(2.0 * r, root, out=np.zeros(m), where=root > 0.0)
     return (cell + u) / v.size
-
-
-def density_from_particles(positions, n: int) -> DensityField:
-    """Cell averages on n cells of the density putting mass 1/m in every gap; mass is exact."""
-    return to_density(QuantileRepr(positions), n)
 
 
 def _lag(v):
@@ -279,7 +273,7 @@ def jko_step(f: DensityField, cfg: JkoConfig, eps: float, spec: PotentialSpec) -
 def de_giorgi_interpolant(f_prev: DensityField, s: float, cfg: JkoConfig, eps: float, spec: PotentialSpec) -> DensityField:
     """Variational interpolant at intermediate weight 0 < s <= tau."""
     x, _ = jko_step_positions(particles_from_density(f_prev, cfg.m), cfg, eps, spec, s=s)
-    return density_from_particles(x, f_prev.n)
+    return to_density(x, f_prev.n)
 
 
 def jko_step_count(tau: float, t_end: float) -> int:
@@ -320,7 +314,7 @@ def simulate_jko(f0: DensityField, cfg: JkoConfig, eps: float, spec: PotentialSp
         return steps[-1]
 
     def field(state):
-        return density_from_particles(state[0], f0.n)
+        return to_density(state[0], f0.n)
 
     def make_report(snap):
         return energy_report(snap, eps, spec)

@@ -195,8 +195,6 @@ _CANONICAL = {
     "zero": [0.0],
 }
 
-_ALIASES = {"cubic": "cubic-motivation"}
-
 
 def canonical_names():
     return sorted(_CANONICAL)
@@ -204,10 +202,9 @@ def canonical_names():
 
 def make_potential(name):
     """Construct one of the built-in potentials by name."""
-    key = _ALIASES.get(name, name)
-    if key not in _CANONICAL:
+    if name not in _CANONICAL:
         raise KeyError(f"unknown potential {name!r}; choices: {canonical_names()}")
-    return from_polynomial(_CANONICAL[key], name=key)
+    return from_polynomial(_CANONICAL[name], name=name)
 
 
 def _pressure_primitive(w, w1, y):

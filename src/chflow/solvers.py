@@ -210,7 +210,7 @@ def stepping_bands(m, c, stiffness, h, dt_theta):
     return prod
 
 
-def newton(vals, residual_fn, jacobian_fn, tol, held=None, dt=None):
+def newton(vals, residual_fn, jacobian_fn, tol, held, dt):
     """Chord Newton: one LU serves every correction, refreshed at the current
     iterate only when a step fails to halve the residual (Deuflhard 2004,
     simplified Newton).
@@ -219,7 +219,7 @@ def newton(vals, residual_fn, jacobian_fn, tol, held=None, dt=None):
     was made at: a factor held at this `dt` starts the iteration, any other
     call factorises the Jacobian at vals, and every factor made here replaces
     the held one (Hairer & Wanner, Solving ODEs II, IV.8).  A held factor is
-    not fresh.  Without `held` every call factorises afresh.
+    not fresh.
 
     f takes at least one correction and is accepted once its residual or its
     simplified correction lu.solve(r), which is also the next chord step, is
@@ -230,15 +230,14 @@ def newton(vals, residual_fn, jacobian_fn, tol, held=None, dt=None):
 
     def refactor(v):
         lu = factorize(jacobian_fn(v))
-        if held is not None:
-            held.clear()
-            held[dt] = lu
+        held.clear()
+        held[dt] = lu
         return lu
 
     f = vals
     r = residual_fn(f)
     norm = float(np.abs(r).max())
-    lu = held.get(dt) if held is not None else None
+    lu = held.get(dt)
     fresh = lu is None
     if fresh:
         lu = refactor(f)

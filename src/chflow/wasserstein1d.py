@@ -17,7 +17,11 @@ distance carries no level-sampling error.
 
 Conventions: cells are uniform with width h = 1/n, values are cell averages,
 the CDF is piecewise linear through the cell edges, and flat stretches
-(vacuum) invert to their left endpoint.
+(vacuum) invert to their left endpoint.  An ordered particle configuration
+is a plain array of m equal-mass positions on the universal cover,
+non-decreasing and spanning less than one period: `to_quantiles` places one
+at a density's mid-level quantiles, and `to_density`, the one
+particle-to-cell map, averages one back onto a grid.
 """
 
 from __future__ import annotations
@@ -73,25 +77,6 @@ class DensityField:
         return cls(v / m)
 
 
-@dataclass(frozen=True)
-class QuantileRepr:
-    """Positions of the m mid-levels (k + 1/2)/m on the universal cover."""
-
-    positions: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.positions, dtype=float)
-        if np.any(np.diff(p) < -1e-13):
-            raise ValueError("quantile positions must be non-decreasing")
-        if p[-1] - p[0] >= 1.0:
-            raise ValueError("quantile positions span a full period or more")
-        object.__setattr__(self, "positions", p)
-
-    @property
-    def m(self):
-        return self.positions.size
-
-
 def _cdf_edges(f):
     cum = np.concatenate([[0.0], np.cumsum(f.values) * f.h])
     cum /= cum[-1]
@@ -112,15 +97,16 @@ def quantiles_at(f, levels, cum=None):
 
 
 def to_quantiles(f, m):
-    """Quantile representation of a density at m mid-levels."""
+    """Positions of the m mid-level quantiles (k + 1/2)/m of f on the universal cover."""
     if m < 2:
         raise ValueError("need at least two quantile levels")
     levels = (np.arange(int(m)) + 0.5) / int(m)
-    return QuantileRepr(quantiles_at(f, levels))
+    return quantiles_at(f, levels)
 
 
-def to_density(q, n):
-    """Exact cell averages on an n-cell grid of the particle density of q.
+def to_density(positions, n):
+    """Exact cell averages on an n-cell grid of the particle density of an
+    ordered particle configuration.
 
     The particle density is piecewise constant: mass 1/m between consecutive
     positions, the last gap wrapping across the period.  Its CDF is piecewise
@@ -128,11 +114,12 @@ def to_density(q, n):
     CDF at the cell edges; mass is conserved exactly and the round trip
     through ``to_quantiles`` costs O(1/m + h) in L1 for Lipschitz densities.
     """
-    return _cell_averages(q.positions, int(n))
-
-
-def _cell_averages(positions, n):
     x = np.asarray(positions, dtype=float)
+    if np.any(np.diff(x) < -1e-13):
+        raise ValueError("particle positions must be non-decreasing")
+    if x[-1] - x[0] >= 1.0:
+        raise ValueError("particle positions span a full period or more")
+    n = int(n)
     nodes = np.append(x, x[0] + 1.0)
     offset = np.arange(n + 1) / n - x[0]
     periods = np.floor(offset)
@@ -255,7 +242,7 @@ def geodesic(mu, nu, t):
     psi_a, psi_b = _CoverQuantiles(mu), _CoverQuantiles(nu)
     xa = psi_a(levels - 0.5 * theta)
     xb = psi_b(levels + 0.5 * theta)
-    return _cell_averages((1.0 - t) * xa + t * xb, n)
+    return to_density((1.0 - t) * xa + t * xb, n)
 
 
 def metric_speed(traj, k):

@@ -11,7 +11,6 @@ from chflow.jko import (
     JkoConfig,
     JkoConvergenceFailure,
     de_giorgi_interpolant,
-    density_from_particles,
     jko_step,
     jko_step_count,
     jko_step_positions,
@@ -21,7 +20,7 @@ from chflow.jko import (
 from chflow.jko import _bands, _curvature, _Objective, _newton_direction
 from chflow.potential import from_polynomial, make_potential
 from chflow.solvers import SolverConfig, simulate_eps
-from chflow.wasserstein1d import DensityField, w2_periodic
+from chflow.wasserstein1d import DensityField, to_density, w2_periodic
 
 from oracles import (
     bands_sparse,
@@ -63,7 +62,7 @@ def test_config_validation():
 def test_deposit_mass_exact_for_arbitrary_positions():
     rng = np.random.default_rng(2)
     for n, m, shift in ((128, 96, 0.0), (64, 512, -0.7), (200, 100, 1.3)):
-        f = density_from_particles(shift + np.sort(rng.random(m)), n)
+        f = to_density(shift + np.sort(rng.random(m)), n)
         assert abs(f.mass() - 1.0) < 1e-14
         assert np.min(f.values) >= 0.0
 
@@ -78,7 +77,7 @@ def test_objective_and_density_match_loop_references(cubic):
     n = 64
     centres = (np.arange(n) + 0.5) / n
     for x in (np.sort(rng.random(97)), centres - 0.3, np.sort(rng.choice(centres, 40, replace=False)) + 0.75):
-        assert _close(density_from_particles(x, n).values, particle_cell_averages(x, n), 1e-12)
+        assert _close(to_density(x, n).values, particle_cell_averages(x, n), 1e-12)
         d = 0.2 * np.min(np.diff(x)) * rng.uniform(-1.0, 1.0, x.size)
         value, grad, _ = _Objective(x, 1e-3, 0.1, cubic).evaluate(d)
         value_ref, grad_ref = gap_objective(d, x, 1e-3, 0.1, cubic)
@@ -296,7 +295,7 @@ def test_de_giorgi_interpolant_family(cubic):
     f0 = _cosine_field(n, 0.3)
     cfg = JkoConfig(tau=2e-3, m=256)
     # s -> 0: transport dominates, nothing moves beyond requantization
-    baseline = density_from_particles(particles_from_density(f0, cfg.m), n)
+    baseline = to_density(particles_from_density(f0, cfg.m), n)
     near_zero = de_giorgi_interpolant(f0, 1e-9, cfg, eps, cubic)
     assert w2_periodic(baseline, near_zero) < 1e-7
     # s = tau reproduces the full step

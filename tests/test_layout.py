@@ -6,9 +6,10 @@ iteration and flux divergence through the one implicit stepper, only the
 cell flows' builders make steppers and only their one driver and JKO run
 the trajectory loop, jko imports nothing from scipy, only the trajectory
 loop builds records, only potential builds convex envelopes, only harness
-writes files, and every config field is read."""
+writes files, every config field is read, and every exported name exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import chflow
@@ -314,3 +315,12 @@ def test_every_config_field_is_read_outside_its_validation():
             readers.setdefault(name, set()).add(owner)
     unread = [f"{cls}.{name}" for cls, names in fields.items() for name in names if not readers.get(name, set()) - {cls}]
     assert not unread, "fields read nowhere but in their own __post_init__: " + ", ".join(unread)
+
+
+def test_every_exported_name_resolves():
+    stale = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        name = "chflow" if path.stem == "__init__" else f"chflow.{path.stem}"
+        module = importlib.import_module(name)
+        stale += [f"{name}.{export}" for export in getattr(module, "__all__", ()) if not hasattr(module, export)]
+    assert not stale, "names in __all__ that do not exist: " + ", ".join(stale)

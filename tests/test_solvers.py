@@ -366,7 +366,7 @@ def test_newton_holds_one_factor_per_step_size():
     assert solve(held, 5e-4) == 1 and list(held) == [5e-4]  # made at another dt: not reused, replaced
     lu = held[5e-4]
     assert solve(held, 5e-4) == 0 and held[5e-4] is lu  # same dt: reused
-    assert solve(None, 5e-4) == 1  # no holder: a fresh factor every call
+    assert solve({}, 5e-4) == 1  # an empty holder: a fresh factor
 
     # a stale factor of -I walks away from the root; it is refreshed, not failed
     held = {5e-4: factorize(-np.ones((1, 8)))}
@@ -682,7 +682,7 @@ def test_newton_fails_when_the_step_raises_the_residual():
         return -np.ones((1, v.size))  # the one band of -I, wrong sign: the step walks away from the root
 
     with pytest.raises(StepFailure, match="did not lower the residual"):
-        newton(np.ones(8), lambda v: v - 2.0, jacobian, 1e-10)
+        newton(np.ones(8), lambda v: v - 2.0, jacobian, 1e-10, {}, 1e-3)
     assert len(calls) == 1
 
 
@@ -769,7 +769,7 @@ def _assert_run_matches_fresh_jacobian(run):
         fresh = run()
         if _steps(fresh) != _steps(held):
             newton_ = newton
-            mp.setattr(solvers, "newton", lambda vals, res, jac, tol, held, dt: newton_(vals, res, jac, tol))
+            mp.setattr(solvers, "newton", lambda vals, res, jac, tol, held, dt: newton_(vals, res, jac, tol, {}, dt))
             fresh = run()
     assert _steps(fresh) == _steps(held)
     for a, b in zip(held.snapshots, fresh.snapshots, strict=True):

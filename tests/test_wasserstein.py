@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from chflow.wasserstein1d import (
     DensityField,
-    QuantileRepr,
     geodesic,
     metric_speed,
     quantiles_at,
@@ -45,7 +44,7 @@ def _corpus(rng, n=48, count=20):
 def test_uniform_quantiles_exact():
     f = DensityField(np.ones(32))
     q = to_quantiles(f, 64)
-    np.testing.assert_allclose(q.positions, (np.arange(64) + 0.5) / 64, atol=1e-14)
+    np.testing.assert_allclose(q, (np.arange(64) + 0.5) / 64, atol=1e-14)
 
 
 def test_flat_cdf_inverts_to_left_endpoint():
@@ -263,6 +262,17 @@ def test_geodesic_endpoints_and_speed_linearity():
         assert w2_periodic(fa, gt) == pytest.approx(t * d, rel=0.02)
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_cells, _cells, st.floats(0.0, 1.0))
+@example([1.0, 0.0, 0.0, 0.0], [1.0, 2.0, 4.0, 2.0, 0.0, 3.0, 0.0, 0.0, 0.0, 2.75, 0.5], 0.5)
+def test_geodesic_is_a_unit_mass_field_on_random_densities(a, b, t):
+    # the interpolated particles pass to_density's order and span checks, vacuum cells included
+    fa, fb = _field(a), _field(b)
+    g = geodesic(fa, fb, t)
+    assert g.n == max(fa.n, fb.n)
+    assert abs(g.mass() - 1.0) <= 1e-12
+
+
 def test_metric_speed_divided_difference():
     from types import SimpleNamespace
 
@@ -282,7 +292,10 @@ def test_validation_errors():
         DensityField(np.array([1.0, 1.0, 1.0, np.nan, 1.0, 1.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
         DensityField.normalized(np.full(8, np.nan))
-    with pytest.raises(ValueError):
-        QuantileRepr(np.array([0.1, 0.05, 0.2]))
+    with pytest.raises(ValueError, match="non-decreasing"):
+        to_density(np.array([0.1, 0.05, 0.2]), 8)
+    for full_period in ([0.0, 0.5, 1.0], [0.25, 0.5, 1.5]):
+        with pytest.raises(ValueError, match="full period"):
+            to_density(np.array(full_period), 8)
     with pytest.raises(ValueError):
         to_quantiles(DensityField(np.ones(8)), 1)
