@@ -160,11 +160,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except HypothesisViolation as exc:
-        payload = {"hypothesis_violation": str(exc)}
-        report = getattr(exc, "report", None)
-        if report is not None:
-            payload["report"] = jsonable(report)
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps({"hypothesis_violation": str(exc), "report": jsonable(exc.report)}, sort_keys=True))
         return 2
     except Exception as exc:  # runtime failure contract: exit 1, message on stderr
         print(f"error: {exc}", file=sys.stderr)

@@ -3,10 +3,12 @@
 A single JSON document configures every run.  Sweeps reproduce the
 vanishing-interface limit at desk scale: one relaxed reference run plus one
 regularized run per eps, compared in transport distance, slope, and energy.
-This module writes every artifact; the numerical modules write no file, and
-every CSV goes through `_write_csv`, the one dialect.
+This module writes every artifact; the numerical modules write no file.
+Every CSV's text comes from `_csv`, the one dialect, and every file goes
+through `_write`, which hashes the bytes as it writes them for the manifest.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -26,6 +28,7 @@ from .jko import JkoConfig, jko_step_count, simulate_jko
 from .nonlocal_model import compare_local_nonlocal, simulate_nonlocal
 from .potential import (
     HypothesisViolation,
+    canonical_names,
     compute_unstable_set,
     from_polynomial,
     make_potential,
@@ -72,32 +75,43 @@ def jsonable(obj):
     return obj
 
 
-def _write_json(path, obj):
+def _csv(columns):
+    """The one CSV dialect of every artifact, built from {name: values}: a header
+    row, then one line per row with LF line ends.  Each column is formatted once,
+    an integer-dtype column with str and every other as repr of its floats, so
+    every cell parses back bit for bit."""
+    cells = []
+    for values in columns.values():
+        values = np.asarray(values)
+        if np.issubdtype(values.dtype, np.integer):
+            cells.append(map(str, values.tolist()))
+        else:
+            cells.append(map(repr, values.astype(float).tolist()))
+    return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
+
+
+def _json(obj):
     """obj as indented JSON with sorted keys and a final newline."""
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write_csv(path, header, rows):
-    """The one CSV dialect of every artifact: a header row, then one line per
-    row, ints as they are and every other number as repr(float(x)), so it
-    parses back bit for bit, with LF line ends.  Returns path."""
-    lines = [",".join(header)]
-    lines += [",".join([str(x) if isinstance(x, (int, np.integer)) else repr(float(x)) for x in row]) for row in rows]
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+def _write(path, text, written):
+    """Write text to path, the package's one file write, and append (path, sha256
+    of the bytes written) to `written`, so the manifest reads no file back."""
+    data = text.encode()
+    with open(path, "wb") as fh:
+        fh.write(data)
+    written.append((path, hashlib.sha256(data).hexdigest()))
 
 
-def _write_trajectory(record, path):
-    speeds = record.speeds()
-    rows = [
-        (t, np.min(snap.values), np.max(snap.values), snap.mass(),
-         rep.e_eps, rep.e_star, rep.slope_eps, rep.slope_star, speed)
-        for t, snap, rep, speed in zip(record.times, record.snapshots, record.reports, speeds)
-    ]
-    return _write_csv(path, TRAJECTORY_COLUMNS, rows)
+def _trajectory_columns(record):
+    """The TRAJECTORY_COLUMNS of a record, each with one value per snapshot."""
+    snaps, reps = record.snapshots, record.reports
+    # e_eps, e_star, slope_eps and slope_star are the energy report's fields of those names
+    reported = [[getattr(rep, key) for rep in reps] for key in TRAJECTORY_COLUMNS[4:8]]
+    return dict(zip(TRAJECTORY_COLUMNS, (
+        record.times, [np.min(s.values) for s in snaps], [np.max(s.values) for s in snaps],
+        [s.mass() for s in snaps], *reported, record.speeds())))
 
 
 def _reject_unknown(mapping, allowed, where):
@@ -215,8 +229,13 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.potential, str):
+        if isinstance(self.potential, str):
+            if self.potential not in canonical_names():
+                raise ValueError(f"unknown potential {self.potential!r}; choices: {canonical_names()}")
+        else:
             object.__setattr__(self, "potential", tuple(real_number(c, "potential coefficients") for c in self.potential))
+            if not self.potential:
+                raise ValueError("potential needs at least one coefficient")
         eps = tuple(real_number(e, "eps_list entries") for e in self.eps_list)
         object.__setattr__(self, "eps_list", eps)
         if not all(e > 0.0 for e in eps):
@@ -242,55 +261,41 @@ class ExperimentConfig:
         return self.output_times or default_output_times(self.solver.t_end)
 
 
-_TOP_KEYS = tuple(f.name for f in fields(ExperimentConfig))
-_SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig))
-_JKO_KEYS = tuple(f.name for f in fields(JkoConfig))
-_INITIAL_KEYS = tuple(f.name for f in fields(InitialData))
-
-
 # the JSON type of each section and of output_dir; another type would fail later, output_dir only after the run
 _SECTION_TYPES = {"potential": ((str, list, tuple), "a name or an array"), "solver": (dict, "an object"),
                   "initial_data": (dict, "an object"), "jko": (dict, "an object"), "output_dir": (str, "a string"),
                   "eps_list": ((list, tuple), "an array"), "output_times": ((list, tuple), "an array")}
 
 
+def _section(cls, doc, where):
+    """cls(**doc), after rejecting every key of doc that is not a field of cls."""
+    _reject_unknown(doc, [f.name for f in fields(cls)], where)
+    return cls(**doc)
+
+
 def experiment_from_dict(doc):
     """Build an ExperimentConfig from a JSON document, rejecting typos and sections of the wrong type."""
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
-    _reject_unknown(doc, _TOP_KEYS, "config")
     for key in ("potential", "solver", "initial_data", "output_dir"):
         if doc.get(key) is None:
             raise ValueError(f"config is missing required key {key!r}")
     for key, (kind, what) in _SECTION_TYPES.items():
         if doc.get(key) is not None and not isinstance(doc[key], kind):
             raise ValueError(f"config key {key!r} must be {what}")
-    solver_doc = dict(doc["solver"])
-    _reject_unknown(solver_doc, _SOLVER_KEYS, "solver")
-    solver = SolverConfig(**solver_doc)
-    jko = None
-    if doc.get("jko") is not None:
-        jko_doc = dict(doc["jko"])
-        _reject_unknown(jko_doc, _JKO_KEYS, "jko")
-        jko = JkoConfig(**jko_doc)
-    initial_doc = dict(doc["initial_data"])
-    _reject_unknown(initial_doc, _INITIAL_KEYS, "initial_data")
-    if "name" not in initial_doc:
+    initial = doc["initial_data"]
+    if "name" not in initial:
         raise ValueError("initial_data needs a generator name")
-    if initial_doc.get("params") is not None and not isinstance(initial_doc["params"], dict):
+    if initial.get("params") is not None and not isinstance(initial["params"], dict):
         raise ValueError("initial_data params must be a JSON object")
-    initial = InitialData(name=initial_doc["name"], params=dict(initial_doc.get("params") or {}))
-    cfg = ExperimentConfig(
-        potential=doc["potential"],
-        solver=solver,
-        initial_data=initial,
-        output_dir=doc["output_dir"],
-        jko=jko,
-        eps_list=tuple(doc.get("eps_list") or ()),
-        output_times=tuple(doc.get("output_times") or ()),
-        allow_ill_prepared=doc.get("allow_ill_prepared", False),
-        workers=doc.get("workers", 1),
-    )
+    cfg = _section(ExperimentConfig, {
+        **doc,
+        "solver": _section(SolverConfig, doc["solver"], "solver"),
+        "jko": None if doc.get("jko") is None else _section(JkoConfig, doc["jko"], "jko"),
+        "initial_data": _section(InitialData, {**initial, "params": dict(initial.get("params") or {})}, "initial_data"),
+        "eps_list": doc.get("eps_list") or (),
+        "output_times": doc.get("output_times") or (),
+    }, "config")
     # dry-run the generator so a bad name or parameter fails at load time
     generate_initial(cfg.initial_data.name, cfg.initial_data.params, cfg.solver.n)
     return cfg
@@ -319,6 +324,7 @@ def config_hash(cfg):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+@functools.cache
 def _git_describe():
     here = Path(__file__).resolve().parent
     try:
@@ -344,25 +350,18 @@ def collect_versions():
     }
 
 
-def _sha256_file(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def write_manifest(out_dir, cfg, outputs, extra):
-    """manifest.json: config, config_hash, versions, outputs with hashes, and the run's own `extra` keys."""
-    out_dir = Path(out_dir)
+def write_manifest(out_dir, cfg, written, extra):
+    """manifest.json: config, config_hash, versions, the (path, sha256) pairs
+    `_write` recorded in `written`, and the run's own `extra` keys."""
     manifest = {
         "config": config_as_dict(cfg),
         "config_hash": config_hash(cfg),
         "versions": collect_versions(),
-        "outputs": [
-            {"path": str(Path(p).relative_to(out_dir)), "sha256": _sha256_file(p)}
-            for p in outputs
-        ],
+        "outputs": [{"path": str(Path(p).relative_to(out_dir)), "sha256": sha} for p, sha in written],
         **extra,
     }
-    path = out_dir / "manifest.json"
-    _write_json(path, manifest)
+    path = Path(out_dir) / "manifest.json"
+    _write(path, _json(manifest), [])
     return path
 
 
@@ -422,38 +421,30 @@ def run_single(cfg, mode):
 
     out_dir = Path(cfg.output_dir) / f"single-{mode}"
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
+    written = []
     if mode == "jko":
         ex = record.extras
-        ledger = zip(range(len(record.times)), ex["d2_increments"], ex["energies"], ex["ledger_slack"])
-        outputs.append(_write_csv(out_dir / "ledger.csv", ("step", "d2_increment", "energy", "slack"), ledger))
+        ledger = {"step": range(len(record.times)), "d2_increment": ex["d2_increments"],
+                  "energy": ex["energies"], "slack": ex["ledger_slack"]}
+        _write(out_dir / "ledger.csv", _csv(ledger), written)
         fd_record = simulate_eps(f0, cfg.solver, spec, output_times=record.times)
-        cross = [(t, w2_periodic(a, b)) for t, a, b in zip(record.times, record.snapshots, fd_record.snapshots)]
-        outputs.append(_write_csv(out_dir / "cross_validation.csv", ("t", "d2"), cross))
+        d2 = [w2_periodic(a, b) for a, b in zip(record.snapshots, fd_record.snapshots)]
+        _write(out_dir / "cross_validation.csv", _csv({"t": record.times, "d2": d2}), written)
     elif mode == "nonlocal":
         comparison = compare_local_nonlocal(record, cfg.solver, spec)
-        cmp_path = out_dir / "comparison.json"
-        _write_json(cmp_path, asdict(comparison))
-        outputs.append(cmp_path)
+        _write(out_dir / "comparison.json", _json(asdict(comparison)), written)
 
-    outputs.append(_write_trajectory(record, out_dir / "trajectory.csv"))
+    _write(out_dir / "trajectory.csv", _csv(_trajectory_columns(record)), written)
     final = record.snapshots[-1]
-    outputs.append(_write_csv(out_dir / "final_state.csv", ("x", "density"), zip(final.cell_centers(), final.values)))
-
-    audit_path = out_dir / "audit.json"
-    audit_payload = (
+    _write(out_dir / "final_state.csv", _csv({"x": final.cell_centers(), "density": final.values}), written)
+    audit = (
         jsonable(asdict(energy_dissipation_audit(record)))
         if len(record.snapshots) >= 2
         else {"error": "run aborted before the second snapshot"}
     )
-    _write_json(audit_path, audit_payload)
-    outputs.append(audit_path)
-
-    wrinkle_path = out_dir / "wrinkle.json"
-    _write_json(wrinkle_path, _wrinkle_rows(record, unstable))
-    outputs.append(wrinkle_path)
-
-    write_manifest(out_dir, cfg, outputs, extra={"mode": mode})
+    _write(out_dir / "audit.json", _json(audit), written)
+    _write(out_dir / "wrinkle.json", _json(_wrinkle_rows(record, unstable)), written)
+    write_manifest(out_dir, cfg, written, extra={"mode": mode})
     return record
 
 
@@ -474,8 +465,8 @@ class SweepReport:
 
     rows: tuple
     limit_run: object
-    grids: dict = field(default_factory=dict)
-    failures: tuple = ()
+    grids: dict
+    failures: tuple
 
 
 def _sweep_worker(payload):
@@ -554,8 +545,7 @@ def run_sweep(cfg):
 
     out_dir = Path(cfg.output_dir) / "sweep"
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-
+    written = []
     rows = []
     failures = []
     for eps, (row, record, err) in zip(cfg.eps_list, results):
@@ -565,22 +555,23 @@ def run_sweep(cfg):
         rows.append(row)
         run_dir = out_dir / f"eps-{eps:g}"
         run_dir.mkdir(exist_ok=True)
-        outputs.append(_write_trajectory(record, run_dir / "trajectory.csv"))
+        _write(run_dir / "trajectory.csv", _csv(_trajectory_columns(record)), written)
 
-    outputs.append(_write_trajectory(limit_rec, out_dir / "limit_trajectory.csv"))
-    header = ("eps", "sup_t_d2_to_limit", "slope_gap_L2", "energy_gap_final",
-              "wrinkle_violations", "wrinkle_osc_mass", "wrinkle_localized")
-    table = [
-        (row.eps, row.sup_t_d2_to_limit, row.slope_gap_L2, row.energy_gap_final, row.wrinkle_summary["violations"],
-         row.wrinkle_summary["oscillating_mass_fraction"], int(row.wrinkle_summary["sigma_localized"]))
-        for row in rows
-    ]
-    outputs.append(_write_csv(out_dir / "sweep_report.csv", header, table))
+    _write(out_dir / "limit_trajectory.csv", _csv(_trajectory_columns(limit_rec)), written)
+    wrinkles = [row.wrinkle_summary for row in rows]
+    table = {
+        **{key: [getattr(row, key) for row in rows]
+           for key in ("eps", "sup_t_d2_to_limit", "slope_gap_L2", "energy_gap_final")},
+        "wrinkle_violations": [w["violations"] for w in wrinkles],
+        "wrinkle_osc_mass": [w["oscillating_mass_fraction"] for w in wrinkles],
+        "wrinkle_localized": [int(w["sigma_localized"]) for w in wrinkles],
+    }
+    _write(out_dir / "sweep_report.csv", _csv(table), written)
 
     write_manifest(
         out_dir,
         cfg,
-        outputs,
+        written,
         extra={
             "mode": "sweep",
             "grids": {f"{eps:g}": grids[eps] for eps in cfg.eps_list},

@@ -222,6 +222,24 @@ def test_jko_tau_checked_at_load(tmp_path):
     assert experiment_from_dict(_base_doc(out, jko={"tau": 2.5e-3, "m": 128})).jko.tau == 2.5e-3
 
 
+def test_unknown_potential_rejected_at_load(tmp_path, monkeypatch):
+    # both used to load and then fail only when the run built the potential
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=r"unknown potential 'quartic-spinnodal'; choices: \[.*'quartic-spinodal'"):
+        experiment_from_dict(_base_doc(out, potential="quartic-spinnodal"))
+    with pytest.raises(ValueError, match="potential needs at least one coefficient"):
+        experiment_from_dict(_base_doc(out, potential=[]))
+    assert not out.exists()
+    # the check reads the names; building a potential is left to the run
+    def no_build(*args, **kwargs):
+        raise AssertionError("potential built at load time")
+
+    monkeypatch.setattr(harness, "make_potential", no_build)
+    monkeypatch.setattr(harness, "from_polynomial", no_build)
+    assert experiment_from_dict(_base_doc(out, potential="quartic-wrinkle")).potential == "quartic-wrinkle"
+    assert experiment_from_dict(_base_doc(out, potential=[0, 0, 1])).potential == (0.0, 0.0, 1.0)
+
+
 def test_sweep_eps_labels_must_be_distinct(tmp_path):
     # 0.09999999 prints as 0.1 under :g, so both runs would write sweep/eps-0.1/
     out = tmp_path / "out"
@@ -616,6 +634,31 @@ def test_run_sweep_isolates_failures(tmp_path, monkeypatch):
     assert manifest["failures"] == [{"eps": 0.1, "error": "RuntimeError: poisoned run"}]
 
 
+def test_run_sweep_with_every_eps_run_failing(tmp_path, monkeypatch, capsys):
+    # no row survives: the report is its header alone, the reference is still written,
+    # and the manifest hashes both files
+    def poisoned(f0, run_cfg, spec, output_times=None):
+        raise RuntimeError("poisoned run")
+
+    monkeypatch.setattr(harness, "simulate_eps", poisoned)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(_sweep_doc(tmp_path)))
+    assert main(["sweep", "--config", str(path)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["rows"] == []
+    assert payload["failures"] == [{"eps": e, "error": "RuntimeError: poisoned run"} for e in (0.1, 0.05)]
+    out = tmp_path / "sweep"
+    header = b"eps,sup_t_d2_to_limit,slope_gap_L2,energy_gap_final,wrinkle_violations,wrinkle_osc_mass,wrinkle_localized"
+    assert (out / "sweep_report.csv").read_bytes() == header + b"\n"
+    assert (out / "limit_trajectory.csv").read_text().startswith(",".join(TRAJECTORY_COLUMNS) + "\n")
+    assert not list(out.glob("eps-*"))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == [
+        {"path": name, "sha256": hashlib.sha256((out / name).read_bytes()).hexdigest()}
+        for name in ("limit_trajectory.csv", "sweep_report.csv")
+    ]
+
+
 def test_run_sweep_records_an_aborted_eps_run(tmp_path, monkeypatch):
     from chflow.solvers import TrajectoryRecord
 
@@ -665,8 +708,13 @@ def test_git_timeout_reads_unknown(monkeypatch):
     def hung(cmd, **kwargs):
         raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
 
+    # the version is read once per process, so the cache is emptied around the patch
+    harness._git_describe.cache_clear()
     monkeypatch.setattr(subprocess, "run", hung)
-    assert collect_versions()["git"] == "unknown"
+    try:
+        assert collect_versions()["git"] == "unknown"
+    finally:
+        harness._git_describe.cache_clear()
 
 
 def test_each_potential_builds_its_envelope_once(tmp_path, monkeypatch):

@@ -6,7 +6,8 @@ iteration and flux divergence through the one implicit stepper, only the
 cell flows' builders make steppers and only their one driver and JKO run
 the trajectory loop, jko imports nothing from scipy, only the trajectory
 loop builds records, only potential builds convex envelopes, only harness
-writes files, every config field is read, and every exported name exists."""
+writes files and only through its one writer, every config field is read,
+and every exported name exists."""
 
 import ast
 import importlib
@@ -238,6 +239,22 @@ def test_only_harness_writes_files():
     # and the check sees the writes it exists for
     harness = ast.parse((PACKAGE_DIR / "harness.py").read_text())
     assert "open for writing" in {what for _, what in _file_writes(harness)}
+
+
+# harness's one writer: only `_write` opens a file for writing, and the runs and the
+# manifest write through it, so every file the manifest lists is hashed as it is written
+_WRITE_SEAM = {"_write": {("harness", "run_single"), ("harness", "run_sweep"), ("harness", "write_manifest")}}
+
+
+def test_harness_writes_through_one_writer():
+    tree = ast.parse((PACKAGE_DIR / "harness.py").read_text())
+    writers = {
+        (top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None, what)
+        for top in tree.body
+        for _, what in _file_writes(top)
+    }
+    assert writers == {("_write", "open for writing")}
+    _check_seam(_WRITE_SEAM)
 
 
 # lowest first; a module may import only modules of a strictly lower layer
