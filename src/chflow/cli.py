@@ -12,7 +12,7 @@ import sys
 from dataclasses import asdict
 
 from .diagnostics import dissipation_audit
-from .harness import MODES, TRAJECTORY_COLUMNS, jsonable, load_config, run_single, run_sweep
+from .harness import MODES, TRAJECTORY_COLUMNS, load_config, plain, run_single, run_sweep
 from .potential import (
     HypothesisViolation,
     canonical_names,
@@ -50,7 +50,7 @@ def _cmd_sweep(args):
         "grids": {f"{eps:g}": n for eps, n in report.grids.items()},
         "failures": [{"eps": eps, "error": msg} for eps, msg in report.failures],
     }
-    print(json.dumps(jsonable(payload), sort_keys=True))
+    print(json.dumps(payload, sort_keys=True, default=plain))
     return 1 if report.failures else 0
 
 
@@ -59,17 +59,16 @@ def _cmd_envelope(args):
     unstable = compute_unstable_set(spec.envelope)
     print(
         json.dumps(
-            jsonable(
-                {
-                    "potential": args.potential,
-                    "breakpoints": spec.envelope.breakpoints,
-                    "sigma": unstable.intervals,
-                    "m0": unstable.m0,
-                    "degenerate_first": unstable.degenerate_first,
-                }
-            ),
+            {
+                "potential": args.potential,
+                "breakpoints": spec.envelope.breakpoints,
+                "sigma": unstable.intervals,
+                "m0": unstable.m0,
+                "degenerate_first": unstable.degenerate_first,
+            },
             indent=2,
             sort_keys=True,
+            default=plain,
         )
     )
     return 0
@@ -101,8 +100,9 @@ def _cmd_audit(args):
     satisfied = audit.satisfied(tol_audit)
     print(
         json.dumps(
-            jsonable({**asdict(audit), "tol_audit": tol_audit, "satisfied": satisfied}),
+            {**asdict(audit), "tol_audit": tol_audit, "satisfied": satisfied},
             sort_keys=True,
+            default=plain,
         )
     )
     return 0 if satisfied else 2
@@ -111,7 +111,7 @@ def _cmd_audit(args):
 def _cmd_validate_potential(args):
     spec = make_potential(args.potential)
     report = validate_hypotheses(spec)
-    print(json.dumps(jsonable(report), indent=2, sort_keys=True))
+    print(json.dumps(report, indent=2, sort_keys=True, default=plain))
     return 0 if report["ok"] else 2
 
 
@@ -160,7 +160,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except HypothesisViolation as exc:
-        print(json.dumps({"hypothesis_violation": str(exc), "report": jsonable(exc.report)}, sort_keys=True))
+        print(json.dumps({"hypothesis_violation": str(exc), "report": exc.report}, sort_keys=True, default=plain))
         return 2
     except Exception as exc:  # runtime failure contract: exit 1, message on stderr
         print(f"error: {exc}", file=sys.stderr)

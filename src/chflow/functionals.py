@@ -19,6 +19,8 @@ from .wasserstein1d import DensityField
 
 __all__ = [
     "EnergyReport",
+    "ahead",
+    "behind",
     "chemical_potential",
     "chemical_potential_values",
     "dx_centered",
@@ -30,36 +32,37 @@ __all__ = [
     "energy_star_values",
     "g_field",
     "laplacian",
-    "pad_periodic",
     "slope_eps",
     "slope_star",
 ]
 
 
-def pad_periodic(values):
-    """Cells wrapped by one on each side: w[2:] is v[j+1], w[:-2] is v[j-1]."""
-    v = np.asarray(values)
-    return np.concatenate((v[-1:], v, v[:1]))
+def ahead(v):
+    """v[j+1] with periodic wrap: with `behind`, the package's one neighbour read on the circle."""
+    return np.concatenate((v[1:], v[:1]))
+
+
+def behind(v):
+    """v[j-1] with periodic wrap."""
+    return np.concatenate((v[-1:], v[:-1]))
 
 
 def dx_forward(values, h):
     """Forward difference (v[j+1] - v[j]) / h with periodic wrap."""
     v = np.asarray(values, dtype=float)
-    return (pad_periodic(v)[2:] - v) / h
+    return (ahead(v) - v) / h
 
 
 def dx_centered(values, h):
     """Centered difference (v[j+1] - v[j-1]) / (2h) with periodic wrap."""
     v = np.asarray(values, dtype=float)
-    w = pad_periodic(v)
-    return (w[2:] - w[:-2]) / (2.0 * h)
+    return (ahead(v) - behind(v)) / (2.0 * h)
 
 
 def laplacian(values, h):
     """Standard three-point second difference with periodic wrap."""
     v = np.asarray(values, dtype=float)
-    w = pad_periodic(v)
-    return (w[2:] - 2.0 * v + w[:-2]) / (h * h)
+    return (ahead(v) - 2.0 * v + behind(v)) / (h * h)
 
 
 @dataclass(frozen=True)

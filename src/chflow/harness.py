@@ -48,8 +48,8 @@ __all__ = [
     "default_output_times",
     "experiment_from_dict",
     "generate_initial",
-    "jsonable",
     "load_config",
+    "plain",
     "run_single",
     "run_sweep",
     "write_manifest",
@@ -62,17 +62,9 @@ _WRINKLE_ETA = 0.05
 _WRINKLE_DELTA = 0.125
 
 
-def jsonable(obj):
-    """obj with numpy scalars and arrays turned into Python numbers and lists, for `json.dump`."""
-    if isinstance(obj, dict):
-        return {k: jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
+def plain(obj):
+    """json's `default` hook: a numpy scalar or array as a Python number or list."""
+    return obj.tolist()
 
 
 def _csv(columns):
@@ -92,7 +84,7 @@ def _csv(columns):
 
 def _json(obj):
     """obj as indented JSON with sorted keys and a final newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, default=plain) + "\n"
 
 
 def _write(path, text, written):
@@ -438,7 +430,7 @@ def run_single(cfg, mode):
     final = record.snapshots[-1]
     _write(out_dir / "final_state.csv", _csv({"x": final.cell_centers(), "density": final.values}), written)
     audit = (
-        jsonable(asdict(energy_dissipation_audit(record)))
+        asdict(energy_dissipation_audit(record))
         if len(record.snapshots) >= 2
         else {"error": "run aborted before the second snapshot"}
     )

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import dx_centered, dx_forward, energy_report, pad_periodic
+from .functionals import ahead, behind, energy_report
 from .potential import PotentialSpec
 from .solvers import TrajectoryRecord, factorize, past_horizon, real_number, run_trajectory, whole_number
 from .wasserstein1d import DensityField, to_density
@@ -88,7 +88,7 @@ def particles_from_density(f: DensityField, m: int) -> np.ndarray:
     the eps term (curvature ~ eps^2 m^4) would smooth the steps at any tau.
     """
     v = f.values / np.mean(f.values)
-    slope = np.clip(dx_centered(v, 1.0), -2.0 * v, 2.0 * v)
+    slope = np.clip((ahead(v) - behind(v)) / 2.0, -2.0 * v, 2.0 * v)
     cum = np.concatenate(([0.0], np.cumsum(v)))
     levels = (np.arange(m) + 0.5) / m
     cell = np.minimum(np.searchsorted(cum / cum[-1], levels, side="right") - 1, v.size - 1)
@@ -100,11 +100,6 @@ def particles_from_density(f: DensityField, m: int) -> np.ndarray:
     return (cell + u) / v.size
 
 
-def _lag(v):
-    """v[j-1] with periodic wrap."""
-    return pad_periodic(v)[:-2]
-
-
 class _Objective:
     """The movement functional on the displacement d from the anchor.
 
@@ -114,7 +109,7 @@ class _Objective:
     """
 
     def __init__(self, anchor, tau_eff, eps, spec):
-        self.gaps = dx_forward(anchor, 1.0)
+        self.gaps = ahead(anchor) - anchor
         self.gaps[-1] += 1.0
         self.tau_m = tau_eff * anchor.size
         self.eps = eps
@@ -125,21 +120,21 @@ class _Objective:
 
         The value is inf, and the rest None, where some gap is not positive.
         """
-        g = self.gaps + dx_forward(d, 1.0)
+        g = self.gaps + (ahead(d) - d)
         if not np.all(g > 0.0):
             return np.inf, None, None
         m, eps2 = d.size, self.eps**2
         rho = 1.0 / (m * g)
-        rho_next = pad_periodic(rho)[2:]
-        span = g + pad_periodic(g)[2:]
+        rho_next = ahead(rho)
+        span = g + ahead(g)
         slope = (rho_next - rho) / span
         w, w1 = self.spec.eval_W(rho), self.spec.eval_W1(rho)
         energy = float(np.sum(g * w) + eps2 * np.sum((rho_next - rho) * slope))
         # dE/dg_i: minus the pressure rho W' - W of gap i, plus the derivatives of
         # eps term i (in its first gap) and of eps term i-1 (in its second gap)
         de_dg = w - rho * w1 + eps2 * slope * (2.0 * m * rho * rho - slope)
-        de_dg -= _lag(eps2 * slope * (2.0 * m * rho_next * rho_next + slope))
-        grad = d + self.tau_m * (_lag(de_dg) - de_dg)
+        de_dg -= behind(eps2 * slope * (2.0 * m * rho_next * rho_next + slope))
+        grad = d + self.tau_m * (behind(de_dg) - de_dg)
         return 0.5 * float(d @ d) + self.tau_m * energy, grad, (energy, rho, span, slope)
 
 
@@ -154,7 +149,7 @@ def _curvature(state, objective):
     """
     _, rho, span, slope = state
     m, eps2 = rho.size, objective.eps**2
-    rho_next = pad_periodic(rho)[2:]
+    rho_next = ahead(rho)
     va, vb = m * rho * rho - slope, -m * rho_next * rho_next - slope
     c = 2.0 * eps2 / span
     aa = c * va * va - 4.0 * eps2 * slope * m * m * rho**3
@@ -164,10 +159,10 @@ def _curvature(state, objective):
 
 def _bands(tau_m, diag, aa, bb, ab):
     """The five bands (row o + 2 holds entry (j, j + o)) of I + tau m G^T B G."""
-    b0 = diag + aa + _lag(bb)
+    b0 = diag + aa + behind(bb)
     # (G^T B G)[j, j + 1] and [j, j + 2], with B[i, i + 1] = ab_i
-    up1 = ab + _lag(ab) - b0
-    bands = tau_m * np.stack([_lag(_lag(-ab)), _lag(up1), b0 + _lag(b0) - 2.0 * _lag(ab), up1, -ab])
+    up1 = ab + behind(ab) - b0
+    bands = tau_m * np.stack([behind(behind(-ab)), behind(up1), b0 + behind(b0) - 2.0 * behind(ab), up1, -ab])
     bands[2] += 1.0
     return bands
 

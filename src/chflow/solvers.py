@@ -31,12 +31,13 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .functionals import (
     EnergyReport,
+    ahead,
+    behind,
     chemical_potential_values,
     energy_eps_values,
     energy_report,
     energy_star,
     energy_star_values,
-    pad_periodic,
     slope_star,
 )
 from .potential import ConvexEnvelope, PotentialSpec
@@ -182,13 +183,13 @@ def factorize(bands):
 
 def mobility_faces(v):
     """Face value at j+1/2, clamped so degenerate cells cannot push mass."""
-    return np.maximum(0.0, 0.5 * (v + np.concatenate((v[1:], v[:1]))))
+    return np.maximum(0.0, 0.5 * (v + ahead(v)))
 
 
 def divergence_of_flux(m, p, h):
     """Conservative update: difference of face fluxes m * Dx(p), m at faces j+1/2."""
-    flux = m * (np.concatenate((p[1:], p[:1])) - p) / h
-    return (flux - np.concatenate((flux[-1:], flux[:-1]))) / h
+    flux = m * (ahead(p) - p) / h
+    return (flux - behind(flux)) / h
 
 
 def stepping_bands(m, c, stiffness, h, dt_theta):
@@ -196,15 +197,14 @@ def stepping_bands(m, c, stiffness, h, dt_theta):
     face coefficients m; the diagonal sums its terms in the column order of
     M's rows, as a sparse product does.  With stiffness 0 the outer bands are
     zeros, which the band LU factors like any other entries."""
-    m_minus = pad_periodic(m)[:-2]
+    m_minus = behind(m)
     lo, di, up = m_minus / h**2, -(m + m_minus) / h**2, m / h**2
     a = c - stiffness * (-2.0 / h**2)
     off = -(stiffness * (1.0 / h**2))
-    a_pad = pad_periodic(a)
     inner = lo * off + di * a + up * off
     inner[0] = di[0] * a[0] + up[0] * off + lo[0] * off
     inner[-1] = up[-1] * off + lo[-1] * off + di[-1] * a[-1]
-    prod = np.stack([lo * off, lo * a_pad[:-2] + di * off, inner, di * off + up * a_pad[2:], up * off])
+    prod = np.stack([lo * off, lo * behind(a) + di * off, inner, di * off + up * ahead(a), up * off])
     prod *= -dt_theta
     prod[2] += 1.0
     return prod

@@ -1,5 +1,7 @@
-"""The parent-against-change artifact diff, run on the working tree against itself."""
+"""The parent-against-change artifact diff: the working tree run against itself
+differs nowhere, and `diff_outputs` reports each kind of difference it exists for."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -59,3 +61,28 @@ def test_crank_nicolson_config_skips_only_the_nonlocal_run(tmp_path):
     for mode in ("eps", "limit", "jko"):
         assert f"single-{mode}/trajectory.csv" in artifacts
     assert "sweep/sweep_report.csv" in artifacts
+
+
+def test_diff_outputs_reports_each_kind_of_difference(tmp_path):
+    spec = importlib.util.spec_from_file_location("artifact_diff", SCRIPT)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    base, head = tmp_path / "base", tmp_path / "head"
+    for side, cell, flavor, git in ((base, "0.5", "eps", "abc1234"), (head, "0.25", "limit", "abc1234-dirty")):
+        side.mkdir()
+        (side / "trajectory.csv").write_text(f"t,mass\n0.0,1.0\n0.5,{cell}\n")
+        (side / "audit.json").write_text(json.dumps({"flavor": flavor, "residuals": [0.0, 1e-3]}))
+        (side / "manifest.json").write_text(json.dumps({"mode": "eps", "versions": {"git": git, "numpy": "2.4"}}))
+    (head / "final_state.csv").write_text("x,density\n0.5,1.0\n")
+    rows = {(path, column): diffs for path, column, *diffs in tool.diff_outputs(base, head)}
+    # a changed cell shows on its column only
+    assert rows[("trajectory.csv", "mass")] == [0.25, 0.5]
+    assert rows[("trajectory.csv", "t")] == [0.0, 0.0]
+    # a changed string is text, an unchanged number list is zero
+    assert rows[("audit.json", "flavor")] == [None, None]
+    assert rows[("audit.json", "residuals[]")] == [0.0, 0.0]
+    assert rows[("final_state.csv", "(file missing on one side)")] == [None, None]
+    # the checkout's git state is not an artifact difference
+    assert ("manifest.json", "versions.git") not in rows
+    assert rows[("manifest.json", "mode")] == rows[("manifest.json", "versions.numpy")] == [0.0, 0.0]
+    assert len(rows) == 7

@@ -76,7 +76,9 @@ def test_oscillation_profile_constant_and_sawtooth():
     prof = oscillation_profile(f, 0.05)
     assert prof.min() == pytest.approx(0.2, rel=1e-12)
     assert prof.max() == pytest.approx(0.2, rel=1e-12)
-    with pytest.raises(ValueError):
+    # a window narrower than two cells has half-width 0 and sees no oscillation
+    assert np.array_equal(oscillation_profile(f, 1.5 / n), np.zeros(n))
+    with pytest.raises(ValueError, match="window must be at least one cell wide"):
         oscillation_profile(f, 0.5 / n)
 
 
@@ -153,6 +155,9 @@ def test_scanner_quiet_on_smooth_and_constant(spinodal_stack):
     assert rep.sigma_localized
     rep0 = wrinkling_report(DensityField(np.ones(128)), sigma, 0.05, 0.1)
     assert rep0.violations == () and rep0.oscillating_mass_fraction == 0.0
+    for eta, delta in ((0.0, 0.1), (0.05, -0.1)):
+        with pytest.raises(ValueError, match="eta and delta must be positive"):
+            wrinkling_report(DensityField(np.ones(128)), sigma, eta, delta)
 
 
 def test_wrinkled_state_localizes_to_sigma(wrinkle_stack, wrinkled_run):
@@ -260,8 +265,10 @@ def test_well_preparedness_trend_and_exact_gap(spinodal_stack, cubic):
         assert gap == pytest.approx(eps**2 / 2.0 * h1 + floor, rel=1e-12)
     assert not bad.well_prepared
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strictly decreasing eps"):
         well_preparedness([(0.05, f), (0.1, f)], f, spec)
+    with pytest.raises(ValueError, match="family must be nonempty"):
+        well_preparedness([], f, spec)
 
 
 def test_distance_to_band_persists_under_eps(cubic):

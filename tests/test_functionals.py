@@ -8,6 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from chflow.functionals import (
     EnergyReport,
+    ahead,
+    behind,
     chemical_potential,
     dx_centered,
     dx_forward,
@@ -266,7 +268,9 @@ def test_energy_report_fields_and_gap_guard(cubic):
     h=st.floats(1e-3, 1.0),
 )
 def test_slice_stencils_equal_roll_formulas(v, h):
-    # the padded-slice stencils repeat the np.roll expressions operation for operation
+    # the neighbour pair is np.roll by -1 and +1, and the stencils built on it repeat
+    # the np.roll expressions operation for operation
+    assert np.array_equal(ahead(v), np.roll(v, -1)) and np.array_equal(behind(v), np.roll(v, 1))
     assert np.array_equal(dx_forward(v, h), (np.roll(v, -1) - v) / h)
     assert np.array_equal(dx_centered(v, h), (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * h))
     assert np.array_equal(laplacian(v, h), (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / (h * h))

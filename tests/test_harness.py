@@ -72,17 +72,20 @@ def test_generate_initial_builtins():
 
 
 def test_generate_initial_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown initial-data generator 'plateau'"):
         generate_initial("plateau", {}, 64)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cosine amplitude must satisfy 0 <= a < 1"):
         generate_initial("cosine", {"a": 1.2}, 64)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"unknown cosine parameter key\(s\): amp"):
         generate_initial("cosine", {"amp": 0.1}, 64)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="two-phase levels must be nonnegative"):
         generate_initial("two-phase", {"lo": -0.1}, 64)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bump floor must be nonnegative"):
         generate_initial("bump", {"floor": -1.0}, 64)
-    with pytest.raises(ValueError):
+    for width in (0.0, 1.5):
+        with pytest.raises(ValueError, match=r"bump width must lie in \(0, 1\]"):
+            generate_initial("bump", {"width": width}, 64)
+    with pytest.raises(ValueError, match=r"unknown uniform parameter key\(s\): a"):
         generate_initial("uniform", {"a": 1.0}, 64)
 
 
@@ -303,6 +306,7 @@ def test_config_types_are_not_coerced(tmp_path):
         ("solver", [1, 2], "solver"),
         ("initial_data", "cosine", "initial_data"),
         ("initial_data", {"name": "cosine", "params": [1]}, "params"),
+        ("initial_data", {"params": {"a": 0.2}}, "initial_data needs a generator name"),
         ("jko", 5, "jko"),
         ("potential", 5, "potential"),
         ("eps_list", 0.1, "eps_list"),
@@ -611,6 +615,9 @@ def test_run_sweep_gate_and_override(tmp_path):
     tolerated = experiment_from_dict(_sweep_doc(tmp_path, potential="cubic-motivation", allow_ill_prepared=True))
     report = run_sweep(tolerated)
     assert len(report.rows) == 2
+    with pytest.raises(ValueError, match="run_sweep needs a nonempty eps_list"):
+        run_sweep(experiment_from_dict(_sweep_doc(tmp_path / "none", eps_list=[])))
+    assert not (tmp_path / "none").exists()
 
 
 def test_run_sweep_isolates_failures(tmp_path, monkeypatch):
@@ -681,6 +688,30 @@ def test_run_sweep_records_an_aborted_eps_run(tmp_path, monkeypatch):
     manifest = json.loads((tmp_path / "sweep" / "manifest.json").read_text())
     assert manifest["failures"] == [{"eps": 0.1, "error": message}]
     assert not (tmp_path / "sweep" / "eps-0.1").exists()
+
+
+def test_run_single_aborted_before_its_second_snapshot(tmp_path, monkeypatch, capsys):
+    # no energy-dissipation audit exists for one snapshot: audit.json says so, and
+    # `chflow audit` refuses the one-row trajectory as a runtime failure
+    from chflow.solvers import TrajectoryRecord
+
+    real = harness.simulate_eps
+
+    def aborting(f0, run_cfg, spec, output_times=None):
+        rec = real(f0, run_cfg, spec, output_times=output_times)
+        abort = {"type": "abort", "t": 0.0, "dt": 1e-16}
+        return TrajectoryRecord(rec.times[:1], rec.snapshots[:1], rec.reports[:1], [abort], rec.flavor)
+
+    monkeypatch.setattr(harness, "simulate_eps", aborting)
+    record = run_single(experiment_from_dict(_base_doc(tmp_path)), "eps")
+    assert not record.completed
+    out = tmp_path / "single-eps"
+    assert json.loads((out / "audit.json").read_text()) == {"error": "run aborted before the second snapshot"}
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 2
+    assert main(["audit", "--trajectory", str(out / "trajectory.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "trajectory has fewer than two rows" in captured.err
 
 
 def test_run_sweep_stops_when_the_reference_aborts(tmp_path, monkeypatch):

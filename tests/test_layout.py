@@ -1,6 +1,7 @@
 """Module boundaries: every chflow module imports only modules of a lower layer
 and never another module's private names, the hot stencil modules use no
-per-call-heavy numpy helpers, no module touches scipy.sparse, every LU
+per-call-heavy numpy helpers, only functionals' neighbour pair (ahead,
+behind) wraps an array around the circle, no module touches scipy.sparse, every LU
 goes through the one factorisation seam and every implicit step's Newton
 iteration and flux divergence through the one implicit stepper, only the
 cell flows' builders make steppers and only their one driver and JKO run
@@ -11,6 +12,7 @@ and every exported name exists."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import chflow
@@ -39,7 +41,7 @@ def test_no_module_imports_private_names():
 
 
 # np.roll and np.add.at cost microseconds of Python-level overhead per call;
-# the stencils pad once and slice
+# the stencils read their neighbours through functionals.ahead and behind
 _SLOW_CALLS = {"np.roll", "numpy.roll", "np.add.at", "numpy.add.at"}
 
 
@@ -102,6 +104,34 @@ def _scipy_sparse_uses(path):
 def test_no_module_uses_scipy_sparse():
     offenders = [what for path in sorted(PACKAGE_DIR.glob("*.py")) for what in _scipy_sparse_uses(path)]
     assert not offenders, "\n".join(offenders)
+
+
+# the circle's one neighbour pair: a wrap read, np.concatenate of the two complementary
+# slices of one name (x[1:], x[:1] or x[-1:], x[:-1]), occurs only in functionals.ahead
+# (v[j+1]) and functionals.behind (v[j-1]), and every stencil reads its neighbours through them
+_WRAP_READ = re.compile(r"(?:np|numpy)\.concatenate\([(\[]([\w.]+)\[(-?1):\], \1\[:\2\][)\]]\)")
+
+
+def _wrap_reads(tree):
+    """(enclosing top-level function or None, line) for every wrap read in `tree`."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and _WRAP_READ.fullmatch(ast.unparse(node)):
+                yield owner, node.lineno
+
+
+def test_only_the_neighbour_pair_wraps():
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    places = {(stem, owner) for stem, tree in trees.items() for owner, _ in _wrap_reads(tree)}
+    assert places == {("functionals", "ahead"), ("functionals", "behind")}, sorted(places, key=str)
+    padders = [
+        f"{stem}.py:{node.lineno}"
+        for stem, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "pad_periodic"
+    ]
+    assert not padders, "pad_periodic defined at " + ", ".join(padders)
 
 
 # the one LU seam: LAPACK's band LU (dgbtrf) and its solve (dgbtrs) are called only

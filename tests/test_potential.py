@@ -192,6 +192,8 @@ def test_too_many_bands_raises():
 def test_unknown_name_rejected():
     with pytest.raises(KeyError):
         make_potential("sextic")
+    with pytest.raises(ValueError, match="need at least one coefficient"):
+        from_polynomial([])
 
 
 CANONICAL_SPECS = {name: make_potential(name) for name in _CANONICAL}

@@ -599,6 +599,9 @@ def test_trajectory_record_validation(wrinkle):
                 events=[],
                 flavor="eps",
             )
+    with pytest.raises(ValueError, match="times, snapshots, and reports must align"):
+        TrajectoryRecord(times=rec.times[:2], snapshots=rec.snapshots[:3], reports=rec.reports[:2],
+                         events=[], flavor="eps")
 
 
 def test_dispersion_run_at_roundoff_floor_never_halves(wrinkle):
@@ -684,6 +687,20 @@ def test_newton_fails_when_the_step_raises_the_residual():
     with pytest.raises(StepFailure, match="did not lower the residual"):
         newton(np.ones(8), lambda v: v - 2.0, jacobian, 1e-10, {}, 1e-3)
     assert len(calls) == 1
+
+
+def test_newton_gives_up_after_fifty_steps():
+    # a Jacobian ten times too large removes a tenth of the error per step: the residual
+    # always falls, so no step fails, but never halves, so every step refactors until the cap
+    calls = []
+
+    def jacobian(v):
+        calls.append(v)
+        return np.full((1, v.size), 10.0)
+
+    with pytest.raises(StepFailure, match="Newton did not converge"):
+        newton(np.ones(8), lambda v: v - 2.0, jacobian, 1e-10, {}, 1e-3)
+    assert len(calls) == 51
 
 
 def _quartic_well(a, width, scale):

@@ -260,6 +260,8 @@ def test_geodesic_endpoints_and_speed_linearity():
     for t in (0.25, 0.5, 0.75):
         gt = geodesic(fa, fb, t)
         assert w2_periodic(fa, gt) == pytest.approx(t * d, rel=0.02)
+    with pytest.raises(ValueError, match=r"interpolation time must lie in \[0, 1\]"):
+        geodesic(fa, fb, 1.5)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -290,8 +292,12 @@ def test_validation_errors():
         DensityField(np.array([1.0, -0.5, 1.5, 1.0, 1.0, 1.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
         DensityField(np.array([1.0, 1.0, 1.0, np.nan, 1.0, 1.0, 1.0, 1.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 4 cells"):
+        DensityField(np.ones(3))
+    with pytest.raises(ValueError, match="must be finite"):
         DensityField.normalized(np.full(8, np.nan))
+    with pytest.raises(ValueError, match="cannot normalize a nonpositive field"):
+        DensityField.normalized(np.zeros(8))
     with pytest.raises(ValueError, match="non-decreasing"):
         to_density(np.array([0.1, 0.05, 0.2]), 8)
     for full_period in ([0.0, 0.5, 1.0], [0.25, 0.5, 1.5]):
