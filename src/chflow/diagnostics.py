@@ -190,13 +190,17 @@ def dissipation_audit(times, energies, slopes, speeds, flavor):
 
     residual[k] = energies[0] - energies[k] minus half the trapezoidal slope
     integral and the rectangle-rule speed integral up to times[k]; speeds[0]
-    is unused.
+    is unused.  Non-finite input and times not strictly increasing raise ValueError.
     """
     times = np.asarray(times, dtype=float)
     energies = np.asarray(energies, dtype=float)
+    speeds = np.asarray(speeds, dtype=float)
+    if not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0.0):
+        raise ValueError("snapshot times must be finite and strictly increasing")
+    if not np.all(np.isfinite(np.concatenate([energies, np.asarray(slopes, dtype=float), speeds]))):
+        raise ValueError("energies, slopes and speeds must be finite")
     # float pow, not numpy's x*x: the two can differ in the last bit
     slopes_sq = np.array([float(s) ** 2 for s in slopes])
-    speeds = np.asarray(speeds, dtype=float)
     residuals = np.zeros(times.size)
     slope_term = speed_term = 0.0
     for k in range(1, times.size):

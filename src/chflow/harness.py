@@ -442,7 +442,11 @@ def run_single(cfg, mode):
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Gap columns of one regularized run against the relaxed reference."""
+    """Gap columns of one regularized run against the relaxed reference: one
+    row of sweep_report.csv, whose columns are eps, sup_t_d2_to_limit (max_t W2),
+    slope_gap_L2 (int_t (slope_eps - slope_star)^2), energy_gap_final, which is
+    max_t |E_eps(nu_eps) - E*(nu)|, not a final value, and the last snapshot's
+    wrinkle_violations, wrinkle_osc_mass and wrinkle_localized (0 or 1)."""
 
     eps: float
     sup_t_d2_to_limit: float
@@ -505,13 +509,13 @@ def run_sweep(cfg):
     times = cfg.times()
 
     grids = {eps: _grid_for(eps, cfg.solver.n) for eps in cfg.eps_list}
-    n_limit = max(grids.values())
-    f0_limit = generate_initial(cfg.initial_data.name, cfg.initial_data.params, n_limit)
-
     family = [
         (eps, generate_initial(cfg.initial_data.name, cfg.initial_data.params, grids[eps]))
         for eps in cfg.eps_list
     ]
+    # eps_list decreases and the grid never shrinks as eps does, so the last field is the finest
+    f0_limit = family[-1][1]
+    n_limit = f0_limit.n
     prep = well_preparedness(family, f0_limit, spec)
     if not prep.well_prepared and not cfg.allow_ill_prepared:
         raise HypothesisViolation(

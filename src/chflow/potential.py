@@ -143,11 +143,9 @@ def from_polynomial(coefficients, name="custom"):
         dropped to enforce the normalization W(0) = W'(0) = 0; it affects no
         flux and no envelope geometry.
 
-    The working window [0, max(3*m0, 4, b + 1)], b the right end of the last
-    unstable band, covers that band with margin and densities up to 2 twice
-    over; m0 and b come from a provisional window [0, 8] or wider, past every
-    critical and inflection point.  The spec carries the envelope of the
-    final window.
+    The working window is :func:`_working_window`: [0, 8] or wider, past
+    every critical and inflection point of W.  The spec carries the envelope
+    on that window.
     """
     c = np.array(coefficients, dtype=float)
     if c.size < 1:
@@ -156,26 +154,17 @@ def from_polynomial(coefficients, name="custom"):
     c[0] = 0.0
     c[1] = 0.0
     poly = Polynomial(c)
-
-    provisional = _spec_from_poly(poly, name, _provisional_window(poly))
-    uset0 = compute_unstable_set(provisional.envelope, max_intervals=64)
-    last_band_end = float(uset0.intervals[-1, 1])
-    domain_max = max(3.0 * uset0.m0, 4.0, last_band_end + 1.0)
-    return _spec_from_poly(poly, name, float(domain_max))
-
-
-def _spec_from_poly(poly, name, domain_max):
+    domain_max = _working_window(poly)
     w, w1, w2 = _guarded_callables(poly, 0.0, domain_max)
     return PotentialSpec(name=name, eval_W=w, eval_W1=w1, eval_W2=w2,
                          domain_max=domain_max)
 
 
-def _provisional_window(poly):
-    """Window guaranteed to reach past the last inflection and critical point."""
+def _working_window(poly):
+    """Right end of the working window: max(8, 2r + 2), r the largest real
+    critical or inflection point of W."""
     hi = 8.0
-    for q in (poly.deriv(1), poly.deriv(2) if poly.degree() >= 2 else None):
-        if q is None or q.degree() < 1:
-            continue
+    for q in (poly.deriv(1), poly.deriv(2)):
         roots = q.roots()
         real = roots.real[np.abs(roots.imag) < 1e-9]
         if real.size:

@@ -199,6 +199,12 @@ def test_audit_stationary_and_input_guard(cubic):
     )
     with pytest.raises(ValueError):
         energy_dissipation_audit(solo)
+    # plain arrays get the record's checks: finite values, strictly increasing times
+    zeros = [0.0, 0.0]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        dissipation_audit([0.0, 0.0], [1.0, 1.0], zeros, zeros, "eps")
+    with pytest.raises(ValueError, match="must be finite"):
+        dissipation_audit([0.0, 0.1], [1.0, np.nan], zeros, zeros, "eps")
 
 
 def test_audit_residual_refines_jointly(cubic):

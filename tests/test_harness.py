@@ -3,7 +3,6 @@
 import hashlib
 import importlib.util
 import json
-import re
 from pathlib import Path
 
 import numpy as np
@@ -161,8 +160,10 @@ def test_default_output_times_shape():
     assert all(b > a for a, b in zip(times, times[1:]))
     assert abs(times[1] - 0.5e-3) < 1e-12
     assert sum(1 for t in times if t < 0.05) >= 10  # dense early
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="t_end must be positive"):
         default_output_times(0.0)
+    with pytest.raises(ValueError, match="need at least two output times"):
+        default_output_times(0.5, 1)
 
 
 def test_experiment_config_validation(tmp_path):
@@ -329,19 +330,15 @@ def test_config_types_are_not_coerced(tmp_path):
 
 
 def test_readme_example_config_loads(tmp_path):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = re.search(r"An experiment config is a JSON document.*?```json\n(.*?)```", readme, re.S)
-    assert block, "README lost its example config"
-    doc = json.loads(block.group(1))
-    doc["output_dir"] = str(tmp_path)
-    cfg = experiment_from_dict(doc)
-    assert cfg.eps_list and cfg.jko is not None and cfg.workers == doc["workers"]
-    # tools/artifact_diff.py runs this config by default from its own copy
+    # tools/artifact_diff.py runs this config by default, read from README.md by its parser
     tool_path = Path(__file__).resolve().parents[1] / "tools" / "artifact_diff.py"
     spec = importlib.util.spec_from_file_location("artifact_diff", tool_path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    assert json.loads(block.group(1)) == tool.README_CONFIG
+    doc = tool.readme_config()
+    doc["output_dir"] = str(tmp_path)
+    cfg = experiment_from_dict(doc)
+    assert cfg.eps_list and cfg.jko is not None and cfg.workers == doc["workers"]
 
 
 def test_config_hash_ignores_execution_keys(tmp_path):
@@ -750,8 +747,8 @@ def test_git_timeout_reads_unknown(monkeypatch):
 
 def test_each_potential_builds_its_envelope_once(tmp_path, monkeypatch):
     # every chflow binding of compute_convex_envelope is wrapped, so a rebuild
-    # anywhere counts; from_polynomial builds two, the provisional window's and
-    # the final one, and the runs read spec.envelope
+    # anywhere counts; from_polynomial builds one, on the one working window,
+    # and the runs read spec.envelope
     import sys
 
     import chflow.potential as potential
@@ -774,10 +771,10 @@ def test_each_potential_builds_its_envelope_once(tmp_path, monkeypatch):
     solver = {"n": 96, "dt": 2e-4, "eps": 0.1, "t_end": 0.004}
     run_sweep(experiment_from_dict(_sweep_doc(tmp_path, solver=solver, eps_list=[0.1, 0.05, 0.025],
                                               output_times=times)))
-    assert len(calls) == 2
+    assert len(calls) == 1
     calls.clear()
     run_single(experiment_from_dict(_base_doc(tmp_path, solver=solver, output_times=times)), "nonlocal")
-    assert len(calls) == 2
+    assert len(calls) == 1
 
     spec = make_potential("cubic-motivation")
     calls.clear()
@@ -931,6 +928,26 @@ def test_cli_audit_rejects_negative_energy_gap(tmp_path, capsys):
     rounding.write_text(header + first + "0.01,1.0,1.0,1.0,-0.37500000005,-0.375,0.0,0.0,0.0\n")
     assert main(["audit", "--trajectory", str(rounding)]) == 0
     assert json.loads(capsys.readouterr().out)["flavor"] == "eps"
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0.01,1.0,1.0,1.0,nan,-0.375,0.0,0.0,0.0\n", "energies, slopes and speeds must be finite"),
+        ("0.0,1.0,1.0,1.0,-0.3,-0.375,0.0,0.0,0.0\n", "snapshot times must be finite and strictly increasing"),
+        ("-0.1,1.0,1.0,1.0,-0.3,-0.375,0.0,0.0,0.0\n", "snapshot times must be finite and strictly increasing"),
+    ],
+    ids=["nan-energy", "repeated-time", "decreasing-time"],
+)
+def test_cli_audit_rejects_malformed_trajectory(tmp_path, capsys, rows, message):
+    # a malformed trajectory is bad input (exit 1), never an audit verdict
+    bad = tmp_path / "bad.csv"
+    bad.write_text("t,min,max,mass,e_eps,e_star,slope_eps,slope_star,speed\n"
+                   "0.0,1.0,1.0,1.0,-0.3,-0.375,0.0,0.0,0.0\n" + rows)
+    assert main(["audit", "--trajectory", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])

@@ -19,6 +19,7 @@ from numpy.polynomial import Polynomial
 
 from chflow.potential import (
     HypothesisViolation,
+    PotentialSpec,
     compute_convex_envelope,
     compute_unstable_set,
     distance_to_sigma,
@@ -97,8 +98,28 @@ def test_quartic_wrinkle_bitangent(quartics):
     assert env.eval_Wss(1.0) == pytest.approx(mid, abs=1e-8)
 
 
-def test_envelope_below_and_convex(quartics, cubic):
-    for spec, env, _ in [cubic] + list(quartics.values()):
+@pytest.fixture(scope="module")
+def wrinkle_on_unit_window():
+    # quartic-wrinkle's W cut at 1, inside its bitangent: the last bridge ends
+    # at the window's right edge, a tangent line through (1, W(1))
+    w, w1, w2 = _guarded_callables(Polynomial(_CANONICAL["quartic-wrinkle"]), 0.0, 1.0)
+    return PotentialSpec(name="wrinkle-unit", eval_W=w, eval_W1=w1, eval_W2=w2, domain_max=1.0)
+
+
+def test_right_edge_tangent_contact(wrinkle_on_unit_window):
+    spec = wrinkle_on_unit_window
+    env = spec.envelope
+    kinds = [seg[0] for seg in env.segments]
+    assert kinds == ["graph", "bridge"]
+    # W(1) - W(a) = W'(a)(1 - a) at a = 1 - 1/sqrt(2)
+    assert env.segments[1][1] == pytest.approx(1.0 - 1.0 / np.sqrt(2.0), abs=1e-15)
+    assert env.segments[1][2] == 1.0
+    assert float(env.eval_Wss(1.0)) == pytest.approx(float(spec.eval_W(1.0)), abs=1e-15)
+
+
+def test_envelope_below_and_convex(quartics, cubic, wrinkle_on_unit_window):
+    edge = (wrinkle_on_unit_window, wrinkle_on_unit_window.envelope, None)
+    for spec, env, _ in [cubic, edge] + list(quartics.values()):
         x = np.linspace(0.0, spec.domain_max, 3001)
         w = spec.eval_W(x)
         wss = env.eval_Wss(x)
@@ -113,8 +134,6 @@ def test_envelope_below_and_convex(quartics, cubic):
 def test_envelope_idempotent(cubic):
     spec, env, _ = cubic
     # feed W** back in as a potential; its envelope must be itself
-    from chflow.potential import PotentialSpec
-
     flat = PotentialSpec(name="hulled", eval_W=env.eval_Wss, eval_W1=env.eval_Wss1,
                          eval_W2=env.eval_Wss2, domain_max=spec.domain_max)
     env2 = compute_convex_envelope(flat)
@@ -172,6 +191,42 @@ def test_hypothesis_reports_pass_for_builtins(quartics, cubic):
     for spec, _, _ in [cubic] + list(quartics.values()):
         report = validate_hypotheses(spec)
         assert report["ok"], report
+
+
+def _sine_ripple_spec():
+    # W = nu^2 + 0.05 sin(40 nu) on [0, 4]: a convex bowl with 26 ripple bands
+    def w(v):
+        v = np.asarray(v, dtype=float)
+        return v * v + 0.05 * np.sin(40.0 * v)
+
+    def w1(v):
+        v = np.asarray(v, dtype=float)
+        return 2.0 * v + 2.0 * np.cos(40.0 * v)
+
+    def w2(v):
+        return 2.0 - 80.0 * np.sin(40.0 * np.asarray(v, dtype=float))
+
+    return PotentialSpec(name="sine-ripple", eval_W=w, eval_W1=w1, eval_W2=w2, domain_max=4.0)
+
+
+@pytest.mark.parametrize(
+    "make_spec, bridges, failed",
+    [
+        # W = -nu^2 is concave: one chord spans the whole window, so Sigma is all of it
+        (lambda: from_polynomial([0.0, 0.0, -1.0], name="concave"), 1,
+         {"h1": "1 + W vanishes on the window", "h4": "no sample off Sigma"}),
+        (_sine_ripple_spec, 26,
+         {"h3": "unstable set has 26 components (limit 8)", "h4": "Sigma unavailable"}),
+    ],
+    ids=["whole-window-chord", "too-many-bands"],
+)
+def test_hypothesis_reports_name_what_fails(make_spec, bridges, failed):
+    spec = make_spec()
+    assert sum(seg[0] == "bridge" for seg in spec.envelope.segments) == bridges
+    report = validate_hypotheses(spec)
+    assert report["ok"] is False
+    for key, reason in failed.items():
+        assert report[key] == {"ok": False, "reason": reason}
 
 
 def test_too_many_bands_raises():

@@ -3,8 +3,9 @@
     python3 tools/artifact_diff.py [REV] [--config FILE]
 
 Each side runs `chflow simulate` in the eps, limit, jko and nonlocal modes
-and then `chflow sweep`, all on one config (by default the example config of
-the README), in a fresh Python process whose PYTHONPATH is that tree's src/.
+and then `chflow sweep`, all on one config (by default the example config
+block of README.md, read from the file), in a fresh Python process whose
+PYTHONPATH is that tree's src/.
 The nonlocal model is backward Euler only, so a config whose
 `solver.theta_scheme` is not 1 skips the nonlocal run.
 One side is the working tree, HEAD plus any uncommitted edits.  The other is
@@ -27,6 +28,7 @@ import csv
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -35,16 +37,15 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
-README_CONFIG = {
-    "potential": "quartic-spinodal",
-    "solver": {"n": 128, "dt": 2e-4, "eps": 0.1, "t_end": 0.5},
-    "initial_data": {"name": "cosine", "params": {"a": 0.1}},
-    "eps_list": [0.1, 0.05, 0.025, 0.0125],
-    "jko": {"tau": 1e-3, "m": 256},
-    "output_times": [0.0, 0.25, 0.5],
-    "output_dir": "out",
-    "workers": 4,
-}
+
+def readme_config():
+    """The example config of the README, the JSON block after "An experiment config is a JSON document"."""
+    readme = (REPO / "README.md").read_text()
+    block = re.search(r"An experiment config is a JSON document.*?```json\n(.*?)```", readme, re.S)
+    if block is None:
+        raise ValueError("README.md has no example config block")
+    return json.loads(block.group(1))
+
 
 COMMANDS = [["simulate", "--mode", mode, "--config", "config.json"] for mode in ("eps", "limit", "jko", "nonlocal")]
 COMMANDS.append(["sweep", "--config", "config.json"])
@@ -154,7 +155,7 @@ def main(argv=None):
     parser.add_argument("rev", nargs="?", help="git revision to compare against (default: the working tree again)")
     parser.add_argument("--config", help="experiment config JSON (default: the README example)")
     args = parser.parse_args(argv)
-    config = json.loads(Path(args.config).read_text()) if args.config else README_CONFIG
+    config = json.loads(Path(args.config).read_text()) if args.config else readme_config()
 
     work = Path(tempfile.mkdtemp(prefix="artifact-diff-"))
     base_tree = work / "base-tree"
