@@ -8,6 +8,7 @@ command line.
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -77,15 +78,16 @@ def _cmd_envelope(args):
 def _cmd_audit(args):
     if real_number(args.tol, "--tol") < 0.0:
         raise ValueError("--tol must be nonnegative")
-    cols = {key: [] for key in TRAJECTORY_COLUMNS}
     with open(args.trajectory, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [key for key in TRAJECTORY_COLUMNS if key not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"trajectory CSV lacks column(s) {', '.join(missing)}")
-        for row in reader:
-            for key, values in cols.items():
-                values.append(float(row[key]))
+        rows = list(reader)
+    cols = {key: [float(row[key]) for row in rows] for key in TRAJECTORY_COLUMNS}
+    nonfinite = [key for key, values in cols.items() if not all(map(math.isfinite, values))]
+    if nonfinite:
+        raise ValueError(f"energies, slopes and speeds must be finite: column(s) {', '.join(nonfinite)}")
     if len(cols["t"]) < 2:
         raise ValueError("trajectory has fewer than two rows")
     for k, (e_eps, e_star) in enumerate(zip(cols["e_eps"], cols["e_star"])):

@@ -188,31 +188,26 @@ def h1_local(f, region):
 def dissipation_audit(times, energies, slopes, speeds, flavor):
     """Energy-dissipation residuals from plain per-snapshot arrays.
 
-    residual[k] = energies[0] - energies[k] minus half the trapezoidal slope
-    integral and the rectangle-rule speed integral up to times[k]; speeds[0]
-    is unused.  Non-finite input and times not strictly increasing raise ValueError.
+    residual[k] = energies[0] - energies[k] minus half the running sums, up to
+    times[k], of the trapezoidal slope integral and the rectangle-rule speed
+    integral, linear in the snapshots; speeds[0] is unused.  Non-finite input
+    and times not strictly increasing raise ValueError.
     """
-    times = np.asarray(times, dtype=float)
-    energies = np.asarray(energies, dtype=float)
-    speeds = np.asarray(speeds, dtype=float)
+    times, energies, slopes, speeds = (np.asarray(a, dtype=float) for a in (times, energies, slopes, speeds))
     if not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0.0):
         raise ValueError("snapshot times must be finite and strictly increasing")
-    if not np.all(np.isfinite(np.concatenate([energies, np.asarray(slopes, dtype=float), speeds]))):
+    if not np.all(np.isfinite(np.concatenate([energies, slopes, speeds]))):
         raise ValueError("energies, slopes and speeds must be finite")
-    # float pow, not numpy's x*x: the two can differ in the last bit
-    slopes_sq = np.array([float(s) ** 2 for s in slopes])
-    residuals = np.zeros(times.size)
-    slope_term = speed_term = 0.0
-    for k in range(1, times.size):
-        slope_term = np.trapezoid(slopes_sq[: k + 1], times[: k + 1])
-        speed_term = float(np.sum(speeds[1 : k + 1] ** 2 * np.diff(times[: k + 1])))
-        residuals[k] = energies[0] - energies[k] - 0.5 * (slope_term + speed_term)
+    dt = np.diff(times)
+    slope_run = np.concatenate([[0.0], np.cumsum(dt * (slopes[1:] ** 2 + slopes[:-1] ** 2) / 2.0)])
+    speed_run = np.concatenate([[0.0], np.cumsum(speeds[1:] ** 2 * dt)])
+    residuals = energies[0] - energies - 0.5 * (slope_run + speed_run)
     return DissipationAudit(
         flavor=flavor,
         times=times.copy(),
         residuals=residuals,
-        slope_integral=float(slope_term),
-        speed_integral=float(speed_term),
+        slope_integral=float(slope_run[-1]),
+        speed_integral=float(speed_run[-1]),
         min_residual=float(np.min(residuals)),
     )
 

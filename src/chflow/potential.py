@@ -28,6 +28,8 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from scipy.optimize import brentq
 
+_MAX_SIGMA_COMPONENTS = 8  # Sigma components; more puts a potential outside the finitely-wrinkled class
+
 
 class HypothesisViolation(RuntimeError):
     """Raised when a potential falls outside the supported structural class.
@@ -354,11 +356,11 @@ def _envelope_piece(starts, is_bridge, slopes, intercepts, order, on_graph, z):
     return out if out.shape else float(out)
 
 
-def compute_unstable_set(envelope, max_intervals=8):
+def compute_unstable_set(envelope):
     """Extract Sigma and the marker density m0 from an envelope.
 
     Raises :class:`HypothesisViolation` when Sigma splits into more than
-    ``max_intervals`` intervals, which signals a potential outside the
+    ``_MAX_SIGMA_COMPONENTS`` intervals, which signals a potential outside the
     finitely-wrinkled structural class.  A first bridge starting within
     1e-10 of 0 absorbs the point {0}.
     """
@@ -370,9 +372,9 @@ def compute_unstable_set(envelope, max_intervals=8):
         intervals = [(0.0, 0.0)] + list(bands)
         degenerate_first = True
     arr = np.array(intervals, dtype=float)
-    if arr.shape[0] > max_intervals:
+    if arr.shape[0] > _MAX_SIGMA_COMPONENTS:
         raise HypothesisViolation(
-            f"unstable set has {arr.shape[0]} components (limit {max_intervals})",
+            f"unstable set has {arr.shape[0]} components (limit {_MAX_SIGMA_COMPONENTS})",
             report={"intervals": arr.tolist()},
         )
     if arr.shape[0] == 1:

@@ -15,7 +15,8 @@ convolution is a direct sum of shifted copies, and the implicit step's
 Newton iteration factorises a fresh Jacobian, assembled from COO, at
 every iterate.  The transport offset oracle shares the library's exact
 offset cost but finds its minimum by a bounded Brent search plus a scan of
-the kinks near it, not by the root of the mean displacement.
+the kinks near it, not by the root of the mean displacement.  The
+dissipation audit re-integrates the whole prefix for every snapshot.
 """
 
 import numpy as np
@@ -362,3 +363,19 @@ def newton_fresh_jacobian(vals, residual_fn, jacobian_fn, tol, held=None, dt=Non
             raise StepFailure(f"Newton step did not lower the residual {norm:.3e}")
         norm = norm_new
     raise StepFailure("Newton did not converge")
+
+
+def dissipation_prefix_loop(times, energies, slopes, speeds):
+    """Residuals, slope integral and speed integral of the energy-dissipation
+    audit, with np.trapezoid and the speed sum re-run over every prefix."""
+    times = np.asarray(times, dtype=float)
+    energies = np.asarray(energies, dtype=float)
+    speeds = np.asarray(speeds, dtype=float)
+    slopes_sq = np.array([float(s) ** 2 for s in slopes])
+    residuals = np.zeros(times.size)
+    slope_term = speed_term = 0.0
+    for k in range(1, times.size):
+        slope_term = np.trapezoid(slopes_sq[: k + 1], times[: k + 1])
+        speed_term = float(np.sum(speeds[1 : k + 1] ** 2 * np.diff(times[: k + 1])))
+        residuals[k] = energies[0] - energies[k] - 0.5 * (slope_term + speed_term)
+    return residuals, float(slope_term), float(speed_term)

@@ -24,6 +24,8 @@ from chflow.potential import (
 from chflow.solvers import SolverConfig, TrajectoryRecord, simulate_eps, simulate_limit
 from chflow.wasserstein1d import DensityField
 
+from oracles import dissipation_prefix_loop
+
 
 @pytest.fixture(scope="module")
 def cubic():
@@ -205,6 +207,23 @@ def test_audit_stationary_and_input_guard(cubic):
         dissipation_audit([0.0, 0.0], [1.0, 1.0], zeros, zeros, "eps")
     with pytest.raises(ValueError, match="must be finite"):
         dissipation_audit([0.0, 0.1], [1.0, np.nan], zeros, zeros, "eps")
+
+
+@pytest.mark.parametrize("rows", [2, 9, 500, 2000])
+def test_audit_running_sums_match_prefix_loop(rows):
+    # the running sums round differently from a prefix trapezoid, by a few ulps of the sums
+    rng = np.random.default_rng(rows)
+    times = np.cumsum(rng.uniform(1e-4, 1e-2, rows))
+    energies = rng.normal(size=rows)
+    slopes = rng.normal(size=rows)
+    speeds = rng.uniform(0.0, 3.0, rows)
+    audit = dissipation_audit(times, energies, slopes, speeds, "eps")
+    residuals, slope_integral, speed_integral = dissipation_prefix_loop(times, energies, slopes, speeds)
+    tol = 1e-14 * (np.max(np.abs(energies)) + slope_integral + speed_integral)
+    assert audit.residuals[0] == 0.0
+    assert np.max(np.abs(audit.residuals - residuals)) <= tol
+    assert abs(audit.slope_integral - slope_integral) <= tol
+    assert abs(audit.speed_integral - speed_integral) <= tol
 
 
 def test_audit_residual_refines_jointly(cubic):

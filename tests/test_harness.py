@@ -936,8 +936,12 @@ def test_cli_audit_rejects_negative_energy_gap(tmp_path, capsys):
         ("0.01,1.0,1.0,1.0,nan,-0.375,0.0,0.0,0.0\n", "energies, slopes and speeds must be finite"),
         ("0.0,1.0,1.0,1.0,-0.3,-0.375,0.0,0.0,0.0\n", "snapshot times must be finite and strictly increasing"),
         ("-0.1,1.0,1.0,1.0,-0.3,-0.375,0.0,0.0,0.0\n", "snapshot times must be finite and strictly increasing"),
+        # NaN or inf in a column the residuals do not read is bad input too
+        ("0.01,nan,1.0,1.0,-0.3,nan,0.0,nan,0.0\n",
+         "energies, slopes and speeds must be finite: column(s) min, e_star, slope_star"),
+        ("0.01,1.0,inf,nan,-0.3,-0.375,0.0,0.0,0.0\n", "energies, slopes and speeds must be finite: column(s) max, mass"),
     ],
-    ids=["nan-energy", "repeated-time", "decreasing-time"],
+    ids=["nan-energy", "repeated-time", "decreasing-time", "nan-unread-columns", "inf-max-nan-mass"],
 )
 def test_cli_audit_rejects_malformed_trajectory(tmp_path, capsys, rows, message):
     # a malformed trajectory is bad input (exit 1), never an audit verdict

@@ -238,10 +238,11 @@ def test_too_many_bands_raises():
     w = w2.integ(2)
     spec = from_polynomial(w.coef, name="wiggly")
     env = spec.envelope
-    uset = compute_unstable_set(env, max_intervals=8)
+    uset = compute_unstable_set(env)
     assert uset.count == 2
-    with pytest.raises(HypothesisViolation):
-        compute_unstable_set(env, max_intervals=1)
+    # 26 ripple bands are past the limit of 8 components
+    with pytest.raises(HypothesisViolation, match=r"unstable set has 26 components \(limit 8\)"):
+        compute_unstable_set(_sine_ripple_spec().envelope)
 
 
 def test_unknown_name_rejected():
