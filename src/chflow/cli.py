@@ -79,11 +79,16 @@ def _cmd_audit(args):
     if real_number(args.tol, "--tol") < 0.0:
         raise ValueError("--tol must be nonnegative")
     with open(args.trajectory, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [key for key in TRAJECTORY_COLUMNS if key not in (reader.fieldnames or ())]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [key for key in TRAJECTORY_COLUMNS if key not in header]
         if missing:
             raise ValueError(f"trajectory CSV lacks column(s) {', '.join(missing)}")
-        rows = list(reader)
+        rows = []
+        for cells in filter(None, reader):  # blank lines hold no row
+            if len(cells) != len(header):
+                raise ValueError(f"trajectory CSV line {reader.line_num} has {len(cells)} cells; the header has {len(header)}")
+            rows.append(dict(zip(header, cells)))
     cols = {key: [float(row[key]) for row in rows] for key in TRAJECTORY_COLUMNS}
     nonfinite = [key for key, values in cols.items() if not all(map(math.isfinite, values))]
     if nonfinite:

@@ -29,6 +29,8 @@ __all__ = [
     "u_lambda_membership",
 ]
 
+_DELTA_CANDIDATES = 0.25 * 0.5 ** np.arange(7)  # calibrate_delta's pair widths 0.25 2^-k, largest first
+
 
 @dataclass(frozen=True)
 class WrinkleReport:
@@ -152,8 +154,8 @@ def wrinkling_report(f, sigma, eta, delta):
     )
 
 
-def calibrate_delta(fields, sigma, eta, deltas=None):
-    """Largest candidate delta with zero violations across a family of fields.
+def calibrate_delta(fields, sigma, eta):
+    """Largest delta 0.25 * 2**-k, k = 0..6, with zero violations across a family of fields.
 
     The dichotomy guarantees some positive delta works uniformly in eps but
     gives no value; this sweep makes it measurable.  Violations shrink with
@@ -161,9 +163,7 @@ def calibrate_delta(fields, sigma, eta, deltas=None):
     returning the first clean one yields the largest.  Returns 0.0 when even
     the smallest candidate produces a violation.
     """
-    if deltas is None:
-        deltas = 0.25 * 0.5 ** np.arange(7)
-    for delta in sorted(np.asarray(deltas, dtype=float), reverse=True):
+    for delta in _DELTA_CANDIDATES:
         if all(not wrinkling_report(f, sigma, eta, delta).violations for f in fields):
             return float(delta)
     return 0.0

@@ -29,6 +29,7 @@ from numpy.polynomial import Polynomial
 from scipy.optimize import brentq
 
 _MAX_SIGMA_COMPONENTS = 8  # Sigma components; more puts a potential outside the finitely-wrinkled class
+_BRACKET_STEPS = 60  # geometric widenings of a contact bracket before giving up
 
 
 class HypothesisViolation(RuntimeError):
@@ -71,8 +72,8 @@ class ConvexEnvelope:
 
     ``breakpoints`` contains the endpoints of the alternating segments; on a
     graph segment W** follows W, on a bridge segment it follows the common
-    tangent line.  Contact points are refined to ~1e-10 in the node
-    coordinate.
+    tangent line.  Contact points are ``brentq`` roots at xtol 1e-12.  Each of the
+    four evaluators is one piece lookup; on a bridge Q**' is exactly minus the intercept.
     """
 
     breakpoints: np.ndarray
@@ -230,21 +231,21 @@ def _lower_hull_indices(x, y):
     return np.array(keep)
 
 
-def _refine_bridge(spec, x_lo, x_hi, a0, b0, dx, interior_lo, interior_hi):
-    """Sharpen one bridge's contact points.
+def _refine_bridge(spec, a0, b0, dx, interior_lo, interior_hi):
+    """Sharpen one bridge's contact points on the window [0, spec.domain_max].
 
     A bridge with two interior contacts is a bitangent; with an endpoint
     contact it is a tangent line through that endpoint.  Both reduce to
-    scalar root problems that bisection solves without smoothness caveats:
+    scalar root problems that ``brentq`` solves on a sign-change bracket:
     phi(a) below is strictly decreasing because phi'(a) = -W''(a) (b - a).
     """
-    w, w1 = spec.eval_W, spec.eval_W1
+    w, w1, x_hi = spec.eval_W, spec.eval_W1, spec.domain_max
 
     def tangent_through(point_x, point_y, lo, hi):
         # root of W(t) - point_y - W'(t)(t - point_x), monotone in t near contact
         def g(t):
             return float(w(t) - point_y - w1(t) * (t - point_x))
-        lo, hi = _widen_bracket(g, lo, hi, x_lo, x_hi)
+        lo, hi = _widen_bracket(g, lo, hi, x_hi)
         return brentq(g, lo, hi, xtol=1e-12)
 
     if not interior_lo and not interior_hi:
@@ -253,31 +254,31 @@ def _refine_bridge(spec, x_lo, x_hi, a0, b0, dx, interior_lo, interior_hi):
         b = tangent_through(a0, float(w(a0)), max(b0 - 2 * dx, a0 + dx), min(b0 + 2 * dx, x_hi))
         return a0, b
     if not interior_hi:
-        a = tangent_through(b0, float(w(b0)), max(a0 - 2 * dx, x_lo), min(a0 + 2 * dx, b0 - dx))
+        a = tangent_through(b0, float(w(b0)), max(a0 - 2 * dx, 0.0), min(a0 + 2 * dx, b0 - dx))
         return a, b0
 
     def other_contact(a):
         def g(t):
             return float(w1(t) - w1(a))
-        lo, hi = _widen_bracket(g, max(b0 - 2 * dx, a + dx), min(b0 + 2 * dx, x_hi), x_lo, x_hi)
+        lo, hi = _widen_bracket(g, max(b0 - 2 * dx, a + dx), min(b0 + 2 * dx, x_hi), x_hi)
         return brentq(g, lo, hi, xtol=1e-12)
 
     def phi(a):
         b = other_contact(a)
         return float(w(b) - w(a) - w1(a) * (b - a))
 
-    lo, hi = _widen_bracket(phi, max(a0 - 2 * dx, x_lo), min(a0 + 2 * dx, b0 - dx), x_lo, x_hi)
+    lo, hi = _widen_bracket(phi, max(a0 - 2 * dx, 0.0), min(a0 + 2 * dx, b0 - dx), x_hi)
     a = brentq(phi, lo, hi, xtol=1e-12)
     return a, other_contact(a)
 
 
-def _widen_bracket(g, lo, hi, floor, ceil, max_steps=60):
-    """Grow [lo, hi] geometrically until g changes sign."""
+def _widen_bracket(g, lo, hi, ceil):
+    """Grow [lo, hi] geometrically inside [0, ceil] until g changes sign."""
     glo, ghi = g(lo), g(hi)
     width = hi - lo
     steps = 0
-    while glo * ghi > 0 and steps < max_steps:
-        lo = max(floor, lo - width)
+    while glo * ghi > 0 and steps < _BRACKET_STEPS:
+        lo = max(0.0, lo - width)
         hi = min(ceil, hi + width)
         width *= 1.6
         glo, ghi = g(lo), g(hi)
@@ -292,7 +293,7 @@ def compute_convex_envelope(spec):
 
     Samples the graph at 2048 points, takes the lower convex hull, classifies
     hull edges as graph contact or bridges, and refines every bridge's
-    contact points by bisection.  An edge is a bridge only when the graph
+    contact points with ``brentq``.  An edge is a bridge only when the graph
     rises above its chord by more than 1e-9 of the sampled range of W (1e-39
     for a flat W); shallower edges are flat stretches of W itself.
     """
@@ -311,8 +312,7 @@ def compute_convex_envelope(spec):
         chord = ys[0] + (ys[-1] - ys[0]) * (xs - xs[0]) / (xs[-1] - xs[0])
         if float((ys - chord).max()) <= contact_tol:
             continue  # flat stretch of W itself, not a true bridge
-        a, b = _refine_bridge(spec, 0.0, spec.domain_max, x[p], x[q], dx,
-                              interior_lo=(p > 0), interior_hi=(q < x.size - 1))
+        a, b = _refine_bridge(spec, x[p], x[q], dx, interior_lo=(p > 0), interior_hi=(q < x.size - 1))
         bridges.append((float(a), float(b)))
 
     segments = []
@@ -334,25 +334,19 @@ def compute_convex_envelope(spec):
     slopes = np.array([s[3] for s in segments])
     intercepts = np.array([s[4] for s in segments])
 
-    graph = (spec.eval_W, spec.eval_W1, spec.eval_W2)
-    wss, wss1, wss2 = (partial(_envelope_piece, starts, is_bridge, slopes, intercepts, order, graph[order])
-                       for order in range(3))
-    return ConvexEnvelope(breakpoints=breakpoints, eval_Wss=wss, eval_Wss1=wss1,
-                          eval_Qss1=partial(_pressure_primitive, wss, wss1), eval_Wss2=wss2,
-                          segments=segments)
+    zeros = np.zeros_like(slopes)
+    table = {"eval_Wss": (slopes, intercepts, spec.eval_W), "eval_Wss1": (zeros, slopes, spec.eval_W1),
+             "eval_Wss2": (zeros, zeros, spec.eval_W2),
+             "eval_Qss1": (zeros, -intercepts, partial(_pressure_primitive, spec.eval_W, spec.eval_W1))}
+    return ConvexEnvelope(breakpoints=breakpoints, segments=segments,
+                          **{name: partial(_envelope_piece, starts, is_bridge, *row) for name, row in table.items()})
 
 
-def _envelope_piece(starts, is_bridge, slopes, intercepts, order, on_graph, z):
-    """Derivative `order` of W**: the tangent line on bridge segments, W on graph segments."""
+def _envelope_piece(starts, is_bridge, lin, const, on_graph, z):
+    """lin * z + const on bridge segments, on_graph(z) on graph segments: W**, W**', W**'' or Q**'."""
     z = np.asarray(z, dtype=float)
     idx = np.clip(np.searchsorted(starts, z, side="right") - 1, 0, starts.size - 1)
-    if order == 0:
-        on_bridge = slopes[idx] * z + intercepts[idx]
-    elif order == 1:
-        on_bridge = slopes[idx]
-    else:
-        on_bridge = 0.0
-    out = np.where(is_bridge[idx], on_bridge, on_graph(z))
+    out = np.where(is_bridge[idx], lin[idx] * z + const[idx], on_graph(z))
     return out if out.shape else float(out)
 
 

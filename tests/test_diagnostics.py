@@ -180,13 +180,12 @@ def test_wrinkled_state_localizes_to_sigma(wrinkle_stack, wrinkled_run):
 
 def test_calibrate_delta_on_pathological_family(spinodal_stack):
     spec, _, sigma = spinodal_stack
-    # centered slopes vanish on the period-2 comb, so every pair offset fails
-    n = 256
-    comb = 1.0 + 0.2 * (-1.0) ** np.arange(n)
-    family = [DensityField(comb)]
-    assert wrinkling_report(family[0], sigma, 0.05, 0.05).violations
-    assert calibrate_delta(family, sigma, 0.05, deltas=[0.1, 0.05]) == 0.0
-    assert calibrate_delta([_cosine_field(n, 0.01)], sigma, 0.05) == 0.25
+    # centered slopes vanish on the period-2 comb, so every pair offset fails; at
+    # n = 512 even the smallest candidate width, 0.25 / 64, holds a pair
+    comb = DensityField(1.0 + 0.2 * (-1.0) ** np.arange(512))
+    assert wrinkling_report(comb, sigma, 0.05, 0.05).violations
+    assert calibrate_delta([comb], sigma, 0.05) == 0.0
+    assert calibrate_delta([_cosine_field(256, 0.01)], sigma, 0.05) == 0.25
 
 
 def test_audit_stationary_and_input_guard(cubic):

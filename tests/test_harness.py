@@ -940,8 +940,12 @@ def test_cli_audit_rejects_negative_energy_gap(tmp_path, capsys):
         ("0.01,nan,1.0,1.0,-0.3,nan,0.0,nan,0.0\n",
          "energies, slopes and speeds must be finite: column(s) min, e_star, slope_star"),
         ("0.01,1.0,inf,nan,-0.3,-0.375,0.0,0.0,0.0\n", "energies, slopes and speeds must be finite: column(s) max, mass"),
+        # a row whose cell count is not the header's, named by its line; blank lines are skipped
+        ("\n0.01,1.0,1.0,1.0,-0.3,-0.375,0.0,0.0,0.0,0.0\n", "trajectory CSV line 4 has 10 cells; the header has 9"),
+        ("0.01,1.0,1.0,1.0,-0.3,-0.375,0.0,0.0\n", "trajectory CSV line 3 has 8 cells; the header has 9"),
     ],
-    ids=["nan-energy", "repeated-time", "decreasing-time", "nan-unread-columns", "inf-max-nan-mass"],
+    ids=["nan-energy", "repeated-time", "decreasing-time", "nan-unread-columns", "inf-max-nan-mass",
+         "long-row", "short-row"],
 )
 def test_cli_audit_rejects_malformed_trajectory(tmp_path, capsys, rows, message):
     # a malformed trajectory is bad input (exit 1), never an audit verdict

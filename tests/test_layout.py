@@ -6,16 +6,19 @@ goes through the one factorisation seam and every implicit step's Newton
 iteration and flux divergence through the one implicit stepper, only the
 cell flows' builders make steppers and only their one driver and JKO run
 the trajectory loop, jko imports nothing from scipy, only the trajectory
-loop builds records, only potential builds convex envelopes, only harness
+loop builds records, only potential builds convex envelopes, whose four
+evaluators are partials of one piece function, only harness
 writes files and only through its one writer, every config field is read,
 and every exported name exists."""
 
 import ast
+import functools
 import importlib
 import re
 from pathlib import Path
 
 import chflow
+from chflow.potential import canonical_names, from_polynomial, make_potential
 
 PACKAGE_DIR = Path(chflow.__file__).resolve().parent
 
@@ -232,6 +235,16 @@ def test_only_potential_builds_envelopes():
         if isinstance(node, ast.Call) and _dotted(node.func).rpartition(".")[2] == "compute_convex_envelope"
     ]
     assert not offenders, "\n".join(offenders)
+
+
+def test_envelope_evaluators_share_one_piece_function():
+    # W**, W**', W**'' and Q**' are one piece lookup each, bound from one function:
+    # no per-order branch and no Q**' composed from two lookups
+    specs = [make_potential(name) for name in canonical_names()] + [from_polynomial([0.0, 0.0, 1.0, -1.0, 0.3])]
+    for spec in specs:
+        evaluators = [getattr(spec.envelope, f) for f in ("eval_Wss", "eval_Wss1", "eval_Wss2", "eval_Qss1")]
+        assert all(isinstance(fn, functools.partial) for fn in evaluators), spec.name
+        assert len({fn.func for fn in evaluators}) == 1, spec.name
 
 
 # harness owns every artifact and its one CSV dialect (cli reads trajectory.csv back),

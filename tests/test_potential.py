@@ -117,6 +117,23 @@ def test_right_edge_tangent_contact(wrinkle_on_unit_window):
     assert float(env.eval_Wss(1.0)) == pytest.approx(float(spec.eval_W(1.0)), abs=1e-15)
 
 
+def test_pressure_is_flat_on_every_bridge(wrinkle_on_unit_window):
+    # Q**' on a bridge is minus the tangent line's intercept, the same bits at every
+    # point, so the limit flow is exactly degenerate there; cubic-motivation's
+    # bridge starts at 0, and its tangent line continues below 0
+    custom = from_polynomial([0.0, 0.0, 1.0, -1.0, 0.3])
+    for spec in [*(make_potential(name) for name in _CANONICAL), custom, wrinkle_on_unit_window]:
+        for kind, a, b, _, intercept in spec.envelope.segments:
+            if kind != "bridge":
+                continue
+            points = np.linspace(a, b, 1002)[1:-1]
+            if a == 0.0:
+                points = np.concatenate([points, np.linspace(-1.0, 0.0, 100)])
+            q = spec.envelope.eval_Qss1(points)
+            assert np.ptp(q) == 0.0, (spec.name, a, b, np.ptp(q))
+            assert q[0] == -intercept
+
+
 def test_envelope_below_and_convex(quartics, cubic, wrinkle_on_unit_window):
     edge = (wrinkle_on_unit_window, wrinkle_on_unit_window.envelope, None)
     for spec, env, _ in [cubic, edge] + list(quartics.values()):

@@ -249,6 +249,17 @@ def test_limit_constant_and_plateau_stationary():
     assert np.max(np.abs(out.values - f.values)) < 1e-14
 
 
+def test_limit_stationary_inside_a_bridge(wrinkle):
+    # 1 + 0.3 cos stays inside quartic-wrinkle's bridge [0.134, 1.866], where
+    # Q**' is one constant, so every residual is zero and nothing moves
+    n = 512
+    f0 = _cosine(n, 0.3)
+    rec = simulate_limit(f0, SolverConfig(n=n, dt=1e-4, eps=0.0, t_end=0.05), wrinkle.envelope)
+    assert rec.completed and rec.times[-1] == 0.05
+    for snap in rec.snapshots:
+        assert np.array_equal(snap.values, f0.values)
+
+
 def _limit_step_pair(lo, hi, h, dt, cfg, env):
     """Both arrays advanced by dt, in two half steps each wherever Newton fails, as
     `run_trajectory` halves dt."""
